@@ -31,13 +31,13 @@ __all__ = [
     "triangle_operators",
     "assemble_stiffness",
     "assemble_viscosity",
+    "JumpOperator",
+    "jump_operator",
     "assemble_interface",
     "assemble_loads",
     "make_dofmap",
     "dirichlet_map",
     "constraint_matrix",
-    "segment_jump_rows",
-    "reaction_force",
     "dump_matrix",
 ]
 
@@ -96,84 +96,86 @@ def assemble_viscosity(stiffness: sp.csr_matrix, chi: float) -> sp.csr_matrix:
     return (stiffness * chi).tocsr()
 
 
-def segment_jump_rows(
-    mesh: Mesh2D, seg_index: int, s: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jump operator of one segment at barycentric position s in [0, 1].
+@dataclass(frozen=True)
+class JumpOperator:
+    """Displacement jump at the two Gauss points of every interface segment.
 
-    Returns (dofs, coeffs) with coeffs of shape (2, len(dofs)) such that
-    coeffs @ u[dofs] is the jump vector (foundation trace minus body
-    trace).  In rigid mode only the body-side dofs appear.
+    matrix maps the full displacement vector to four rows per segment,
+    ordered (segment, Gauss point, component), where component 0 is the
+    normal jump j . n and component 1 the tangential jump j . t, with t
+    the normal turned by +90 degrees.  length holds the segment lengths;
+    each Gauss point carries quadrature weight length / 2.
     """
-    seg = mesh.interface_segments[seg_index]
-    shape = np.array([1.0 - s, s])
-    pa, pb = seg.node_plus
-    plus_dofs = node_dofs(np.array([pa, pb])).ravel()
-    if mesh.foundation == "rigid":
-        dofs = plus_dofs
-        coeffs = np.zeros((2, 4))
-        for k in range(2):
-            coeffs[0, 2 * k] = -shape[k]
-            coeffs[1, 2 * k + 1] = -shape[k]
-        return dofs, coeffs
-    ma, mb = seg.node_minus
-    minus_dofs = node_dofs(np.array([ma, mb])).ravel()
-    dofs = np.concatenate([plus_dofs, minus_dofs])
-    coeffs = np.zeros((2, 8))
-    for k in range(2):
-        coeffs[0, 2 * k] = -shape[k]
-        coeffs[1, 2 * k + 1] = -shape[k]
-        coeffs[0, 4 + 2 * k] = shape[k]
-        coeffs[1, 4 + 2 * k + 1] = shape[k]
-    return dofs, coeffs
+
+    matrix: sp.csr_matrix
+    length: np.ndarray
+
+    def values(self, u: np.ndarray) -> np.ndarray:
+        """(segment, Gauss point, component) array of the jump of u."""
+        return (self.matrix @ u).reshape(-1, len(GAUSS_2PT), 2)
+
+
+def _jump_rows(mesh: Mesh2D, positions) -> sp.csr_matrix:
+    """Jump rows of every segment at barycentric positions s in [0, 1].
+
+    Rows are ordered (segment, position, component) as in JumpOperator.
+    Row (e, s, c) holds the frame vector c of segment e times the P1
+    shape weights (1 - s, s) of its endpoints: negated on the body
+    side, positive on the foundation side, which is absent in rigid mode.
+    """
+    segs = mesh.interface_segments
+    n = np.array([seg.normal for seg in segs], dtype=float).reshape(-1, 2)
+    frame = np.stack([n, np.column_stack([-n[:, 1], n[:, 0]])], axis=1)  # (e, c, xy)
+    shape = np.array([[1.0 - s, s] for s in positions])  # (p, endpoint)
+    m, p = len(segs), len(shape)
+    row = (np.arange(m)[:, None, None] * p + np.arange(p)[:, None]) * 2 + np.arange(2)
+    plus, minus = mesh.segment_nodes()
+    sides = [(plus, -1.0)] if mesh.foundation == "rigid" else [(plus, -1.0), (minus, 1.0)]
+    rows, cols, vals = [], [], []
+    for nodes, sign in sides:
+        # (e, p, c, endpoint, xy)
+        v = sign * shape[None, :, None, :, None] * frame[:, None, :, None, :]
+        col = 2 * nodes[:, None, None, :, None] + np.arange(2)
+        rows.append(np.broadcast_to(row[..., None, None], v.shape).ravel())
+        cols.append(np.broadcast_to(col, v.shape).ravel())
+        vals.append(v.ravel())
+    J = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(2 * p * m, mesh.n_dofs),
+    ).tocsr()
+    J.eliminate_zeros()
+    return J
+
+
+def jump_operator(mesh: Mesh2D) -> JumpOperator:
+    """The interface jump at the Gauss points, built once per mesh."""
+    return JumpOperator(
+        matrix=_jump_rows(mesh, GAUSS_2PT),
+        length=np.array([seg.length for seg in mesh.interface_segments], dtype=float),
+    )
 
 
 def assemble_interface(
-    mesh: Mesh2D, law: AdhesiveLaw, z: np.ndarray
+    jump: JumpOperator, law: AdhesiveLaw, z: np.ndarray
 ) -> sp.csr_matrix:
-    """Glue stiffness weighted by the per-segment bond fraction z.
+    """Glue stiffness J^T W J weighted by the per-segment bond fraction z.
 
     The quadratic form 0.5 u . A u equals the integral over the interface
-    of (z/2)(kappa_n j_n^2 + kappa_t |j_t|^2) for the P1 jump j of u.
+    of (z/2)(kappa_n j_n^2 + kappa_t j_t^2) for the P1 jump j of u.
     Fully debonded segments contribute nothing; the matrix is positive
     semidefinite.
     """
     z = np.asarray(z, dtype=float)
-    if len(z) != len(mesh.interface_segments):
+    if len(z) != len(jump.length):
         raise ValueError(
-            f"bond vector has {len(z)} entries for {len(mesh.interface_segments)} segments"
+            f"bond vector has {len(z)} entries for {len(jump.length)} segments"
         )
-    rows, cols, vals = [], [], []
-    for e, seg in enumerate(mesh.interface_segments):
-        if z[e] == 0.0:
-            continue
-        n = np.array(seg.normal)
-        t = np.array([-n[1], n[0]])
-        local = None
-        dofs = None
-        for s in GAUSS_2PT:
-            dofs, J = segment_jump_rows(mesh, e, s)
-            jn = n @ J
-            jt = t @ J
-            contrib = (
-                0.5
-                * seg.length
-                * z[e]
-                * (law.kappa_n * np.outer(jn, jn) + law.kappa_t * np.outer(jt, jt))
-            )
-            local = contrib if local is None else local + contrib
-        grid = np.meshgrid(dofs, dofs, indexing="ij")
-        rows.append(grid[0].ravel())
-        cols.append(grid[1].ravel())
-        vals.append(local.ravel())
-    if not rows:
-        return sp.csr_matrix((mesh.n_dofs, mesh.n_dofs))
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_dofs, mesh.n_dofs),
-    ).tocsr()
-    A.sum_duplicates()
-    return A
+    w = 0.5 * np.repeat(jump.length * z, 2 * len(GAUSS_2PT)) * np.tile(
+        [law.kappa_n, law.kappa_t], len(GAUSS_2PT) * len(z)
+    )
+    keep = w != 0.0
+    Jk = jump.matrix[keep]
+    return (Jk.T @ sp.diags(w[keep]) @ Jk).tocsr()
 
 
 def assemble_loads(
@@ -322,92 +324,25 @@ class ConstraintMatrix:
 
 
 def constraint_matrix(mesh: Mesh2D, dofmap: DofMap) -> ConstraintMatrix:
-    """One non-penetration row per interface node pair, ordered by x."""
-    n = mesh.n_dofs
-    free_index = -np.ones(n, dtype=np.int64)
-    free_index[dofmap.free] = np.arange(dofmap.n_free)
-    presc_index = -np.ones(n, dtype=np.int64)
-    presc_index[dofmap.prescribed] = np.arange(len(dofmap.prescribed))
+    """One non-penetration row per interface node pair, ordered by x.
 
-    normal_of: dict[tuple[int, int], np.ndarray] = {}
-    for seg in mesh.interface_segments:
-        nvec = np.array(seg.normal)
-        for plus, minus in zip(seg.node_plus, seg.node_minus):
-            normal_of.setdefault((plus, minus), nvec)
-
-    pairs = mesh.interface_nodes()
-    rows_f, cols_f, vals_f = [], [], []
-    rows_p, cols_p, vals_p = [], [], []
-    kept_pairs = []
-    fixed_rows = []  # (plus, minus, normal) with no free dof at all
-    r = 0
-    for plus, minus in pairs:
-        nvec = normal_of[(plus, minus)]
-        entries = []  # (dof, coeff) over full dofs
-        for c in range(2):
-            entries.append((2 * plus + c, -nvec[c]))
-            if minus != plus and mesh.foundation != "rigid":
-                entries.append((2 * minus + c, nvec[c]))
-        has_free = any(free_index[d] >= 0 and v != 0.0 for d, v in entries)
-        if not has_free:
-            fixed_rows.append(entries)
-            continue
-        for d, v in entries:
-            if v == 0.0:
-                continue
-            if free_index[d] >= 0:
-                rows_f.append(r)
-                cols_f.append(free_index[d])
-                vals_f.append(v)
-            else:
-                rows_p.append(r)
-                cols_p.append(presc_index[d])
-                vals_p.append(v)
-        kept_pairs.append((plus, minus))
-        r += 1
-
-    B = sp.coo_matrix((vals_f, (rows_f, cols_f)), shape=(r, dofmap.n_free)).tocsr()
-    P = sp.coo_matrix(
-        (vals_p, (rows_p, cols_p)), shape=(r, len(dofmap.prescribed))
-    ).tocsr()
-
-    def fixed_offsets(t: float) -> np.ndarray:
-        if not fixed_rows:
-            return np.zeros(0)
-        vals = dofmap.prescribed_values(t)
-        out = np.zeros(len(fixed_rows))
-        for i, entries in enumerate(fixed_rows):
-            out[i] = sum(v * vals[presc_index[d]] for d, v in entries if v != 0.0)
-        return out
-
-    return ConstraintMatrix(
-        rows=B,
-        prescribed_part=P,
-        dofmap=dofmap,
-        node_pairs=tuple(kept_pairs),
-        fixed_offsets=fixed_offsets,
-    )
-
-
-def reaction_force(
-    C_hat: sp.csr_matrix,
-    V: sp.csr_matrix,
-    u_prev: np.ndarray,
-    u_next: np.ndarray,
-    tau: float,
-    loads: np.ndarray,
-    dofmap: DofMap,
-) -> np.ndarray:
-    """Total force the driving device exerts through the prescribed dofs.
-
-    C_hat is the elastic-plus-glue operator of the step (glue weighted by
-    the bond field the step was solved with).  The reaction is the
-    discrete momentum residual restricted to prescribed dofs, summed per
-    component.
+    Each row is the normal jump row at the pair's node, taken from the
+    first segment that ends there.
     """
-    residual = C_hat @ u_next + V @ ((u_next - u_prev) / tau) - loads
-    r = residual[dofmap.prescribed]
-    return np.array([r[0::2].sum(), r[1::2].sum()])
+    ends, first = mesh.interface_ends()
+    G = _jump_rows(mesh, (0.0, 1.0))[2 * first]
+
+    free = G[:, dofmap.free]
+    has_free = free.getnnz(axis=1) > 0
+    presc = G[:, dofmap.prescribed]
+    fixed = presc[~has_free]
+    return ConstraintMatrix(
+        rows=free[has_free],
+        prescribed_part=presc[has_free],
+        dofmap=dofmap,
+        node_pairs=tuple((int(p), int(q)) for p, q in ends[first[has_free]]),
+        fixed_offsets=lambda t: fixed @ dofmap.prescribed_values(t),
+    )
 
 
 def dump_matrix(mat, path) -> None:

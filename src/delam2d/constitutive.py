@@ -117,6 +117,42 @@ class AdhesiveLaw:
                 f"mixity regularization must be nonnegative, got {self.mixity_regularization}"
             )
 
+    def energy_density(self, j_n, j_t):
+        """Glue energy per unit area of an intact bond, elementwise.
+
+        (1/2)(kappa_n j_n^2 + kappa_t j_t^2) for normal and tangential
+        jump components j_n, j_t.
+        """
+        return 0.5 * (self.kappa_n * j_n * j_n + self.kappa_t * (j_t * j_t))
+
+    def mixity(self, j_n, j_t):
+        """Mixity angle in [0, pi/2] of jump components, elementwise.
+
+        The angle is arctan of the square root of the tangential-to-normal
+        ratio of the glue energies, kappa_t j_t^2 over
+        kappa_n j_n^2 + regularization.  Pure opening gives 0, pure
+        sliding gives pi/2.  Without regularization the zero jump is
+        assigned angle 0.
+        """
+        num = self.kappa_t * (np.asarray(j_t, dtype=float) ** 2)
+        den = self.kappa_n * j_n * j_n + self.mixity_regularization
+        with np.errstate(divide="ignore", invalid="ignore"):
+            psi = np.arctan(np.sqrt(num / den))
+        return np.where(den > 0.0, psi, np.where(num > 0.0, HALF_PI, 0.0))
+
+    def threshold(self, psi):
+        """Dissipation per unit area at mixity angle psi, elementwise.
+
+        a(psi) = a_I (1 + tan^2((1 - lambda) psi)).  Monotone increasing
+        on [0, pi/2].  For lambda = 0 the shear limit psi = pi/2 is
+        unbounded; that case returns inf as an explicit sentinel rather
+        than overflowing inside tan.
+        """
+        arg = (1.0 - self.mode_sensitivity) * np.asarray(psi, dtype=float)
+        ok = arg < HALF_PI
+        t = np.tan(np.where(ok, arg, 0.0))
+        return np.where(ok, self.mode1_toughness * (1.0 + t * t), np.inf)
+
 
 def elasticity_tensor(material: IsotropicElasticity) -> np.ndarray:
     """Plane-strain stiffness as a symmetric positive definite 3x3 Voigt matrix."""
@@ -159,42 +195,26 @@ def traction_decompose(
     return traction, t_n, t_t
 
 
-def mode_mixity_angle(jump: np.ndarray, normal: np.ndarray, law: AdhesiveLaw) -> float:
-    """Mixity angle in [0, pi/2] of a displacement jump across the interface.
-
-    The angle is arctan of the square root of the tangential-to-normal
-    ratio of the glue energies, kappa_t |j_t|^2 over
-    kappa_n j_n^2 + regularization.  Pure opening gives 0, pure sliding
-    gives pi/2.  Without regularization the zero jump is assigned angle 0.
-    The value depends on the jump only through dot products with the
-    normal, so it is invariant under simultaneous rotation of both.
-    """
+def _frame_components(jump: np.ndarray, normal: np.ndarray) -> tuple[float, float]:
+    """Normal and tangential jump components, the tangent being the normal turned by +90 degrees."""
     jump = np.asarray(jump, dtype=float)
     n = np.asarray(normal, dtype=float)
-    j_n = float(jump @ n)
-    tang = jump - j_n * n
-    num = law.kappa_t * float(tang @ tang)
-    den = law.kappa_n * j_n * j_n + law.mixity_regularization
-    if den == 0.0:
-        return 0.0 if num == 0.0 else HALF_PI
-    return math.atan(math.sqrt(num / den))
+    return float(jump @ n), float(jump @ np.array([-n[1], n[0]]))
+
+
+def mode_mixity_angle(jump: np.ndarray, normal: np.ndarray, law: AdhesiveLaw) -> float:
+    """Mixity angle in [0, pi/2] of one displacement jump; see AdhesiveLaw.mixity."""
+    return float(law.mixity(*_frame_components(jump, normal)))
 
 
 def dissipation_threshold(angle: float, law: AdhesiveLaw) -> float:
-    """Energy per unit area dissipated by debonding at a given mixity angle.
+    """Energy per unit area dissipated by debonding at one mixity angle.
 
-    a(psi) = a_I (1 + tan^2((1 - lambda) psi)).  Monotone increasing on
-    [0, pi/2].  For lambda = 0 the shear limit psi = pi/2 is unbounded;
-    that case returns math.inf as an explicit sentinel rather than
-    overflowing inside tan.
+    See AdhesiveLaw.threshold; the angle must lie in [0, pi/2].
     """
     if not 0.0 <= angle <= HALF_PI * (1.0 + 1e-12):
         raise ValueError(f"mixity angle must lie in [0, pi/2], got {angle}")
-    arg = (1.0 - law.mode_sensitivity) * angle
-    if arg >= HALF_PI:
-        return math.inf
-    t = math.tan(arg)
-    return law.mode1_toughness * (1.0 + t * t)
+    return float(law.threshold(angle))
 
 
 def adhesive_energy_density(
@@ -203,8 +223,4 @@ def adhesive_energy_density(
     """Stored glue energy per unit interface area, (z/2)(kappa_n j_n^2 + kappa_t |j_t|^2)."""
     if not -1e-12 <= z <= 1.0 + 1e-12:
         raise ValueError(f"bond fraction must lie in [0, 1], got {z}")
-    jump = np.asarray(jump, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    j_n = float(jump @ n)
-    tang = jump - j_n * n
-    return 0.5 * z * (law.kappa_n * j_n * j_n + law.kappa_t * float(tang @ tang))
+    return z * float(law.energy_density(*_frame_components(jump, normal)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import assembly
 from .qp import project_feasible
-from .stepper import Operators, State, Trajectory, _thresholds, segment_energies
+from .stepper import FEASIBILITY_TOL, Operators, State, Trajectory, segment_energies
 
 __all__ = [
     "EnergyLedger",
@@ -33,8 +33,6 @@ __all__ = [
     "mixity_histogram",
     "trajectory_norms",
 ]
-
-FEASIBILITY_TOL = 1e-10
 
 
 def stored_energy(ops: Operators, state: State) -> tuple[bool, float]:
@@ -73,7 +71,7 @@ def dissipation_rate(
     viscous = float(u_dot @ (ops.V @ u_dot))
     if z_dot.size:
         _, psi = segment_energies(ops, state.u)
-        thresh = _thresholds(ops.adhesive, psi, ops.seg_length)
+        thresh = ops.adhesive.threshold(psi) * ops.seg_length
         finite = np.isfinite(thresh) | (z_dot == 0.0)
         if not finite.all():
             return True, math.inf
@@ -197,7 +195,7 @@ def semistability_check(
     """
     state = traj.states[index]
     drive, psi = segment_energies(ops, state.u)
-    thresh = _thresholds(ops.adhesive, psi, ops.seg_length)
+    thresh = ops.adhesive.threshold(psi) * ops.seg_length
     out: list[tuple[int, bool, float]] = []
     for e in range(len(drive)):
         if state.z[e] == 0.0:
@@ -231,7 +229,7 @@ def momentum_residual(
     prev = traj.states[index - 1]
     tau = state.t - prev.t
     z_prev = prev.z
-    A = assembly.assemble_interface(ops.mesh, ops.adhesive, z_prev)
+    A = assembly.assemble_interface(ops.jump, ops.adhesive, z_prev)
     loads = ops.loads(state.t)
     rate = (state.u - prev.u) / tau
     residual = ops.K @ state.u + A @ state.u + ops.V @ rate - loads
@@ -285,10 +283,6 @@ class MixityRecord:
 
 def mixity_histogram(ops: Operators, traj: Trajectory) -> MixityRecord:
     m = ops.n_segments
-    x_mid = np.zeros(m)
-    for e, seg in enumerate(ops.mesh.interface_segments):
-        pa, pb = ops.mesh.nodes[seg.node_plus[0]], ops.mesh.nodes[seg.node_plus[1]]
-        x_mid[e] = 0.5 * (pa[0] + pb[0])
     debonded = np.zeros(m, dtype=bool)
     debond_time = np.full(m, np.nan)
     angle = np.full(m, np.nan)
@@ -308,7 +302,7 @@ def mixity_histogram(ops: Operators, traj: Trajectory) -> MixityRecord:
     ratio = density / ops.adhesive.mode1_toughness
     return MixityRecord(
         segment=np.arange(m),
-        x_mid=x_mid,
+        x_mid=ops.seg_x_mid,
         debonded=debonded,
         debond_time=debond_time,
         mixity_angle=angle,

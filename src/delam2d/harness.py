@@ -168,7 +168,8 @@ def _write_csv(path: Path, digest: str, columns: list[str], rows) -> None:
             out.write(",".join(row) + "\n")
 
 
-def _write_snapshot(path: Path, digest: str, mesh: Mesh2D, state) -> None:
+def _write_snapshot(path: Path, digest: str, ops: Operators, state) -> None:
+    mesh = ops.mesh
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(f"# config_hash={digest}\n")
         out.write(f"# t={_fmt(state.t)}\n")
@@ -178,28 +179,16 @@ def _write_snapshot(path: Path, digest: str, mesh: Mesh2D, state) -> None:
                 f"{i},{_fmt(x)},{_fmt(y)},{_fmt(state.u[2 * i])},{_fmt(state.u[2 * i + 1])}\n"
             )
         out.write("interface\nid,x_mid,z\n")
-        for e, seg in enumerate(mesh.interface_segments):
-            xm = 0.5 * (mesh.nodes[seg.node_plus[0]][0] + mesh.nodes[seg.node_plus[1]][0])
+        for e, xm in enumerate(ops.seg_x_mid):
             out.write(f"{e},{_fmt(xm)},{_fmt(state.z[e])}\n")
 
 
-def _snapshot_instants(config: SimulationConfig):
-    if config.outputs.snapshot_times is not None:
-        return config.outputs.snapshot_times
-    return tuple(f * config.time.T for f in SNAPSHOT_FRACTIONS)
-
-
-def _planned_snapshot_steps(config: SimulationConfig, tau: float) -> set[int]:
-    """Step indices to snapshot as the run passes them (unclamped)."""
-    return {max(0, round(t / tau)) for t in _snapshot_instants(config)}
-
-
-def _snapshot_indices(config: SimulationConfig, traj: Trajectory, tau: float) -> list[int]:
-    last = len(traj.states) - 1
-    picked = sorted(
-        {min(last, max(0, round(t / tau))) for t in _snapshot_instants(config)}
-    )
-    return picked
+def _snapshot_steps(config: SimulationConfig) -> set[int]:
+    """Step indices nearest the snapshot instants, before clamping to the run's end."""
+    instants = config.outputs.snapshot_times
+    if instants is None:
+        instants = tuple(f * config.time.T for f in SNAPSHOT_FRACTIONS)
+    return {max(0, round(t / config.time.tau)) for t in instants}
 
 
 def run_single(
@@ -211,28 +200,31 @@ def run_single(
     """Run one configuration and write its result directory.
 
     Snapshots are written as their instants pass, so a long run can be
-    inspected mid-flight; the remaining files land at the end.  When the
-    stepper aborts, the outputs for the completed steps are still
-    written before the error propagates.
+    inspected mid-flight; the remaining files land at the end, along with
+    one snapshot of the last state for instants the run never reached.
+    When the stepper aborts, the outputs for the completed steps are
+    still written before the error propagates.
     """
-    mesh, ops = build_simulation(config, chi)
+    _, ops = build_simulation(config, chi)
     digest = config_hash(config)
     tau = config.time.tau
     started = time.perf_counter()
 
     on_step = None
+    planned = _snapshot_steps(config)
+    written: set[int] = set()
     if write_outputs:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _check_provenance(out, digest)
         snap_dir = out / "snapshots"
         snap_dir.mkdir(exist_ok=True)
-        planned = _planned_snapshot_steps(config, tau)
 
         def on_step(state, report):
             k = round(state.t / tau)
             if k in planned:
-                _write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", digest, mesh, state)
+                _write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", digest, ops, state)
+                written.add(k)
 
     def emit(traj) -> RunResult:
         ledger = build_ledger(ops, traj)
@@ -240,7 +232,11 @@ def run_single(
         out = Path(out_dir)
         if write_outputs:
             runtime = time.perf_counter() - started
-            _write_run_outputs(config, ops, traj, ledger, norms, out, digest, chi, runtime)
+            last = len(traj.states) - 1
+            snapshots = sorted({min(last, k) for k in planned} - written)
+            _write_run_outputs(
+                config, ops, traj, ledger, norms, out, digest, chi, runtime, snapshots
+            )
         return RunResult(
             config=config, ops=ops, trajectory=traj, ledger=ledger, norms=norms, out_dir=out
         )
@@ -277,6 +273,7 @@ def _write_run_outputs(
     digest: str,
     chi: float | None,
     runtime: float,
+    snapshots: list[int],
 ) -> None:
     total = ledger.total_energy()
     _write_csv(
@@ -342,8 +339,8 @@ def _write_run_outputs(
 
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
-    for k in _snapshot_indices(config, traj, config.time.tau):
-        _write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", digest, ops.mesh, traj.states[k])
+    for k in snapshots:
+        _write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", digest, ops, traj.states[k])
 
     from . import __version__
 

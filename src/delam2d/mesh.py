@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Point2",
     "InterfaceSegment",
     "Mesh2D",
     "build_benchmark_mesh",
@@ -33,12 +32,6 @@ __all__ = [
     "validate",
     "export_csv",
 ]
-
-
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -97,17 +90,29 @@ class Mesh2D:
     def n_dofs(self) -> int:
         return 2 * len(self.nodes)
 
+    def segment_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(plus, minus) endpoint node ids of every interface segment, each (m, 2)."""
+        segs = self.interface_segments
+        plus = np.array([seg.node_plus for seg in segs], dtype=np.int64).reshape(-1, 2)
+        minus = np.array([seg.node_minus for seg in segs], dtype=np.int64).reshape(-1, 2)
+        return plus, minus
+
+    def interface_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Segment endpoints and the first occurrence of each node pair.
+
+        Returns (ends, first): ends[2 * e + s] is the (plus, minus) node
+        pair at end s of segment e, and first indexes ends at the first
+        occurrence of every distinct pair, ordered by increasing x.
+        """
+        ends = np.stack(self.segment_nodes(), axis=-1).reshape(-1, 2)
+        first = np.sort(np.unique(ends, axis=0, return_index=True)[1])
+        xy = self.nodes[ends[first, 0]]
+        return ends, first[np.lexsort((xy[:, 1], xy[:, 0]))]
+
     def interface_nodes(self) -> list[tuple[int, int]]:
         """Unique (plus, minus) node pairs along the interface, by increasing x."""
-        pairs: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for seg in self.interface_segments:
-            for plus, minus in zip(seg.node_plus, seg.node_minus):
-                if (plus, minus) not in seen:
-                    seen.add((plus, minus))
-                    pairs.append((plus, minus))
-        pairs.sort(key=lambda pm: (self.nodes[pm[0], 0], self.nodes[pm[0], 1]))
-        return pairs
+        ends, first = self.interface_ends()
+        return [(int(p), int(m)) for p, m in ends[first]]
 
 
 def _grid_nodes(L: float, H: float, nx: int, ny: int, y0: float = 0.0) -> np.ndarray:

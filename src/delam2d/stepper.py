@@ -16,7 +16,6 @@ carry enough to audit the scheme's inequalities without re-solving.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly, qp
-from .assembly import ConstraintMatrix, DofMap
+from .assembly import ConstraintMatrix, DofMap, JumpOperator
 from .constitutive import (
     AdhesiveLaw,
     IsotropicElasticity,
@@ -132,14 +131,16 @@ class Operators:
     dofmap: DofMap
     constraint: ConstraintMatrix
     loads: Callable[[float], np.ndarray]
-    seg_plus: np.ndarray = field(repr=False, default=None)
-    seg_minus: np.ndarray = field(repr=False, default=None)
-    seg_normal: np.ndarray = field(repr=False, default=None)
-    seg_length: np.ndarray = field(repr=False, default=None)
+    jump: JumpOperator = field(repr=False)
+    seg_x_mid: np.ndarray = field(repr=False)
 
     @property
     def n_segments(self) -> int:
         return len(self.mesh.interface_segments)
+
+    @property
+    def seg_length(self) -> np.ndarray:
+        return self.jump.length
 
 
 def _zero_loads(n_dofs: int) -> Callable[[float], np.ndarray]:
@@ -167,7 +168,8 @@ def build_operators(
     else:
         loads = lambda t: assembly.assemble_loads(mesh, t, body_force, boundary_traction)
 
-    segs = mesh.interface_segments
+    plus, _ = mesh.segment_nodes()
+    x = mesh.nodes[:, 0]
     return Operators(
         mesh=mesh,
         elasticity=elasticity,
@@ -179,72 +181,25 @@ def build_operators(
         dofmap=dofmap,
         constraint=constraint,
         loads=loads,
-        seg_plus=np.array([s.node_plus for s in segs], dtype=np.int64).reshape(-1, 2),
-        seg_minus=np.array([s.node_minus for s in segs], dtype=np.int64).reshape(-1, 2),
-        seg_normal=np.array([s.normal for s in segs], dtype=float).reshape(-1, 2),
-        seg_length=np.array([s.length for s in segs], dtype=float),
+        jump=assembly.jump_operator(mesh),
+        seg_x_mid=0.5 * (x[plus[:, 0]] + x[plus[:, 1]]),
     )
-
-
-def _segment_jumps(ops: Operators, u: np.ndarray, s: float) -> np.ndarray:
-    """(n_segments, 2) jump vectors at barycentric position s along each segment."""
-    if ops.n_segments == 0:
-        return np.zeros((0, 2))
-    up_a = np.column_stack([u[2 * ops.seg_plus[:, 0]], u[2 * ops.seg_plus[:, 0] + 1]])
-    up_b = np.column_stack([u[2 * ops.seg_plus[:, 1]], u[2 * ops.seg_plus[:, 1] + 1]])
-    plus = (1.0 - s) * up_a + s * up_b
-    if ops.mesh.foundation == "rigid":
-        return -plus
-    um_a = np.column_stack(
-        [u[2 * ops.seg_minus[:, 0]], u[2 * ops.seg_minus[:, 0] + 1]]
-    )
-    um_b = np.column_stack(
-        [u[2 * ops.seg_minus[:, 1]], u[2 * ops.seg_minus[:, 1] + 1]]
-    )
-    minus = (1.0 - s) * um_a + s * um_b
-    return minus - plus
 
 
 def segment_energies(ops: Operators, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Glue energy integral per segment and midpoint mixity angle.
 
-    drive[e] integrates (1/2)(kappa_n j_n^2 + kappa_t |j_t|^2) exactly
+    drive[e] integrates (1/2)(kappa_n j_n^2 + kappa_t j_t^2) exactly
     over segment e (two-point Gauss on the quadratic integrand) for a
     fully intact bond; the stored interface energy is z[e] * drive[e].
+    The jump is affine along a segment, so its midpoint value is the
+    mean of the two Gauss point values.
     """
     law = ops.adhesive
-    m = ops.n_segments
-    drive = np.zeros(m)
-    if m == 0:
-        return drive, np.zeros(0)
-    for s in assembly.GAUSS_2PT:
-        j = _segment_jumps(ops, u, s)
-        jn = np.einsum("ec,ec->e", j, ops.seg_normal)
-        jt = j - jn[:, None] * ops.seg_normal
-        jt2 = np.einsum("ec,ec->e", jt, jt)
-        drive += 0.25 * (law.kappa_n * jn * jn + law.kappa_t * jt2)
-    drive *= ops.seg_length
-
-    j_mid = _segment_jumps(ops, u, 0.5)
-    jn = np.einsum("ec,ec->e", j_mid, ops.seg_normal)
-    jt = j_mid - jn[:, None] * ops.seg_normal
-    num = law.kappa_t * np.einsum("ec,ec->e", jt, jt)
-    den = law.kappa_n * jn * jn + law.mixity_regularization
-    psi = np.zeros(m)
-    pos = den > 0.0
-    psi[pos] = np.arctan(np.sqrt(num[pos] / den[pos]))
-    psi[~pos & (num > 0.0)] = 0.5 * math.pi
-    return drive, psi
-
-
-def _thresholds(law: AdhesiveLaw, psi: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per-segment dissipation bound: a(psi at midpoint) times the length."""
-    arg = (1.0 - law.mode_sensitivity) * psi
-    a = np.full_like(psi, np.inf)
-    ok = arg < 0.5 * math.pi
-    t = np.tan(arg[ok])
-    a[ok] = law.mode1_toughness * (1.0 + t * t)
-    return a * lengths
+    j = ops.jump.values(u)
+    drive = law.energy_density(j[..., 0], j[..., 1]).sum(axis=1) * 0.5 * ops.seg_length
+    j_mid = j.mean(axis=1)
+    return drive, law.mixity(j_mid[:, 0], j_mid[:, 1])
 
 
 class _StepOperator:
@@ -254,7 +209,7 @@ class _StepOperator:
         self.ops = ops
         self.z = z.copy()
         self.tau = tau
-        A = assembly.assemble_interface(ops.mesh, ops.adhesive, z)
+        A = assembly.assemble_interface(ops.jump, ops.adhesive, z)
         self.C_hat = (ops.K + A).tocsr()
         free = ops.dofmap.free
         H_full = (self.C_hat + ops.V / tau).tocsr()
@@ -348,7 +303,7 @@ def delamination_step(
     the bond.  Returns (z_next, drive, threshold, mixity).
     """
     drive, psi = segment_energies(ops, u_next)
-    threshold = _thresholds(ops.adhesive, psi, ops.seg_length)
+    threshold = ops.adhesive.threshold(psi) * ops.seg_length
     release = (z_prev > 0.0) & (drive > threshold)
     z_next = np.where(release, 0.0, z_prev)
     return z_next, drive, threshold, psi
@@ -400,6 +355,9 @@ def run(
     drive_prev, _ = segment_energies(ops, state.u)
     bulk_prev, interface_prev = _stored_split(ops, state.u, state.z, drive_prev)
     step_op = _StepOperator(ops, state.z, tau)
+    # The device acts on the driven body only; in the two-body variant the
+    # lower body's clamped edge is prescribed too but carries no reaction.
+    driven = ops.mesh.node_body[ops.dofmap.prescribed[0::2] // 2] == 0
     warm: tuple[int, ...] = ()
     dissipated_total = 0.0
     work_total = 0.0
@@ -425,7 +383,7 @@ def run(
         ) if debonded else 0.0
         residual_full = step_op.C_hat @ u_next + ops.V @ (du / tau) - loads
         r_presc = residual_full[ops.dofmap.prescribed]
-        reaction = np.array([r_presc[0::2].sum(), r_presc[1::2].sum()])
+        reaction = np.array([r_presc[0::2][driven].sum(), r_presc[1::2][driven].sum()])
         device_inc = float(r_presc @ du[ops.dofmap.prescribed])
         load_inc = float(loads @ du)
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from delam2d.assembly import (
+    GAUSS_2PT,
     assemble_interface,
     assemble_loads,
     assemble_stiffness,
@@ -12,18 +13,24 @@ from delam2d.assembly import (
     constraint_matrix,
     dirichlet_map,
     dump_matrix,
+    jump_operator,
     make_dofmap,
     node_dofs,
-    segment_jump_rows,
     triangle_operators,
 )
-from delam2d.constitutive import AdhesiveLaw, IsotropicElasticity, elasticity_tensor
+from delam2d.constitutive import (
+    AdhesiveLaw,
+    IsotropicElasticity,
+    ViscosityLaw,
+    elasticity_tensor,
+)
 from delam2d.mesh import (
     _boundary_edges,
     build_benchmark_mesh,
     build_two_body_mesh,
     refine_uniform,
 )
+from delam2d.stepper import build_operators, segment_energies
 
 UNIT_MATERIAL = elasticity_tensor(IsotropicElasticity(E=1.0, nu=0.3))
 GLUE = AdhesiveLaw(kappa_n=150e9, kappa_t=75e9, mode1_toughness=187.5, mode_sensitivity=0.333)
@@ -80,7 +87,9 @@ class TestPatchTest:
         offset = np.array([0.0, 0.1])
         exact = linear_field(mesh, gradient, offset)
         K = assemble_stiffness(mesh, UNIT_MATERIAL)
-        A = assemble_interface(mesh, GLUE, np.ones(len(mesh.interface_segments)))
+        A = assemble_interface(
+            jump_operator(mesh), GLUE, np.ones(len(mesh.interface_segments))
+        )
         KA = (K + A).tocsr()
         dofmap = make_dofmap(mesh, boundary_node_set(mesh), lambda t: np.zeros(2))
         free, presc = dofmap.free, dofmap.prescribed
@@ -141,35 +150,41 @@ class TestViscosity:
             assemble_viscosity(K, -1.0)
 
 
+def trace(u, nodes, s):
+    """P1 trace at barycentric position s of the segment with endpoint nodes."""
+    ua = u[node_dofs(np.array([nodes[0]]))].ravel()
+    ub = u[node_dofs(np.array([nodes[1]]))].ravel()
+    return (1.0 - s) * ua + s * ub
+
+
+def jump_vectors(mesh, u):
+    """(segment, Gauss point, xy) jump vectors rebuilt from J's n/t components."""
+    comp = jump_operator(mesh).values(u)
+    n = np.array([seg.normal for seg in mesh.interface_segments])[:, None, :]
+    t = np.stack([-n[..., 1], n[..., 0]], axis=-1)
+    return comp[..., :1] * n + comp[..., 1:] * t
+
+
 class TestJumpRows:
     def test_rigid_jump_is_negated_body_trace(self):
         mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
         rng = np.random.default_rng(3)
         u = rng.normal(size=mesh.n_dofs)
-        seg = mesh.interface_segments[2]
-        for s in (0.0, 0.5, 0.8):
-            dofs, coeffs = segment_jump_rows(mesh, 2, s)
-            jump = coeffs @ u[dofs]
-            ua = u[node_dofs(np.array([seg.node_plus[0]]))].ravel()
-            ub = u[node_dofs(np.array([seg.node_plus[1]]))].ravel()
-            expected = -((1.0 - s) * ua + s * ub)
-            assert np.allclose(jump, expected, atol=1e-14)
+        jumps = jump_vectors(mesh, u)
+        for e, seg in enumerate(mesh.interface_segments):
+            for g, s in enumerate(GAUSS_2PT):
+                expected = -trace(u, seg.node_plus, s)
+                assert np.allclose(jumps[e, g], expected, atol=1e-14)
 
     def test_two_body_jump_is_minus_minus_plus(self):
         mesh = build_two_body_mesh(0.25, 0.025, 9, 0.9)
         rng = np.random.default_rng(4)
         u = rng.normal(size=mesh.n_dofs)
-        seg = mesh.interface_segments[1]
-        s = 0.3
-        dofs, coeffs = segment_jump_rows(mesh, 1, s)
-        jump = coeffs @ u[dofs]
-        up = (1 - s) * u[node_dofs(np.array([seg.node_plus[0]]))].ravel() + s * u[
-            node_dofs(np.array([seg.node_plus[1]]))
-        ].ravel()
-        um = (1 - s) * u[node_dofs(np.array([seg.node_minus[0]]))].ravel() + s * u[
-            node_dofs(np.array([seg.node_minus[1]]))
-        ].ravel()
-        assert np.allclose(jump, um - up, atol=1e-14)
+        jumps = jump_vectors(mesh, u)
+        for e, seg in enumerate(mesh.interface_segments):
+            for g, s in enumerate(GAUSS_2PT):
+                expected = trace(u, seg.node_minus, s) - trace(u, seg.node_plus, s)
+                assert np.allclose(jumps[e, g], expected, atol=1e-14)
 
 
 class TestInterfaceAssembly:
@@ -180,16 +195,15 @@ class TestInterfaceAssembly:
         u = 1e-4 * rng.normal(size=mesh.n_dofs)
         z = rng.uniform(0.0, 1.0, size=len(mesh.interface_segments))
         z[3] = 0.0
-        A = assemble_interface(mesh, GLUE, z)
+        A = assemble_interface(jump_operator(mesh), GLUE, z)
         total = 0.0
-        from delam2d.assembly import GAUSS_2PT
-
         for e, seg in enumerate(mesh.interface_segments):
             n = np.array(seg.normal)
             t = np.array([-n[1], n[0]])
             for s in GAUSS_2PT:
-                dofs, coeffs = segment_jump_rows(mesh, e, s)
-                jump = coeffs @ u[dofs]
+                jump = -trace(u, seg.node_plus, s)
+                if mesh.foundation != "rigid":
+                    jump += trace(u, seg.node_minus, s)
                 density = 0.5 * (
                     GLUE.kappa_n * float(jump @ n) ** 2
                     + GLUE.kappa_t * float(jump @ t) ** 2
@@ -197,14 +211,32 @@ class TestInterfaceAssembly:
                 total += 0.5 * seg.length * z[e] * density
         assert 0.5 * float(u @ (A @ u)) == pytest.approx(total, rel=1e-12)
 
+    @pytest.mark.parametrize("builder", [build_benchmark_mesh, build_two_body_mesh])
+    def test_glue_energy_is_bond_weighted_drive(self, builder):
+        mesh = builder(0.25, 0.025, 9, 0.9)
+        ops = build_operators(
+            mesh,
+            IsotropicElasticity(E=1.0, nu=0.3),
+            ViscosityLaw(chi=1e-3),
+            GLUE,
+            lambda t: np.zeros(2),
+        )
+        rng = np.random.default_rng(12)
+        u = 1e-4 * rng.normal(size=mesh.n_dofs)
+        z = rng.uniform(0.0, 1.0, size=ops.n_segments)
+        z[2] = 0.0
+        A = assemble_interface(ops.jump, GLUE, z)
+        drive, _ = segment_energies(ops, u)
+        assert 0.5 * float(u @ (A @ u)) == pytest.approx(float(z @ drive), rel=1e-12)
+
     def test_debonded_segments_absent(self):
         mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        A = assemble_interface(mesh, GLUE, np.zeros(9))
+        A = assemble_interface(jump_operator(mesh), GLUE, np.zeros(9))
         assert A.nnz == 0
 
     def test_positive_semidefinite(self):
         mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        A = assemble_interface(mesh, GLUE, np.ones(9))
+        A = assemble_interface(jump_operator(mesh), GLUE, np.ones(9))
         rng = np.random.default_rng(2)
         for _ in range(10):
             v = rng.normal(size=mesh.n_dofs)
@@ -213,7 +245,7 @@ class TestInterfaceAssembly:
     def test_wrong_bond_length_rejected(self):
         mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
         with pytest.raises(ValueError):
-            assemble_interface(mesh, GLUE, np.ones(5))
+            assemble_interface(jump_operator(mesh), GLUE, np.ones(5))
 
 
 class TestLoads:

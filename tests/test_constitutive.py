@@ -244,3 +244,57 @@ class TestAdhesiveLawValidation:
             AdhesiveLaw(kappa_n=1.0, kappa_t=1.0, mode1_toughness=0.0, mode_sensitivity=0.5)
         with pytest.raises(ValueError):
             AdhesiveLaw(kappa_n=1.0, kappa_t=1.0, mode1_toughness=1.0, mode_sensitivity=1.0)
+
+
+class TestScalarWrappersMatchVectorizedLaw:
+    LAWS = [
+        BENCH_ADHESIVE,
+        AdhesiveLaw(kappa_n=2.0, kappa_t=1.0, mode1_toughness=1.0, mode_sensitivity=0.0),
+        AdhesiveLaw(
+            kappa_n=150e9,
+            kappa_t=75e9,
+            mode1_toughness=187.5,
+            mode_sensitivity=0.333,
+            mixity_regularization=1e-3,
+        ),
+    ]
+
+    @pytest.mark.parametrize("law", LAWS, ids=["bench", "lambda0", "eps_reg"])
+    def test_elementwise_agreement(self, law):
+        theta = 0.7
+        n = np.array([math.cos(theta), math.sin(theta)])
+        t = np.array([-n[1], n[0]])
+        rng = np.random.default_rng(21)
+        comps = np.vstack(
+            [
+                [[0.0, 0.0], [1e-4, 0.0], [0.0, 1e-4], [-2e-5, 3e-5]],
+                1e-4 * rng.normal(size=(16, 2)),
+            ]
+        )
+        jumps = [jn * n + jt * t for jn, jt in comps]
+        j_n = np.array([float(j @ n) for j in jumps])
+        j_t = np.array([float(j @ t) for j in jumps])
+
+        psi = law.mixity(j_n, j_t)
+        density = law.energy_density(j_n, j_t)
+        for i, jump in enumerate(jumps):
+            assert mode_mixity_angle(jump, n, law) == psi[i]
+            assert adhesive_energy_density(jump, 0.5, law, n) == 0.5 * density[i]
+
+        angles = np.append(psi, [0.0, 0.25 * math.pi, 0.5 * math.pi])
+        thresholds = law.threshold(angles)
+        for angle, value in zip(angles, thresholds):
+            assert dissipation_threshold(float(angle), law) == value
+
+    def test_lambda_zero_pure_shear_is_unbounded(self):
+        law = self.LAWS[1]
+        psi = law.mixity(np.array([0.0]), np.array([1e-4]))
+        assert psi[0] == 0.5 * math.pi
+        assert law.threshold(psi)[0] == math.inf
+        assert dissipation_threshold(0.5 * math.pi, law) == math.inf
+
+    def test_regularization_keeps_zero_normal_jump_finite(self):
+        law = self.LAWS[2]
+        psi = law.mixity(np.array([0.0, 0.0]), np.array([0.0, 1e-6]))
+        assert psi[0] == 0.0
+        assert 0.0 < psi[1] < 0.5 * math.pi

@@ -301,6 +301,22 @@ class TestRun:
         with pytest.raises(QpNonconvergenceError, match=r"step 1 \(t="):
             run(ops, tau=0.02, t_end=0.2, qp_max_iter=0)
 
+    @pytest.mark.parametrize("foundation", ["rigid", "two_body"])
+    def test_reaction_is_the_driven_edge_force(self, foundation):
+        # The device moves the driven edge by v * tau per step and nothing
+        # else, so its work increment must equal reaction . (v * tau).  In
+        # the two-body variant the lower body's clamped edge is prescribed
+        # too; counting its reaction would cancel the driven edge's force.
+        config = parse_config(make_doc(geometry={"foundation": foundation}))
+        ops = build_simulation(config)[1]
+        tau = config.time.tau
+        traj = run(ops, tau=tau, t_end=10 * tau)
+        step = config.loading.speed * np.array(config.loading.unit_direction()) * tau
+        for rep in traj.reports[1:]:
+            work = rep.energy.device_work_increment
+            assert abs(work) > 0.0
+            assert float(rep.reaction @ step) == pytest.approx(work, rel=1e-9)
+
 
 class TestInterpolantEval:
     def test_grid_point_semantics(self, small_traj):
