@@ -34,7 +34,6 @@ __all__ = [
     "JumpOperator",
     "jump_operator",
     "assemble_interface",
-    "assemble_loads",
     "make_dofmap",
     "dirichlet_map",
     "constraint_matrix",
@@ -176,44 +175,6 @@ def assemble_interface(
     keep = w != 0.0
     Jk = jump.matrix[keep]
     return (Jk.T @ sp.diags(w[keep]) @ Jk).tocsr()
-
-
-def assemble_loads(
-    mesh: Mesh2D,
-    t: float,
-    body_force: Callable[[np.ndarray, float], np.ndarray] | None = None,
-    boundary_traction: Callable[[np.ndarray, float], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Consistent load vector at time t.
-
-    body_force(points, t) and boundary_traction(points, t) take (n, 2)
-    coordinates and return (n, 2) force densities; the bulk term uses
-    centroid quadrature, the boundary term two-point Gauss on every
-    traction edge.  Both default to zero.
-    """
-    f = np.zeros(mesh.n_dofs)
-    if body_force is not None and len(mesh.triangles):
-        p = mesh.nodes[mesh.triangles]
-        centroids = p.mean(axis=1)
-        _, area = triangle_operators(mesh)
-        vals = np.asarray(body_force(centroids, t), dtype=float)
-        share = vals * (area[:, None] / 3.0)
-        for i in range(3):
-            np.add.at(f, 2 * mesh.triangles[:, i], share[:, 0])
-            np.add.at(f, 2 * mesh.triangles[:, i] + 1, share[:, 1])
-    if boundary_traction is not None and mesh.neumann_edges:
-        edges = np.array(sorted(mesh.neumann_edges), dtype=np.int64)
-        pa, pb = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-        lengths = np.hypot(*(pb - pa).T)
-        for s in GAUSS_2PT:
-            pts = (1.0 - s) * pa + s * pb
-            tr = np.asarray(boundary_traction(pts, t), dtype=float)
-            w = 0.5 * lengths
-            np.add.at(f, 2 * edges[:, 0], (1.0 - s) * w * tr[:, 0])
-            np.add.at(f, 2 * edges[:, 0] + 1, (1.0 - s) * w * tr[:, 1])
-            np.add.at(f, 2 * edges[:, 1], s * w * tr[:, 0])
-            np.add.at(f, 2 * edges[:, 1] + 1, s * w * tr[:, 1])
-    return f
 
 
 @dataclass(frozen=True)

@@ -146,11 +146,7 @@ def build_ledger(ops: Operators, traj: Trajectory) -> EnergyLedger:
         viscous[k] = viscous[k - 1] + float(du @ (ops.V @ du)) / dt
         rep = traj.reports[k]
         debond[k] = debond[k - 1] + rep.energy.debond_increment
-        work[k] = (
-            work[k - 1]
-            + rep.energy.device_work_increment
-            + rep.energy.load_work_increment
-        )
+        work[k] = work[k - 1] + rep.energy.device_work_increment
     stored0 = bulk[0] + interface[0]
     gap = work - ((bulk + interface) - stored0) - viscous - debond
     return EnergyLedger(
@@ -230,9 +226,8 @@ def momentum_residual(
     tau = state.t - prev.t
     z_prev = prev.z
     A = assembly.assemble_interface(ops.jump, ops.adhesive, z_prev)
-    loads = ops.loads(state.t)
     rate = (state.u - prev.u) / tau
-    residual = ops.K @ state.u + A @ state.u + ops.V @ rate - loads
+    residual = ops.K @ state.u + A @ state.u + ops.V @ rate
     free = ops.dofmap.free
     rng = np.random.default_rng(seed)
     B = ops.constraint.rows
@@ -248,7 +243,6 @@ def momentum_residual(
             abs(ops.K) @ abs_u
             + abs(A) @ abs_u
             + abs(ops.V) @ np.abs(rate)
-            + np.abs(loads)
         ).max(initial=0.0)
     )
     scale = force_scale * amp + 1e-30

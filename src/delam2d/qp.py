@@ -3,15 +3,20 @@
 Solves min 0.5 x.Hx + g.x subject to B x + c >= 0 for symmetric positive
 definite H by a primal active-set method.  Each outer iteration solves
 the equality-constrained subproblem of the current working set through
-the Schur complement on the multipliers, reusing a single factorization
-of H; columns H^{-1} B_i^T are cached per constraint so warm-started
-re-solves touch only the rows that change.
+the Schur complement on the multipliers, reusing a single sparse LU
+factorization of H; columns H^{-1} B_i^T are cached per constraint so
+warm-started re-solves touch only the rows that change.
 
-Determinism: ties in the blocking-constraint ratio test and in the
-multiplier removal rule are broken by the lowest constraint index, so
-identical inputs give identical iterates.  A brute-force oracle
-(subset enumeration, usable up to 20 constraints) provides an
-independent reference for testing.
+One sparse code path: solve_qp and project_feasible convert their
+operands once, on entry, H to CSC and B to CSR of shape (m, n), so dense
+and sparse copies of one problem give bitwise-equal results.
+
+Determinism: two lowest-index rules make identical inputs give identical
+iterates.  The ratio test blocks on the lowest-index row whose ratio
+undercuts the step by more than 1e-15, repeated until none does, so a
+row never displaces a lower one within 1e-15 of it.  The removal rule
+drops the lowest-index working row of most negative multiplier.  A brute-force oracle (dense subset
+enumeration, usable up to 20 constraints) is the reference for testing.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ class QpProblem:
     """min 0.5 x.Hx + g.x  s.t.  B x + c >= 0.
 
     H must be symmetric positive definite (sparse or dense); B may have
-    zero rows count (unconstrained).  Rows of B are assumed linearly
+    zero rows (unconstrained).  Rows of B are assumed linearly
     independent, which holds for nodal non-penetration rows with
     disjoint supports.
     """
@@ -106,37 +111,22 @@ class QpSolution:
 
 
 class _Factor:
-    """Uniform solve interface over dense Cholesky and sparse LU."""
+    """SuperLU factor of H, converted to CSC on entry; each solve refines once."""
 
     def __init__(self, H):
-        self.H = H
-        if sp.issparse(H):
-            self._lu = spla.splu(sp.csc_matrix(H))
-            self._dense = None
-        else:
-            self._dense = sla.cho_factor(np.asarray(H, dtype=float))
-            self._lu = None
+        self.H = sp.csc_matrix(H, dtype=float)
+        self._lu = spla.splu(self.H)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is not None:
-            y = self._lu.solve(rhs)
-            # one step of iterative refinement keeps residuals near machine level
-            y += self._lu.solve(rhs - self.H @ y)
-            return y
-        y = sla.cho_solve(self._dense, rhs)
-        y += sla.cho_solve(self._dense, rhs - self.H @ y)
+        y = self._lu.solve(rhs)
+        # one step of iterative refinement keeps residuals near machine level
+        y += self._lu.solve(rhs - self.H @ y)
         return y
 
 
 def factorize(H) -> _Factor:
     """Factor a symmetric positive definite matrix for repeated solves."""
     return _Factor(H)
-
-
-def _row(B, i: int) -> np.ndarray:
-    if sp.issparse(B):
-        return np.asarray(B.getrow(i).todense()).ravel()
-    return np.asarray(B)[i]
 
 
 def _scales(problem: QpProblem, x: np.ndarray) -> tuple[float, float]:
@@ -149,12 +139,7 @@ def _scales(problem: QpProblem, x: np.ndarray) -> tuple[float, float]:
     return g_scale, c_scale
 
 
-def kkt_check(
-    problem: QpProblem,
-    x: np.ndarray,
-    multipliers: np.ndarray,
-    active_set: tuple[int, ...] = (),
-) -> KktResiduals:
+def kkt_check(problem: QpProblem, x: np.ndarray, multipliers: np.ndarray) -> KktResiduals:
     """Scaled KKT residuals of a candidate point and multiplier vector.
 
     multipliers has one entry per constraint row (zeros off the active
@@ -183,9 +168,10 @@ def _relaxed_sweeps(B, c, x, norms2, exit_tol, budget):
         if float(slacks.min()) >= -exit_tol:
             return x, True
         for i in np.nonzero(slacks < 0.0)[0]:
-            s = float(_row(B, i) @ x + c[i])
+            row = B[i]
+            s = float((row @ x)[0] + c[i])
             if s < 0.0:
-                x = x - relaxation * (s / norms2[i]) * _row(B, i)
+                x = x - relaxation * (s / norms2[i]) * row.toarray().ravel()
     return x, False
 
 
@@ -197,13 +183,8 @@ def _feasibility_lp(B, c: np.ndarray, norms: np.ndarray):
     negative optimal delta certifies an empty intersection; otherwise the
     returned point sits as deep inside the set as the cap allows.
     """
-    m, n = B.shape
-    if sp.issparse(B):
-        A_ub = sp.hstack(
-            [-sp.csr_matrix(B), sp.csr_matrix(norms[:, None])], format="csr"
-        )
-    else:
-        A_ub = np.hstack([-np.asarray(B, dtype=float), norms[:, None]])
+    n = B.shape[1]
+    A_ub = sp.hstack([-B, sp.csr_matrix(norms[:, None])], format="csr")
     cost = np.zeros(n + 1)
     cost[n] = -1.0
     bounds = [(None, None)] * n + [(None, 1.0)]
@@ -221,35 +202,33 @@ def _feasibility_lp(B, c: np.ndarray, norms: np.ndarray):
     return res.x[:n], float(res.x[n])
 
 
-def project_feasible(
-    B, c: np.ndarray, x0: np.ndarray, max_sweeps: int = 1000
-) -> np.ndarray:
+_MAX_SWEEPS = 1000  # relaxed sweeps before the linear-program fallback
+
+
+def project_feasible(B, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Find a point of the half-space intersection B x + c >= 0 near x0.
 
-    Over-relaxed cyclic projections settle rows with disjoint supports
-    (nodal constraints) in one sweep and converge linearly on generic
-    systems.  Thin wedges between nearly parallel rows stall them, so an
-    exhausted sweep budget falls back to a max-min-slack linear program
-    that either certifies infeasibility or supplies a point as interior
-    as the geometry allows; least-squares equality corrections then snap
-    any rows the program left a solver tolerance below zero.
+    B, dense or sparse, is converted to CSR on entry.  Over-relaxed
+    cyclic projections settle rows with disjoint supports (nodal
+    constraints) in one sweep and converge linearly on generic systems.
+    Thin wedges between nearly parallel rows stall them, so an exhausted
+    sweep budget falls back to a max-min-slack linear program that
+    either certifies infeasibility or supplies a point as interior as
+    the geometry allows; least-squares equality corrections then snap any
+    rows the program left a solver tolerance below zero.
 
     Raises RuntimeError for infeasible constraints and ValueError on a
     zero constraint row.
     """
     x = np.array(x0, dtype=float)
-    m = len(c)
-    if m == 0:
+    if len(c) == 0:
         return x
-    norms2 = (
-        np.asarray(B.multiply(B).sum(axis=1)).ravel()
-        if sp.issparse(B)
-        else (np.asarray(B) ** 2).sum(axis=1)
-    )
+    B = sp.csr_matrix(B, dtype=float)
+    norms2 = np.asarray(B.multiply(B).sum(axis=1)).ravel()
     if np.any(norms2 == 0.0):
         raise ValueError("constraint row with zero norm cannot be projected onto")
     exit_tol = 1e-12 * (1.0 + float(np.abs(c).max(initial=0.0)))
-    x, ok = _relaxed_sweeps(B, c, x, norms2, exit_tol, max_sweeps)
+    x, ok = _relaxed_sweeps(B, c, x, norms2, exit_tol, _MAX_SWEEPS)
     if ok:
         return x
     x_lp, delta = _feasibility_lp(B, c, np.sqrt(norms2))
@@ -261,8 +240,7 @@ def project_feasible(
         viol = np.nonzero(slacks < -exit_tol)[0]
         if len(viol) == 0:
             return x
-        Bv = np.vstack([_row(B, i) for i in viol])
-        dx, *_ = np.linalg.lstsq(Bv, -slacks[viol], rcond=None)
+        dx, *_ = np.linalg.lstsq(B[viol].toarray(), -slacks[viol], rcond=None)
         x = x + dx
     x, ok = _relaxed_sweeps(B, c, x, norms2, exit_tol, 50)
     if not ok:
@@ -294,10 +272,9 @@ def _build_solution(
     tol: float,
 ) -> QpSolution:
     mu = np.zeros(problem.m)
-    for k, i in enumerate(working):
-        mu[i] = mu_w[k] if len(mu_w) else 0.0
+    mu[working] = mu_w
     active = _active_from_slacks(problem, x, tol)
-    kkt = kkt_check(problem, x, mu, active)
+    kkt = kkt_check(problem, x, mu)
     return QpSolution(
         x=x,
         active_set=active,
@@ -324,9 +301,14 @@ def solve_qp(
     active set is derived from the final slacks, so degenerate
     constraints that happen to hold with equality are included even if
     they never entered the working set.
+
+    H is converted to CSC and B to CSR on entry; factor, when given,
+    must be a factorization of H.
     """
-    H, g, B, c = problem.H, problem.g, problem.B, problem.c
-    n, m = problem.n, problem.m
+    H = sp.csc_matrix(problem.H, dtype=float)
+    B = sp.csr_matrix(problem.B, dtype=float)
+    problem = QpProblem(H=H, g=problem.g, B=B, c=problem.c)
+    g, c, m = problem.g, problem.c, problem.m
     if factor is None:
         factor = factorize(H)
     if max_iter is None:
@@ -345,7 +327,7 @@ def solve_qp(
     def col(i: int) -> np.ndarray:
         v = cols.get(i)
         if v is None:
-            v = factor.solve(_row(B, i))
+            v = factor.solve(B[i].toarray().ravel())
             cols[i] = v
         return v
 
@@ -354,7 +336,7 @@ def solve_qp(
         if not working:
             return x_unc.copy(), np.zeros(0)
         M = np.column_stack([col(i) for i in working])
-        Bw = np.vstack([_row(B, i) for i in working])
+        Bw = B[working]
         S = Bw @ M
         rhs = -(Bw @ x_unc + c[working])
         with warnings.catch_warnings():
@@ -412,31 +394,27 @@ def solve_qp(
                 return _build_solution(
                     problem, x_target, working, mu_w, iterations, trace, tol
                 )
-            worst = float(mu_w.min())
-            candidates = [working[k] for k in range(len(working)) if mu_w[k] == worst]
-            working.remove(min(candidates))
+            del working[int(np.argmin(mu_w))]
             continue
 
         slacks = problem.slacks(x)
         Bd = B @ d
         descent_tol = -1e-14 * (1.0 + float(np.abs(Bd).max(initial=0.0)))
-        alpha = 1.0
-        blocker = -1
-        for i in range(m):
-            if i in working:
-                continue
-            if Bd[i] < descent_tol:
-                a_i = max(0.0, float(slacks[i])) / float(-Bd[i])
-                if a_i < alpha - 1e-15:
-                    alpha = a_i
-                    blocker = i
-                elif blocker >= 0 and a_i <= alpha + 1e-15 and i < blocker:
-                    blocker = i
+        eligible = Bd < descent_tol
+        eligible[working] = False
+        rows = np.flatnonzero(eligible)
+        ratios = np.maximum(0.0, slacks[rows]) / -Bd[rows]
+        # the lowest-index row that undercuts the step by more than 1e-15
+        # blocks it; repeat until none does (an index-order scan, exactly)
+        alpha, k = 1.0, -1
+        while (below := np.flatnonzero(ratios < alpha - 1e-15)).size:
+            k = int(below[0])
+            alpha = ratios[k]
         x = x + alpha * d
-        if blocker >= 0 and alpha < 1.0:
-            working = sorted(working + [blocker])
-        # alpha == 1 with no blocker: x reached the EQP minimizer; the next
-        # pass sees a zero step and runs the multiplier test.
+        if k >= 0:
+            working = sorted(working + [int(rows[k])])
+        # no blocker: x reached the EQP minimizer; the next pass sees a
+        # zero step and runs the multiplier test
 
 
 def brute_force_qp(problem: QpProblem, tol: float = 1e-10) -> QpSolution:
@@ -500,7 +478,7 @@ def brute_force_qp(problem: QpProblem, tol: float = 1e-10) -> QpSolution:
         x=x,
         active_set=active,
         multipliers=mu,
-        kkt=kkt_check(problem, x, mu, active),
+        kkt=kkt_check(problem, x, mu),
         iterations=0,
         objective=obj,
     )

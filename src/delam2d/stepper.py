@@ -76,7 +76,7 @@ class State:
 class StepEnergy:
     """Energy bookkeeping of one step, all per unit thickness (J/m).
 
-    inequality_residual is external work minus stored increment minus
+    inequality_residual is device work minus stored increment minus
     dissipation; the scheme guarantees it nonnegative up to solver
     tolerance, and its running sum is the work-energy gap.
     """
@@ -86,7 +86,6 @@ class StepEnergy:
     viscous_increment: float
     debond_increment: float
     device_work_increment: float
-    load_work_increment: float
     inequality_residual: float
 
 
@@ -130,7 +129,6 @@ class Operators:
     V: sp.csr_matrix
     dofmap: DofMap
     constraint: ConstraintMatrix
-    loads: Callable[[float], np.ndarray]
     jump: JumpOperator = field(repr=False)
     seg_x_mid: np.ndarray = field(repr=False)
 
@@ -143,19 +141,12 @@ class Operators:
         return self.jump.length
 
 
-def _zero_loads(n_dofs: int) -> Callable[[float], np.ndarray]:
-    zeros = np.zeros(n_dofs)
-    return lambda t: zeros
-
-
 def build_operators(
     mesh: Mesh2D,
     elasticity: IsotropicElasticity,
     viscosity: ViscosityLaw,
     adhesive: AdhesiveLaw,
     dirichlet_values: Callable[[float], np.ndarray],
-    body_force=None,
-    boundary_traction=None,
 ) -> Operators:
     """Assemble everything that does not change during the evolution."""
     C = elasticity_tensor(elasticity)
@@ -163,10 +154,6 @@ def build_operators(
     V = assembly.assemble_viscosity(K, viscosity.chi)
     dofmap = assembly.dirichlet_map(mesh, dirichlet_values)
     constraint = assembly.constraint_matrix(mesh, dofmap)
-    if body_force is None and boundary_traction is None:
-        loads = _zero_loads(mesh.n_dofs)
-    else:
-        loads = lambda t: assembly.assemble_loads(mesh, t, body_force, boundary_traction)
 
     plus, _ = mesh.segment_nodes()
     x = mesh.nodes[:, 0]
@@ -180,7 +167,6 @@ def build_operators(
         V=V,
         dofmap=dofmap,
         constraint=constraint,
-        loads=loads,
         jump=assembly.jump_operator(mesh),
         seg_x_mid=0.5 * (x[plus[:, 0]] + x[plus[:, 1]]),
     )
@@ -216,10 +202,10 @@ class _StepOperator:
         self.H = H_full[free][:, free].tocsc()
         self.factor = qp.factorize(self.H)
 
-    def gradient(self, u_prev: np.ndarray, t_next: float, loads: np.ndarray) -> np.ndarray:
+    def gradient(self, u_prev: np.ndarray, t_next: float) -> np.ndarray:
         ops = self.ops
         u_ext = ops.dofmap.prescribed_full(t_next)
-        g_full = self.C_hat @ u_ext + ops.V @ ((u_ext - u_prev) / self.tau) - loads
+        g_full = self.C_hat @ u_ext + ops.V @ ((u_ext - u_prev) / self.tau)
         return g_full[ops.dofmap.free]
 
 
@@ -272,8 +258,7 @@ def displacement_step(
         raise ValueError(f"time step must be positive, got {tau}")
     if step_op is None or not np.array_equal(step_op.z, state.z) or step_op.tau != tau:
         step_op = _StepOperator(ops, state.z, tau)
-    loads = ops.loads(t_next)
-    g = step_op.gradient(state.u, t_next, loads)
+    g = step_op.gradient(state.u, t_next)
     problem = qp.QpProblem(
         H=step_op.H, g=g, B=ops.constraint.rows, c=ops.constraint.offset(t_next)
     )
@@ -326,18 +311,16 @@ def run(
     u0: np.ndarray | None = None,
     z0=None,
     stop_after_full_debond: float | None = None,
-    check_invariants: bool = True,
     energy_tol_factor: float = ENERGY_TOL_FACTOR,
     on_step: Callable[[State, StepReport], None] | None = None,
 ) -> Trajectory:
     """March the coupled evolution from 0 to t_end in steps of tau.
 
     Runtime invariants (feasibility, bond monotonicity, the per-step
-    energy inequality, semistability) are asserted each step when
-    check_invariants is on; a violation aborts with the partial
-    trajectory attached to the raised error.  stop_after_full_debond,
-    when set, ends the run that many seconds after the bond field hits
-    zero everywhere.
+    energy inequality, semistability) are asserted each step; a
+    violation aborts with the partial trajectory attached to the raised
+    error.  stop_after_full_debond, when set, ends the run that many
+    seconds after the bond field hits zero everywhere.
     """
     if t_end < 0:
         raise ValueError(f"final time must be nonnegative, got {t_end}")
@@ -375,21 +358,19 @@ def run(
         z_next, drive, threshold, psi = delamination_step(ops, u_next, state.z)
         debonded = tuple(int(e) for e in np.nonzero(z_next < state.z)[0])
 
-        loads = ops.loads(t_k)
         du = u_next - state.u
         viscous_inc = float(du @ (ops.V @ du)) / tau
         debond_inc = float(
             ((state.z - z_next) * threshold)[list(debonded)].sum()
         ) if debonded else 0.0
-        residual_full = step_op.C_hat @ u_next + ops.V @ (du / tau) - loads
+        residual_full = step_op.C_hat @ u_next + ops.V @ (du / tau)
         r_presc = residual_full[ops.dofmap.prescribed]
         reaction = np.array([r_presc[0::2][driven].sum(), r_presc[1::2][driven].sum()])
         device_inc = float(r_presc @ du[ops.dofmap.prescribed])
-        load_inc = float(loads @ du)
 
         bulk, interface = _stored_split(ops, u_next, z_next, drive)
         stored_inc = (bulk + interface) - (bulk_prev + interface_prev)
-        residual = device_inc + load_inc - stored_inc - debond_inc - viscous_inc
+        residual = device_inc - stored_inc - debond_inc - viscous_inc
 
         gaps = ops.constraint.gaps(u_next)
         min_gap = float(gaps.min()) if gaps.size else 0.0
@@ -400,7 +381,6 @@ def run(
             viscous_increment=viscous_inc,
             debond_increment=debond_inc,
             device_work_increment=device_inc,
-            load_work_increment=load_inc,
             inequality_residual=residual,
         )
         report = StepReport(
@@ -422,15 +402,12 @@ def run(
         traj.reports.append(report)
 
         dissipated_total += viscous_inc + debond_inc
-        work_total += device_inc + load_inc
-        if check_invariants:
-            # Tolerance is relative to the energies the run has moved so
-            # far, not to the current increments, which vanish once the
-            # evolution settles while roundoff in the residual does not.
-            energy_scale = max(
-                bulk + interface, dissipated_total, abs(work_total), 1e-30
-            )
-            _check_step(ops, traj, state, new_state, report, energy_tol_factor, energy_scale)
+        work_total += device_inc
+        # Tolerance is relative to the energies the run has moved so far,
+        # not to the current increments, which vanish once the evolution
+        # settles while roundoff in the residual does not.
+        energy_scale = max(bulk + interface, dissipated_total, abs(work_total), 1e-30)
+        _check_step(ops, traj, state, new_state, report, energy_tol_factor, energy_scale)
 
         if on_step is not None:
             on_step(new_state, report)

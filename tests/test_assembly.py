@@ -7,7 +7,6 @@ import scipy.sparse.linalg as spla
 from delam2d.assembly import (
     GAUSS_2PT,
     assemble_interface,
-    assemble_loads,
     assemble_stiffness,
     assemble_viscosity,
     constraint_matrix,
@@ -246,31 +245,6 @@ class TestInterfaceAssembly:
         mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
         with pytest.raises(ValueError):
             assemble_interface(jump_operator(mesh), GLUE, np.ones(5))
-
-
-class TestLoads:
-    def test_constant_body_force_total(self):
-        mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        f = assemble_loads(mesh, 0.0, body_force=lambda p, t: np.tile([0.0, -9.81], (len(p), 1)))
-        area = 0.25 * 0.025
-        assert f[0::2].sum() == pytest.approx(0.0, abs=1e-12)
-        assert f[1::2].sum() == pytest.approx(-9.81 * area, rel=1e-12)
-
-    def test_constant_traction_total(self):
-        mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        tr = np.array([2.0, 1.0])
-        f = assemble_loads(mesh, 0.0, boundary_traction=lambda p, t: np.tile(tr, (len(p), 1)))
-        edges = np.array(sorted(mesh.neumann_edges))
-        lengths = np.hypot(
-            *(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]).T
-        )
-        total_len = lengths.sum()
-        assert f[0::2].sum() == pytest.approx(tr[0] * total_len, rel=1e-12)
-        assert f[1::2].sum() == pytest.approx(tr[1] * total_len, rel=1e-12)
-
-    def test_zero_by_default(self):
-        mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        assert np.all(assemble_loads(mesh, 1.0) == 0.0)
 
 
 class TestDofMap:

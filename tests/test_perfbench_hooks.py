@@ -1,0 +1,39 @@
+"""The names perfbench's tracer patches must exist in delam2d.
+
+perfbench/spans.py wraps public functions of the delam2d modules by name
+(PATCH_POINTS) and wraps the `solve` method of every object that
+`qp.factorize` returns.  A name dropped from src would otherwise only
+show up as a crash of `perfbench/run.py --trace 1`.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import scipy.sparse as sp
+
+from delam2d import qp
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patch_point_resolves():
+    points = _spans_module().PATCH_POINTS
+    assert points
+    for module, attr, name in points:
+        mod = importlib.import_module(f"delam2d.{module}")
+        assert callable(getattr(mod, attr, None)), f"{name}: delam2d.{module}.{attr} is missing"
+
+
+def test_factorize_returns_an_object_with_solve():
+    factor = qp.factorize(sp.csc_matrix(2.0 * np.eye(3)))
+    assert callable(factor.solve)
+    assert np.allclose(factor.solve(np.ones(3)), 0.5)

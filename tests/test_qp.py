@@ -81,17 +81,33 @@ class TestOracleEquivalence:
         assert sol.active_set == (0, 1)
 
     def test_sparse_operands(self):
+        # Dense and sparse copies of the same operands take one code path,
+        # so they give bitwise-equal results, and both match the oracle.
         rng = np.random.default_rng(3)
-        dense = random_instance(rng, max_dofs=8, max_cons=4)
-        problem = QpProblem(
-            H=sp.csc_matrix(dense.H),
-            g=dense.g,
-            B=sp.csr_matrix(dense.B) if dense.m else dense.B,
-            c=dense.c,
-        )
-        ref = brute_force_qp(dense)
-        sol = solve_qp(problem)
-        assert np.abs(sol.x - ref.x).max() <= 1e-10 * (1 + np.abs(ref.x).max())
+        sizes = set()
+        for k in range(40):
+            dense = random_instance(rng, max_dofs=8, max_cons=4)
+            sizes.add(dense.m)
+            problem = QpProblem(
+                H=sp.csc_matrix(dense.H),
+                g=dense.g,
+                B=sp.csr_matrix(dense.B),
+                c=dense.c,
+            )
+            sol_d, sol_s = solve_qp(dense), solve_qp(problem)
+            assert np.array_equal(sol_d.x, sol_s.x), f"instance {k}"
+            assert np.array_equal(sol_d.multipliers, sol_s.multipliers), f"instance {k}"
+            assert sol_d.active_set == sol_s.active_set, f"instance {k}"
+            assert sol_d.iterations == sol_s.iterations, f"instance {k}"
+            ref = brute_force_qp(dense)
+            assert np.abs(sol_s.x - ref.x).max() <= 1e-10 * (1 + np.abs(ref.x).max())
+            if dense.m:
+                x0 = rng.normal(size=dense.n)
+                assert np.array_equal(
+                    project_feasible(dense.B, dense.c, x0),
+                    project_feasible(problem.B, problem.c, x0),
+                ), f"instance {k}"
+        assert 0 in sizes and len(sizes) > 2  # unconstrained and constrained draws
 
 
 class TestSolutionQuality:
@@ -166,6 +182,31 @@ class TestWarmStart:
             cold = solve_qp(problem)
             warm = solve_qp(problem, warm_start=bogus)
             assert np.allclose(warm.x, cold.x, atol=1e-8 * (1 + np.abs(cold.x).max()))
+
+
+class TestTieRules:
+    @pytest.mark.parametrize(
+        "offsets, blocker",
+        [
+            ((0.0, 4e-16), 0),  # row 1 undercuts row 0 by less than 1e-15
+            ((4e-16, 0.0), 0),
+            ((0.0, 4e-16, 1e-13), 2),  # row 2 undercuts by more than 1e-15
+        ],
+    )
+    def test_near_tied_blockers_go_to_the_lower_index(self, offsets, blocker):
+        # x <= 0.5 - offset per row, pulled toward x = 1: the first step is
+        # blocked by rows whose ratios differ by a few ulps, and the blocking
+        # row is the only one to carry a multiplier at the solution
+        m = len(offsets)
+        problem = QpProblem(
+            H=np.eye(1),
+            g=np.array([-1.0]),
+            B=-np.ones((m, 1)),
+            c=0.5 - np.array(offsets),
+        )
+        sol = solve_qp(problem)
+        assert sol.multipliers[blocker] > 0.0
+        assert np.count_nonzero(sol.multipliers) == 1
 
 
 class TestNonconvergence:
