@@ -37,7 +37,6 @@ __all__ = [
     "make_dofmap",
     "dirichlet_map",
     "constraint_matrix",
-    "dump_matrix",
 ]
 
 GAUSS_2PT = (0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0)))
@@ -216,12 +215,6 @@ class DofMap:
         u[self.prescribed] = self.prescribed_values(t)
         return u
 
-    def prescribed_full(self, t: float) -> np.ndarray:
-        """Full-size vector that is zero on free dofs and driven elsewhere."""
-        u = np.zeros(self.n_dofs)
-        u[self.prescribed] = self.prescribed_values(t)
-        return u
-
 
 def make_dofmap(
     mesh: Mesh2D,
@@ -305,12 +298,3 @@ def constraint_matrix(mesh: Mesh2D, dofmap: DofMap) -> ConstraintMatrix:
         fixed_offsets=lambda t: fixed @ dofmap.prescribed_values(t),
     )
 
-
-def dump_matrix(mat, path) -> None:
-    """Write a sparse or dense matrix as 'row col value' text lines."""
-    coo = sp.coo_matrix(mat)
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f"# shape {coo.shape[0]} {coo.shape[1]}\n")
-        order = np.lexsort((coo.col, coo.row))
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            out.write(f"{r} {c} {float(v)!r}\n")

@@ -24,8 +24,6 @@ __all__ = [
     "ViscosityLaw",
     "AdhesiveLaw",
     "elasticity_tensor",
-    "stress",
-    "traction_decompose",
     "mode_mixity_angle",
     "dissipation_threshold",
     "adhesive_energy_density",
@@ -168,31 +166,6 @@ def elasticity_tensor(material: IsotropicElasticity) -> np.ndarray:
             [0.0, 0.0, c33],
         ]
     )
-
-
-def stress(
-    C: np.ndarray, chi: float, strain: np.ndarray, strain_rate: np.ndarray
-) -> np.ndarray:
-    """Kelvin-Voigt stress in Voigt components: C strain + chi C strain_rate."""
-    strain = np.asarray(strain, dtype=float)
-    strain_rate = np.asarray(strain_rate, dtype=float)
-    return C @ (strain + chi * strain_rate)
-
-
-def traction_decompose(
-    sigma_voigt: np.ndarray, normal: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Split the traction of a Voigt stress on a unit normal.
-
-    Returns (T, T_n, T_t) with T = sigma . n, T_n = T . n and
-    T_t = T - T_n n, so |T|^2 = T_n^2 + |T_t|^2.
-    """
-    s11, s22, s12 = float(sigma_voigt[0]), float(sigma_voigt[1]), float(sigma_voigt[2])
-    n = np.asarray(normal, dtype=float)
-    traction = np.array([s11 * n[0] + s12 * n[1], s12 * n[0] + s22 * n[1]])
-    t_n = float(traction @ n)
-    t_t = traction - t_n * n
-    return traction, t_n, t_t
 
 
 def _frame_components(jump: np.ndarray, normal: np.ndarray) -> tuple[float, float]:

@@ -10,7 +10,9 @@ different configuration is refused rather than silently mixed.
 run_convergence repeats the run over a ladder of interface resolutions
 at fixed time-step-to-cell-size ratio and reports pairwise distances
 between the energy curves plus a table of trajectory norms.
-run_chi_sweep repeats the run over a list of viscosity scales.
+run_chi_sweep repeats the run over a list of viscosity scales; each
+member is the configuration with that scale as its material chi, so it
+keeps the sweep's canonical form and hash.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,20 +113,14 @@ def _dirichlet_motion(mesh: Mesh2D, velocity: np.ndarray):
     return lambda t: driven * (velocity * t)
 
 
-def build_simulation(
-    config: SimulationConfig, chi: float | None = None
-) -> tuple[Mesh2D, Operators]:
-    """Mesh and assembled operators for one configuration.
-
-    chi overrides the configured viscosity scale (used by the sweep
-    driver); everything else comes from the configuration.
-    """
+def build_simulation(config: SimulationConfig) -> tuple[Mesh2D, Operators]:
+    """Mesh and assembled operators for one configuration."""
     mesh = build_mesh(config)
     velocity = config.loading.speed * np.array(config.loading.unit_direction())
     ops = build_operators(
         mesh,
         IsotropicElasticity(E=config.material.E, nu=config.material.nu),
-        ViscosityLaw(chi=config.material.chi if chi is None else chi),
+        ViscosityLaw(chi=config.material.chi),
         AdhesiveLaw(
             kappa_n=config.adhesive.kappa_n,
             kappa_t=config.adhesive.kappa_t,
@@ -160,11 +156,19 @@ def _check_provenance(out: Path, digest: str) -> None:
             )
 
 
-def _write_csv(path: Path, digest: str, columns: list[str], rows) -> None:
+def _write_csv(path: Path, digest: str, columns: dict) -> None:
+    """Named columns, one row per entry: floats with repr, all else with str."""
+    cells = []
+    for values in columns.values():
+        v = np.asarray(values)
+        if v.dtype == bool:
+            v = v.astype(int)
+        fmt = repr if v.dtype.kind == "f" else str
+        cells.append([fmt(x) for x in v.tolist()])
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(f"# config_hash={digest}\n")
         out.write(",".join(columns) + "\n")
-        for row in rows:
+        for row in zip(*cells):
             out.write(",".join(row) + "\n")
 
 
@@ -191,12 +195,7 @@ def _snapshot_steps(config: SimulationConfig) -> set[int]:
     return {max(0, round(t / config.time.tau)) for t in instants}
 
 
-def run_single(
-    config: SimulationConfig,
-    out_dir,
-    chi: float | None = None,
-    write_outputs: bool = True,
-) -> RunResult:
+def run_single(config: SimulationConfig, out_dir) -> RunResult:
     """Run one configuration and write its result directory.
 
     Snapshots are written as their instants pass, so a long run can be
@@ -205,38 +204,33 @@ def run_single(
     When the stepper aborts, the outputs for the completed steps are
     still written before the error propagates.
     """
-    _, ops = build_simulation(config, chi)
+    _, ops = build_simulation(config)
     digest = config_hash(config)
     tau = config.time.tau
     started = time.perf_counter()
 
-    on_step = None
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _check_provenance(out, digest)
+    snap_dir = out / "snapshots"
+    snap_dir.mkdir(exist_ok=True)
     planned = _snapshot_steps(config)
     written: set[int] = set()
-    if write_outputs:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _check_provenance(out, digest)
-        snap_dir = out / "snapshots"
-        snap_dir.mkdir(exist_ok=True)
 
-        def on_step(state, report):
-            k = round(state.t / tau)
-            if k in planned:
-                _write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", digest, ops, state)
-                written.add(k)
+    def on_step(state, report):
+        k = round(state.t / tau)
+        if k in planned:
+            _write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", digest, ops, state)
+            written.add(k)
 
     def emit(traj) -> RunResult:
         ledger = build_ledger(ops, traj)
         norms = trajectory_norms(ops, traj)
-        out = Path(out_dir)
-        if write_outputs:
-            runtime = time.perf_counter() - started
-            last = len(traj.states) - 1
-            snapshots = sorted({min(last, k) for k in planned} - written)
-            _write_run_outputs(
-                config, ops, traj, ledger, norms, out, digest, chi, runtime, snapshots
-            )
+        runtime = time.perf_counter() - started
+        _write_run_outputs(config, ops, traj, ledger, norms, out, digest, runtime)
+        last = len(traj.states) - 1
+        for k in sorted({min(last, k) for k in planned} - written):
+            _write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", digest, ops, traj.states[k])
         return RunResult(
             config=config, ops=ops, trajectory=traj, ledger=ledger, norms=norms, out_dir=out
         )
@@ -254,7 +248,7 @@ def run_single(
         )
     except (QpNonconvergenceError, InvariantViolation) as err:
         partial = getattr(err, "trajectory", None)
-        if partial is not None and partial.states and write_outputs:
+        if partial is not None and partial.states:
             try:
                 emit(partial)
             except Exception:
@@ -271,76 +265,40 @@ def _write_run_outputs(
     norms: dict[str, float],
     out: Path,
     digest: str,
-    chi: float | None,
     runtime: float,
-    snapshots: list[int],
 ) -> None:
-    total = ledger.total_energy()
     _write_csv(
         out / "energies.csv",
         digest,
-        ["t", *CURVE_SET[:-1], "total", "external_work", "gap"],
-        (
-            [
-                _fmt(ledger.t[k]),
-                *(_fmt(getattr(ledger, name)[k]) for name in CURVE_SET[:-1]),
-                _fmt(total[k]),
-                _fmt(ledger.external_work[k]),
-                _fmt(ledger.gap[k]),
-            ]
-            for k in range(len(ledger.t))
-        ),
+        {
+            "t": ledger.t,
+            **{name: getattr(ledger, name) for name in CURVE_SET[:-1]},
+            "total": ledger.total_energy(),
+            "external_work": ledger.external_work,
+            "gap": ledger.gap,
+        },
     )
 
     lengths = ops.seg_length
+    reports = traj.reports[1:]  # index 0 is the initial state's None
     _write_csv(
         out / "forces.csv",
         digest,
-        ["t", "reaction_x", "reaction_y", "bonded_length", "min_gap"],
-        (
-            [
-                _fmt(rep.t),
-                _fmt(rep.reaction[0]),
-                _fmt(rep.reaction[1]),
-                _fmt(float(traj.states[k].z @ lengths)) if lengths.size else _fmt(0.0),
-                _fmt(rep.min_gap),
-            ]
-            for k, rep in enumerate(traj.reports)
-            if rep is not None
-        ),
+        {
+            "t": [rep.t for rep in reports],
+            "reaction_x": [rep.reaction[0] for rep in reports],
+            "reaction_y": [rep.reaction[1] for rep in reports],
+            "bonded_length": [float(state.z @ lengths) for state in traj.states[1:]],
+            "min_gap": [rep.min_gap for rep in reports],
+        },
     )
 
     mix = mixity_histogram(ops, traj)
     _write_csv(
         out / "mixity.csv",
         digest,
-        [
-            "segment",
-            "x_mid",
-            "debonded",
-            "debond_time",
-            "mixity_angle",
-            "dissipated_density",
-            "ratio",
-        ],
-        (
-            [
-                str(int(mix.segment[e])),
-                _fmt(mix.x_mid[e]),
-                str(int(mix.debonded[e])),
-                _fmt(mix.debond_time[e]),
-                _fmt(mix.mixity_angle[e]),
-                _fmt(mix.dissipated_density[e]),
-                _fmt(mix.ratio[e]),
-            ]
-            for e in range(len(mix.segment))
-        ),
+        {f.name: getattr(mix, f.name) for f in fields(mix)},
     )
-
-    snap_dir = out / "snapshots"
-    snap_dir.mkdir(exist_ok=True)
-    for k in snapshots:
-        _write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", digest, ops, traj.states[k])
 
     from . import __version__
 
@@ -355,12 +313,12 @@ def _write_run_outputs(
         "config_hash": digest,
         "config": config.canonical,
         "defaults_applied": list(config.defaults_applied),
-        "chi_effective": config.material.chi if chi is None else chi,
+        "chi_effective": config.material.chi,
         "runtime_s": round(runtime, 3),
         "n_steps": traj.n_steps,
         "t_end": float(traj.times[-1]),
         "t_full_debond": traj.t_full_debond,
-        "bonded_length_final": float(final.z @ lengths) if lengths.size else 0.0,
+        "bonded_length_final": float(final.z @ lengths),
         "external_work_final": float(ledger.external_work[-1]),
         "energy_gap_final": float(ledger.gap[-1]),
         "norms": {k: float(v) for k, v in norms.items()},
@@ -478,13 +436,16 @@ def run_convergence(
 
     digest = config_hash(config)
     pair_names = [f"{a:03d}_{b:03d}" for a, b in zip(levels[:-1], levels[1:])]
-    rows = []
-    for name in CURVE_SET:
-        for pair, d in zip(pair_names, distances[name]):
-            rows.append([name, pair, _fmt(d)])
-    for pair, d in zip(pair_names, aggregate):
-        rows.append(["aggregate", pair, _fmt(d)])
-    _write_csv(out / "convergence.csv", digest, ["curve", "pair", "distance_l2"], rows)
+    curves = {**distances, "aggregate": aggregate}
+    _write_csv(
+        out / "convergence.csv",
+        digest,
+        {
+            "curve": np.repeat(list(curves), len(pair_names)),
+            "pair": pair_names * len(curves),
+            "distance_l2": np.concatenate(list(curves.values())),
+        },
+    )
 
     report = {
         "config_hash": digest,
@@ -521,7 +482,8 @@ def run_chi_sweep(config: SimulationConfig, out_dir) -> list[RunResult]:
     summary = []
     for chi in chis:
         sub = out / f"chi_{chi:g}"
-        result = run_single(config, sub, chi=chi)
+        member = replace(config, material=replace(config.material, chi=chi))
+        result = run_single(member, sub)
         results.append(result)
         summary.append(
             {

@@ -29,7 +29,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import linprog
 
 __all__ = [
     "QpProblem",
@@ -41,7 +40,6 @@ __all__ = [
     "brute_force_qp",
     "kkt_check",
     "project_feasible",
-    "dump_problem",
 ]
 
 
@@ -183,6 +181,9 @@ def _feasibility_lp(B, c: np.ndarray, norms: np.ndarray):
     negative optimal delta certifies an empty intersection; otherwise the
     returned point sits as deep inside the set as the cap allows.
     """
+    # deferred: scipy.optimize is slow to import and only stalled projections get here
+    from scipy.optimize import linprog
+
     n = B.shape[1]
     A_ub = sp.hstack([-B, sp.csr_matrix(norms[:, None])], format="csr")
     cost = np.zeros(n + 1)
@@ -302,6 +303,7 @@ def solve_qp(
     constraints that happen to hold with equality are included even if
     they never entered the working set.
 
+    max_iter caps the active-set iterations (default 3(m + 1) + 30).
     H is converted to CSC and B to CSR on entry; factor, when given,
     must be a factorization of H.
     """
@@ -370,9 +372,11 @@ def solve_qp(
 
     iterations = 0
     while True:
-        if iterations > max_iter:
+        if iterations >= max_iter:
             raise QpNonconvergenceError(
-                f"active-set method exceeded {max_iter} iterations", x, iterations
+                f"active-set method did not converge within {max_iter} iterations",
+                x,
+                iterations,
             )
         iterations += 1
         trace.append(problem.objective(x))
@@ -483,25 +487,3 @@ def brute_force_qp(problem: QpProblem, tol: float = 1e-10) -> QpSolution:
         objective=obj,
     )
 
-
-def dump_problem(problem: QpProblem, path) -> None:
-    """Coordinate-format text dump of H, g, B, c for offline inspection."""
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f"# qp n={problem.n} m={problem.m}\n")
-        H = sp.coo_matrix(problem.H)
-        out.write("H\n")
-        order = np.lexsort((H.col, H.row))
-        for r, cc, v in zip(H.row[order], H.col[order], H.data[order]):
-            out.write(f"{r} {cc} {float(v)!r}\n")
-        out.write("g\n")
-        for i, v in enumerate(problem.g):
-            out.write(f"{i} {float(v)!r}\n")
-        if problem.m:
-            Bc = sp.coo_matrix(problem.B)
-            out.write("B\n")
-            order = np.lexsort((Bc.col, Bc.row))
-            for r, cc, v in zip(Bc.row[order], Bc.col[order], Bc.data[order]):
-                out.write(f"{r} {cc} {float(v)!r}\n")
-            out.write("c\n")
-            for i, v in enumerate(problem.c):
-                out.write(f"{i} {float(v)!r}\n")

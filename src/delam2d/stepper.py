@@ -122,9 +122,7 @@ class Operators:
 
     mesh: Mesh2D
     elasticity: IsotropicElasticity
-    viscosity: ViscosityLaw
     adhesive: AdhesiveLaw
-    C: np.ndarray
     K: sp.csr_matrix
     V: sp.csr_matrix
     dofmap: DofMap
@@ -149,8 +147,7 @@ def build_operators(
     dirichlet_values: Callable[[float], np.ndarray],
 ) -> Operators:
     """Assemble everything that does not change during the evolution."""
-    C = elasticity_tensor(elasticity)
-    K = assembly.assemble_stiffness(mesh, C)
+    K = assembly.assemble_stiffness(mesh, elasticity_tensor(elasticity))
     V = assembly.assemble_viscosity(K, viscosity.chi)
     dofmap = assembly.dirichlet_map(mesh, dirichlet_values)
     constraint = assembly.constraint_matrix(mesh, dofmap)
@@ -160,9 +157,7 @@ def build_operators(
     return Operators(
         mesh=mesh,
         elasticity=elasticity,
-        viscosity=viscosity,
         adhesive=adhesive,
-        C=C,
         K=K,
         V=V,
         dofmap=dofmap,
@@ -204,7 +199,7 @@ class _StepOperator:
 
     def gradient(self, u_prev: np.ndarray, t_next: float) -> np.ndarray:
         ops = self.ops
-        u_ext = ops.dofmap.prescribed_full(t_next)
+        u_ext = ops.dofmap.expand(np.zeros(ops.dofmap.n_free), t_next)
         g_full = self.C_hat @ u_ext + ops.V @ ((u_ext - u_prev) / self.tau)
         return g_full[ops.dofmap.free]
 
@@ -272,10 +267,7 @@ def displacement_step(
         problem, tol=qp_tol, max_iter=qp_max_iter, warm_start=warm_start,
         factor=step_op.factor,
     )
-    u_full = np.zeros(ops.mesh.n_dofs)
-    u_full[ops.dofmap.free] = sol.x
-    u_full[ops.dofmap.prescribed] = ops.dofmap.prescribed_values(t_next)
-    return u_full, sol
+    return ops.dofmap.expand(sol.x, t_next), sol
 
 
 def delamination_step(
@@ -308,7 +300,6 @@ def run(
     t_end: float,
     qp_tol: float = 1e-10,
     qp_max_iter: int | None = None,
-    u0: np.ndarray | None = None,
     z0=None,
     stop_after_full_debond: float | None = None,
     energy_tol_factor: float = ENERGY_TOL_FACTOR,
@@ -326,7 +317,7 @@ def run(
         raise ValueError(f"final time must be nonnegative, got {t_end}")
     if tau <= 0:
         raise ValueError(f"time step must be positive, got {tau}")
-    state = init_state(ops, u0, z0)
+    state = init_state(ops, z0=z0)
     traj = Trajectory(times=[0.0], states=[state], reports=[None])
     if len(state.z) and state.z.max() == 0.0:
         traj.t_full_debond = 0.0

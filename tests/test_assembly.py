@@ -11,7 +11,6 @@ from delam2d.assembly import (
     assemble_viscosity,
     constraint_matrix,
     dirichlet_map,
-    dump_matrix,
     jump_operator,
     make_dofmap,
     node_dofs,
@@ -314,15 +313,3 @@ class TestConstraintMatrix:
         dofmap = dirichlet_map(mesh, lambda t: np.zeros(2))
         con = constraint_matrix(mesh, dofmap)
         assert con.n_rows == len(mesh.interface_nodes())
-
-
-class TestDump:
-    def test_deterministic_text(self, tmp_path):
-        mesh = build_benchmark_mesh(0.25, 0.025, 4, 1.0)
-        K = assemble_stiffness(mesh, UNIT_MATERIAL)
-        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        dump_matrix(K, p1)
-        dump_matrix(K, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        first = p1.read_text().splitlines()[0]
-        assert first.startswith("# shape")

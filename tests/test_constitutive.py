@@ -13,8 +13,6 @@ from delam2d.constitutive import (
     dissipation_threshold,
     elasticity_tensor,
     mode_mixity_angle,
-    stress,
-    traction_decompose,
 )
 
 BENCH_ADHESIVE = AdhesiveLaw(
@@ -62,36 +60,6 @@ class TestViscosity:
     def test_negative_chi_rejected(self):
         with pytest.raises(ValueError):
             ViscosityLaw(chi=-1e-3)
-
-    def test_stress_combines_strain_and_rate(self):
-        C = elasticity_tensor(IsotropicElasticity(E=2.0, nu=0.25))
-        e = np.array([1.0, -0.5, 0.2])
-        de = np.array([0.3, 0.1, -0.4])
-        chi = 0.01
-        expected = C @ e + chi * (C @ de)
-        assert np.allclose(stress(C, chi, e, de), expected, rtol=1e-14)
-
-
-class TestTractionDecompose:
-    def test_orthogonal_split(self):
-        sigma = np.array([3.0, -1.0, 0.5])
-        n = np.array([0.0, -1.0])
-        T, t_n, t_t = traction_decompose(sigma, n)
-        assert np.allclose(T, t_n * n + t_t)
-        assert abs(float(t_t @ n)) < 1e-14
-        # sigma . n with n = (0, -1) is (-s12, -s22)
-        assert np.allclose(T, [-0.5, 1.0])
-
-    @given(
-        comps=st.tuples(*[st.floats(-10, 10) for _ in range(3)]),
-        theta=st.floats(0, 2 * math.pi),
-    )
-    @settings(max_examples=50)
-    def test_pythagoras(self, comps, theta):
-        sigma = np.array(comps)
-        n = np.array([math.cos(theta), math.sin(theta)])
-        T, t_n, t_t = traction_decompose(sigma, n)
-        assert float(T @ T) == pytest.approx(t_n**2 + float(t_t @ t_t), abs=1e-9)
 
 
 class TestModeMixityAngle:

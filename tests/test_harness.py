@@ -354,12 +354,6 @@ class TestRunSingleOutputs:
         # tau = 0.05, so t = 0.0 and 0.1 land on steps 0 and 2
         assert names == ["snapshot_00000.csv", "snapshot_00002.csv"]
 
-    def test_write_outputs_false_leaves_directory_alone(self, tmp_path):
-        config = parse_config(tiny_doc())
-        result = run_single(config, tmp_path / "dry", write_outputs=False)
-        assert not (tmp_path / "dry").exists()
-        assert result.trajectory.n_steps == 10
-
     def test_solver_failure_preserves_partial_outputs(self, tmp_path):
         # the first contact step blows the one-iteration budget, so the
         # run dies with only the initial state; that state must still be
@@ -411,11 +405,20 @@ class TestProvenance:
             run_single(parse_config(tiny_doc()), tmp_path)
 
 
+SWEEP_CHIS = [1e-3, 1e-2]
+
+
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
-    config = parse_config(tiny_doc(material={"chi": [1e-3, 1e-2]}))
+    """The sweep's outputs, plus one run_single per chi given as a scalar."""
+    config = parse_config(tiny_doc(material={"chi": SWEEP_CHIS}))
     out = tmp_path_factory.mktemp("sweep")
-    return out, run_chi_sweep(config, out)
+    scalar = tmp_path_factory.mktemp("scalar")
+    singles = [
+        run_single(parse_config(tiny_doc(material={"chi": chi})), scalar / f"chi_{chi:g}")
+        for chi in SWEEP_CHIS
+    ]
+    return out, run_chi_sweep(config, out), singles
 
 
 @pytest.fixture(scope="module")
@@ -427,14 +430,14 @@ def ladder(small_config, tmp_path_factory):
 
 class TestChiSweep:
     def test_one_directory_per_viscosity(self, sweep):
-        out, results = sweep
+        out, results, _ = sweep
         assert [r.out_dir.name for r in results] == ["chi_0.001", "chi_0.01"]
         for r, chi in zip(results, (1e-3, 1e-2)):
             meta = json.loads((r.out_dir / "meta.json").read_text(encoding="utf-8"))
             assert meta["chi_effective"] == chi
 
     def test_summary_file(self, sweep):
-        out, results = sweep
+        out, results, _ = sweep
         summary = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
         assert set(summary) == {"config_hash", "runs"}
         assert summary["config_hash"] == config_hash(results[0].config)
@@ -444,9 +447,21 @@ class TestChiSweep:
             assert run["viscous_dissipated_final"] == result.ledger.viscous_dissipated[-1]
 
     def test_more_viscosity_dissipates_more(self, sweep):
-        _, results = sweep
+        _, results, _ = sweep
         lo, hi = (r.ledger.viscous_dissipated[-1] for r in results)
         assert hi > lo > 0.0
+
+    def test_members_match_scalar_runs(self, sweep):
+        # a member is the document with that chi as a scalar, stamped with
+        # the sweep's hash
+        _, results, singles = sweep
+        digest = config_hash(parse_config(tiny_doc(material={"chi": SWEEP_CHIS})))
+        for member, single in zip(results, singles):
+            for name in ("energies.csv", "forces.csv", "mixity.csv"):
+                member_hash, *member_data = read_csv(member.out_dir / name)
+                _, *single_data = read_csv(single.out_dir / name)
+                assert member_hash == digest, name
+                assert member_data == single_data, name
 
     def test_scalar_chi_writes_no_summary(self, tmp_path):
         results = run_chi_sweep(parse_config(tiny_doc()), tmp_path)

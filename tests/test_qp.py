@@ -223,6 +223,17 @@ class TestNonconvergence:
                 assert err.iterations >= 1
         assert raised > 0  # budget of one cannot finish every instance
 
+    def test_budget_allows_exactly_max_iter_iterations(self):
+        # x <= 0.5 pulled toward x = 1: one iteration moves onto the bound,
+        # a second certifies its multiplier
+        problem = QpProblem(
+            H=np.eye(1), g=np.array([-1.0]), B=-np.ones((1, 1)), c=np.array([0.5])
+        )
+        assert solve_qp(problem, max_iter=2).iterations == 2
+        with pytest.raises(QpNonconvergenceError) as info:
+            solve_qp(problem, max_iter=1)
+        assert info.value.iterations == 1
+
 
 class TestProjectFeasible:
     def test_projection_feasible(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -133,7 +134,10 @@ class TestDisplacementStep:
         ops_visc = build_simulation(config)[1]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ops_elast = build_simulation(config, chi=0.0)[1]
+            elastic = dataclasses.replace(
+                config, material=dataclasses.replace(config.material, chi=0.0)
+            )
+            ops_elast = build_simulation(elastic)[1]
         t_next = 0.4
         state_v = init_state(ops_visc)
         state_e = init_state(ops_elast)
