@@ -4,8 +4,10 @@ Solves min 0.5 x.Hx + g.x subject to B x + c >= 0 for symmetric positive
 definite H by a primal active-set method.  Each outer iteration solves
 the equality-constrained subproblem of the current working set through
 the Schur complement on the multipliers, reusing a single sparse LU
-factorization of H; columns H^{-1} B_i^T are cached per constraint so
-warm-started re-solves touch only the rows that change.
+factorization of H.  The factor caches the columns H^{-1} B_i^T for its
+life, so calls that pass it again with the same B object (the time steps
+of one bond field) solve only for rows not seen yet; one B per cache, and
+a call with a different B object clears it.
 
 One sparse code path: solve_qp and project_feasible convert their
 operands once, on entry, H to CSC and B to CSR of shape (m, n), so dense
@@ -109,11 +111,16 @@ class QpSolution:
 
 
 class _Factor:
-    """SuperLU factor of H, converted to CSC on entry; each solve refines once."""
+    """SuperLU factor of H, converted to CSC on entry; each solve refines once.
+
+    cols maps row i of the B object cols_of to H^{-1} B_i^T (see solve_qp).
+    """
 
     def __init__(self, H):
         self.H = sp.csc_matrix(H, dtype=float)
         self._lu = spla.splu(self.H)
+        self.cols_of = None
+        self.cols: dict[int, np.ndarray] = {}
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._lu.solve(rhs)
@@ -305,14 +312,19 @@ def solve_qp(
 
     max_iter caps the active-set iterations (default 3(m + 1) + 30).
     H is converted to CSC and B to CSR on entry; factor, when given,
-    must be a factorization of H.
+    must be a factorization of H; its cached columns are reused while
+    problem.B is the same object, which must not change in place.
     """
+    rows = problem.B  # the caller's object tags the cached columns
     H = sp.csc_matrix(problem.H, dtype=float)
-    B = sp.csr_matrix(problem.B, dtype=float)
+    B = sp.csr_matrix(rows, dtype=float)
     problem = QpProblem(H=H, g=problem.g, B=B, c=problem.c)
     g, c, m = problem.g, problem.c, problem.m
     if factor is None:
         factor = factorize(H)
+    if factor.cols_of is not rows:
+        factor.cols_of, factor.cols = rows, {}
+    cols = factor.cols  # H^{-1} B_i^T per constraint row
     if max_iter is None:
         max_iter = 3 * (m + 1) + 30
 
@@ -323,8 +335,6 @@ def solve_qp(
 
     g_scale, c_scale = _scales(problem, x_unc)
     feas_tol = tol * c_scale
-
-    cols: dict[int, np.ndarray] = {}  # H^{-1} B_i^T per constraint row
 
     def col(i: int) -> np.ndarray:
         v = cols.get(i)

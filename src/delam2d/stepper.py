@@ -184,7 +184,13 @@ def segment_energies(ops: Operators, u: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 class _StepOperator:
-    """Cached per-bond-field pieces: QP Hessian factorization and slices."""
+    """The one owner of the step solve, built once per bond field z and step tau.
+
+    It factors the free-dof Hessian of C_hat + V/tau, C_hat = K + A(z), and
+    the factor caches solve_qp's columns H^{-1} B_i^T of the run's fixed
+    constraint rows.  solve gives a step's displacement, boundary_work its
+    driven-edge reaction and device work.  Drop it when the bond field changes.
+    """
 
     def __init__(self, ops: Operators, z: np.ndarray, tau: float):
         self.ops = ops
@@ -196,12 +202,44 @@ class _StepOperator:
         H_full = (self.C_hat + ops.V / tau).tocsr()
         self.H = H_full[free][:, free].tocsc()
         self.factor = qp.factorize(self.H)
+        # The device acts on the driven body only; in the two-body variant the
+        # lower body's clamped edge is prescribed too but carries no reaction.
+        self.driven = ops.mesh.node_body[ops.dofmap.prescribed[0::2] // 2] == 0
 
-    def gradient(self, u_prev: np.ndarray, t_next: float) -> np.ndarray:
+    def solve(
+        self,
+        u_prev: np.ndarray,
+        t_next: float,
+        warm: tuple[int, ...] | None = None,
+        qp_tol: float = 1e-10,
+        qp_max_iter: int | None = None,
+    ) -> tuple[np.ndarray, qp.QpSolution]:
+        """Full displacement at t_next after u_prev, and the QP's record."""
         ops = self.ops
+        fixed = ops.constraint.fixed_offsets(t_next)
+        if fixed.size and float(fixed.min()) < -FEASIBILITY_TOL:
+            raise InvariantViolation(
+                "driven boundary values penetrate the foundation at a fully prescribed "
+                f"interface node (worst gap {fixed.min():.3e})"
+            )
         u_ext = ops.dofmap.expand(np.zeros(ops.dofmap.n_free), t_next)
         g_full = self.C_hat @ u_ext + ops.V @ ((u_ext - u_prev) / self.tau)
-        return g_full[ops.dofmap.free]
+        problem = qp.QpProblem(
+            H=self.H, g=g_full[ops.dofmap.free], B=ops.constraint.rows,
+            c=ops.constraint.offset(t_next),
+        )
+        sol = qp.solve_qp(
+            problem, tol=qp_tol, max_iter=qp_max_iter, warm_start=warm, factor=self.factor
+        )
+        return ops.dofmap.expand(sol.x, t_next), sol
+
+    def boundary_work(self, u_prev: np.ndarray, u_next: np.ndarray) -> tuple[np.ndarray, float]:
+        """Driven-edge reaction (N/m) at u_next and the device work of the step."""
+        presc = self.ops.dofmap.prescribed
+        du = u_next - u_prev
+        r = (self.C_hat @ u_next + self.ops.V @ (du / self.tau))[presc]
+        reaction = np.array([r[0::2][self.driven].sum(), r[1::2][self.driven].sum()])
+        return reaction, float(r @ du[presc])
 
 
 def init_state(ops: Operators, u0: np.ndarray | None = None, z0=None) -> State:
@@ -253,21 +291,7 @@ def displacement_step(
         raise ValueError(f"time step must be positive, got {tau}")
     if step_op is None or not np.array_equal(step_op.z, state.z) or step_op.tau != tau:
         step_op = _StepOperator(ops, state.z, tau)
-    g = step_op.gradient(state.u, t_next)
-    problem = qp.QpProblem(
-        H=step_op.H, g=g, B=ops.constraint.rows, c=ops.constraint.offset(t_next)
-    )
-    fixed = ops.constraint.fixed_offsets(t_next)
-    if fixed.size and float(fixed.min()) < -FEASIBILITY_TOL:
-        raise InvariantViolation(
-            "driven boundary values penetrate the foundation at a fully prescribed "
-            f"interface node (worst gap {fixed.min():.3e})"
-        )
-    sol = qp.solve_qp(
-        problem, tol=qp_tol, max_iter=qp_max_iter, warm_start=warm_start,
-        factor=step_op.factor,
-    )
-    return ops.dofmap.expand(sol.x, t_next), sol
+    return step_op.solve(state.u, t_next, warm_start, qp_tol, qp_max_iter)
 
 
 def delamination_step(
@@ -329,9 +353,6 @@ def run(
     drive_prev, _ = segment_energies(ops, state.u)
     bulk_prev, interface_prev = _stored_split(ops, state.u, state.z, drive_prev)
     step_op = _StepOperator(ops, state.z, tau)
-    # The device acts on the driven body only; in the two-body variant the
-    # lower body's clamped edge is prescribed too but carries no reaction.
-    driven = ops.mesh.node_body[ops.dofmap.prescribed[0::2] // 2] == 0
     warm: tuple[int, ...] = ()
     dissipated_total = 0.0
     work_total = 0.0
@@ -354,10 +375,7 @@ def run(
         debond_inc = float(
             ((state.z - z_next) * threshold)[list(debonded)].sum()
         ) if debonded else 0.0
-        residual_full = step_op.C_hat @ u_next + ops.V @ (du / tau)
-        r_presc = residual_full[ops.dofmap.prescribed]
-        reaction = np.array([r_presc[0::2][driven].sum(), r_presc[1::2][driven].sum()])
-        device_inc = float(r_presc @ du[ops.dofmap.prescribed])
+        reaction, device_inc = step_op.boundary_work(state.u, u_next)
 
         bulk, interface = _stored_split(ops, u_next, z_next, drive)
         stored_inc = (bulk + interface) - (bulk_prev + interface_prev)
@@ -413,6 +431,7 @@ def run(
             break
 
         if not np.array_equal(z_next, state.z):
+            step_op = None  # one factor and one column cache live at a time
             step_op = _StepOperator(ops, z_next, tau)
         state = new_state
         bulk_prev, interface_prev = bulk, interface

@@ -37,3 +37,22 @@ def test_factorize_returns_an_object_with_solve():
     factor = qp.factorize(sp.csc_matrix(2.0 * np.eye(3)))
     assert callable(factor.solve)
     assert np.allclose(factor.solve(np.ones(3)), 0.5)
+
+
+def test_cached_columns_leave_one_wrapped_solve_per_repeat():
+    # perfbench counts linear solves by wrapping `solve` on the factor, as
+    # below; the columns H^{-1} B_i^T must be computed through that
+    # attribute, so a repeat of a solved problem makes exactly one solve,
+    # the unconstrained minimizer.
+    probe = _spans_module().Probe(tracing=True)
+    problem = qp.QpProblem(
+        H=sp.csc_matrix(2.0 * np.eye(3)), g=-np.ones(3), B=-np.eye(3), c=np.full(3, 0.25)
+    )
+    factor = qp.factorize(problem.H)
+    factor.solve = probe.span("qp.linear_solve", factor.solve)
+    first = qp.solve_qp(problem, factor=factor)
+    assert len(first.active_set) == 3 and len(probe.spans) == 4
+    probe.spans.clear()
+    second = qp.solve_qp(problem, factor=factor)
+    assert len(probe.spans) == 1
+    assert np.array_equal(first.x, second.x)

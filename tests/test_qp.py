@@ -8,6 +8,7 @@ from delam2d.qp import (
     QpNonconvergenceError,
     QpProblem,
     brute_force_qp,
+    factorize,
     kkt_check,
     project_feasible,
     solve_qp,
@@ -108,6 +109,53 @@ class TestOracleEquivalence:
                     project_feasible(problem.B, problem.c, x0),
                 ), f"instance {k}"
         assert 0 in sizes and len(sizes) > 2  # unconstrained and constrained draws
+
+
+def assert_same_solution(a, b, label):
+    assert np.array_equal(a.x, b.x), label
+    assert np.array_equal(a.multipliers, b.multipliers), label
+    assert a.active_set == b.active_set, label
+    assert a.iterations == b.iterations, label
+
+
+class TestFactorColumnCache:
+    def test_reused_factor_matches_fresh_factors(self):
+        # One H and one B object over a sequence of right-hand sides, as in
+        # the time steps of one bond field: the factor's cached columns must
+        # give the bits of a fresh factorization per call.
+        rng = np.random.default_rng(13)
+        for k in range(40):
+            base = random_instance(rng, max_dofs=10, max_cons=6)
+            factor = factorize(base.H)
+            warm_reused = warm_fresh = None
+            for step in range(4):
+                x0 = rng.normal(size=base.n)
+                slack = rng.uniform(0.0, 1.0, size=base.m) * (rng.random(size=base.m) < 0.7)
+                problem = QpProblem(
+                    H=base.H, g=rng.normal(size=base.n), B=base.B, c=slack - base.B @ x0
+                )
+                reused = solve_qp(problem, warm_start=warm_reused, factor=factor)
+                fresh = solve_qp(problem, warm_start=warm_fresh)
+                assert_same_solution(reused, fresh, f"instance {k}, step {step}")
+                warm_reused, warm_fresh = reused.active_set, fresh.active_set
+
+    def test_another_B_object_clears_the_cache(self):
+        # Same shape, other rows: columns cached by row index alone would
+        # belong to the first B and give a wrong minimizer.
+        rng = np.random.default_rng(14)
+        cached = 0
+        for k in range(40):
+            first = random_instance(rng, max_dofs=6, max_cons=4)
+            x0 = rng.normal(size=first.n)
+            B = rng.normal(size=(first.m, first.n))
+            second = QpProblem(H=first.H, g=first.g, B=B, c=-B @ x0)
+            factor = factorize(first.H)
+            solve_qp(first, factor=factor)
+            cached += bool(factor.cols)
+            assert_same_solution(
+                solve_qp(second, factor=factor), solve_qp(second), f"instance {k}"
+            )
+        assert cached >= 10  # enough first solves left columns to go stale
 
 
 class TestSolutionQuality:
