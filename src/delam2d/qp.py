@@ -14,11 +14,11 @@ operands once, on entry, H to CSC and B to CSR of shape (m, n), so dense
 and sparse copies of one problem give bitwise-equal results.
 
 Determinism: two lowest-index rules make identical inputs give identical
-iterates.  The ratio test blocks on the lowest-index row whose ratio
-undercuts the step by more than 1e-15, repeated until none does, so a
-row never displaces a lower one within 1e-15 of it.  The removal rule
-drops the lowest-index working row of most negative multiplier.  A brute-force oracle (dense subset
-enumeration, usable up to 20 constraints) is the reference for testing.
+iterates.  The ratio test blocks on the row of least ratio, the lowest
+index among exact ties, when that ratio cuts the step short by more than
+1e-15.  The removal rule drops the lowest-index working row of most
+negative multiplier.  A brute-force oracle (dense subset enumeration,
+usable up to 20 constraints) is the reference for testing.
 """
 
 from __future__ import annotations
@@ -418,14 +418,12 @@ def solve_qp(
         eligible[working] = False
         rows = np.flatnonzero(eligible)
         ratios = np.maximum(0.0, slacks[rows]) / -Bd[rows]
-        # the lowest-index row that undercuts the step by more than 1e-15
-        # blocks it; repeat until none does (an index-order scan, exactly)
-        alpha, k = 1.0, -1
-        while (below := np.flatnonzero(ratios < alpha - 1e-15)).size:
-            k = int(below[0])
-            alpha = ratios[k]
+        # the row of least ratio (argmin: the lowest index on an exact tie)
+        # blocks a step that it cuts short by more than 1e-15
+        k = int(np.argmin(ratios)) if rows.size else -1
+        alpha = ratios[k] if k >= 0 and ratios[k] < 1.0 - 1e-15 else 1.0
         x = x + alpha * d
-        if k >= 0:
+        if alpha < 1.0:
             working = sorted(working + [int(rows[k])])
         # no blocker: x reached the EQP minimizer; the next pass sees a
         # zero step and runs the multiplier test

@@ -236,15 +236,18 @@ class TestTieRules:
     @pytest.mark.parametrize(
         "offsets, blocker",
         [
-            ((0.0, 4e-16), 0),  # row 1 undercuts row 0 by less than 1e-15
+            ((0.0, 4e-16), 1),  # ratios a few ulps apart: the least one blocks
             ((4e-16, 0.0), 0),
-            ((0.0, 4e-16, 1e-13), 2),  # row 2 undercuts by more than 1e-15
+            ((0.0, 4e-16, 1e-13), 2),
+            ((0.0, 0.0), 0),  # an exact tie goes to the lower index
+            ((0.0, 4e-16, 4e-16), 1),
         ],
     )
-    def test_near_tied_blockers_go_to_the_lower_index(self, offsets, blocker):
+    def test_least_ratio_blocks_and_exact_ties_go_to_the_lower_index(self, offsets, blocker):
         # x <= 0.5 - offset per row, pulled toward x = 1: the first step is
-        # blocked by rows whose ratios differ by a few ulps, and the blocking
-        # row is the only one to carry a multiplier at the solution
+        # blocked by rows whose ratios differ by a few ulps or not at all,
+        # and the blocking row is the only one to carry a multiplier at the
+        # solution
         m = len(offsets)
         problem = QpProblem(
             H=np.eye(1),
