@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_doc
+from conftest import REPO_ROOT, make_doc
 
 import delam2d
 from delam2d import (
@@ -22,6 +22,7 @@ from delam2d import (
     config_hash,
     load_config,
     mixity_histogram,
+    momentum_residual,
     parse_config,
     run_chi_sweep,
     run_convergence,
@@ -468,6 +469,51 @@ class TestChiSweep:
         assert len(results) == 1
         assert results[0].out_dir == tmp_path / "chi_0.001"
         assert not (tmp_path / "sweep.json").exists()
+
+
+def test_vanishing_viscosity_limit(tmp_path):
+    """chi -> 0 at ladder level 27 (tau = 1/150, 150 steps) of benchmark.json.
+
+    The bounds were set from a sweep measured before this test was written
+    (chi = 1e-3, 1e-4, 1e-5, 0: viscous 4.690, 0.5254, 0.05320, 0;
+    work 156.814, 156.702, 156.691, 156.690; gap 35.26, 39.41, 39.88,
+    39.94 J/m; full debond at 0.7867 s for every member):
+    - viscous dissipation falls by a factor in [8, 12] per decade of chi;
+    - |W(chi) - W(0)| <= 150 chi J/m, an O(chi) approach of the work;
+    - gap + viscous dissipation spans at most 0.05 J/m over the sweep;
+    - the full-debond step is the same for every member;
+    - at chi = 0 the run passes the stepper's invariants, its ledger gap
+      is >= 0 and nondecreasing, and the momentum spot check passes.
+    """
+    doc = json.loads((REPO_ROOT / "benchmark.json").read_text(encoding="utf-8"))
+    doc["geometry"]["n_interface"] = 27
+    doc["time"]["tau"] = 1.0 / 150.0
+    doc["material"]["chi"] = [1e-3, 1e-4, 1e-5, 0.0]
+    with pytest.warns(UserWarning, match="chi = 0"):
+        results = run_chi_sweep(parse_config(doc), tmp_path)
+    chis = [r.config.material.chi for r in results]
+    viscous = np.array([r.ledger.viscous_dissipated[-1] for r in results])
+    work = np.array([r.ledger.external_work[-1] for r in results])
+    gap = np.array([r.ledger.gap[-1] for r in results])
+
+    assert chis == [1e-3, 1e-4, 1e-5, 0.0]
+    assert viscous[-1] == 0.0
+    decade = viscous[:-2] / viscous[1:-1]
+    assert np.all((decade >= 8.0) & (decade <= 12.0)), decade
+    assert np.all(np.abs(work[:-1] - work[-1]) <= 150.0 * np.array(chis[:-1])), work
+    assert float(np.ptp(gap + viscous)) <= 0.05, gap + viscous
+    assert len({r.trajectory.t_full_debond for r in results}) == 1
+    assert results[0].trajectory.t_full_debond is not None
+
+    limit = results[-1]
+    traj, ledger = limit.trajectory, limit.ledger
+    assert traj.n_steps == 150
+    tol = 1e-8 * ledger.scale()  # the stepper's energy tolerance
+    assert np.all(ledger.gap >= -tol)
+    assert np.all(np.diff(ledger.gap) >= -tol[1:])
+    assert min(rep.min_gap for rep in traj.reports[1:]) >= -1e-10
+    for k in (traj.n_steps // 2, traj.n_steps):
+        assert momentum_residual(limit.ops, traj, k, n_fields=16) >= -1e-6
 
 
 class TestLevelLadder:
