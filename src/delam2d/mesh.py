@@ -64,7 +64,6 @@ class Mesh2D:
     triangles: np.ndarray
     interface_segments: tuple[InterfaceSegment, ...]
     dirichlet_nodes: frozenset[int]
-    neumann_edges: frozenset[tuple[int, int]]
     foundation: str
     h: float
     node_body: np.ndarray = field(repr=False, default=None)
@@ -171,21 +170,6 @@ def _boundary_edges(triangles: np.ndarray) -> set[tuple[int, int]]:
     return {e for e, k in count.items() if k == 1}
 
 
-def _neumann_edges(
-    triangles: np.ndarray,
-    dirichlet: frozenset[int],
-    interface_edges: set[tuple[int, int]],
-) -> frozenset[tuple[int, int]]:
-    edges = set()
-    for a, b in _boundary_edges(triangles):
-        if (a, b) in interface_edges:
-            continue
-        if a in dirichlet and b in dirichlet:
-            continue
-        edges.add((a, b))
-    return frozenset(edges)
-
-
 def build_benchmark_mesh(
     L: float,
     H: float,
@@ -211,7 +195,6 @@ def build_benchmark_mesh(
     dirichlet = frozenset(int(j * (nx + 1) + nx) for j in range(ny + 1))
 
     segments = []
-    interface_edges = set()
     for i in _glued_cell_range(nx, n_glued, glued_from):
         a, b = i, i + 1
         segments.append(
@@ -222,15 +205,12 @@ def build_benchmark_mesh(
                 length=h,
             )
         )
-        interface_edges.add((min(a, b), max(a, b)))
 
-    neumann = _neumann_edges(triangles, dirichlet, interface_edges)
     return Mesh2D(
         nodes=nodes,
         triangles=triangles,
         interface_segments=tuple(segments),
         dirichlet_nodes=dirichlet,
-        neumann_edges=neumann,
         foundation="rigid",
         h=h,
     )
@@ -273,7 +253,6 @@ def build_two_body_mesh(
 
     lower_top_row = offset + ny * (nx + 1)
     segments = []
-    interface_edges = set()
     for i in _glued_cell_range(nx, n_glued, glued_from):
         plus = (i, i + 1)
         minus = (lower_top_row + i, lower_top_row + i + 1)
@@ -282,16 +261,12 @@ def build_two_body_mesh(
                 node_plus=plus, node_minus=minus, normal=(0.0, -1.0), length=h
             )
         )
-        interface_edges.add((min(plus), max(plus)))
-        interface_edges.add((min(minus), max(minus)))
 
-    neumann = _neumann_edges(triangles, dirichlet, interface_edges)
     return Mesh2D(
         nodes=nodes,
         triangles=triangles,
         interface_segments=tuple(segments),
         dirichlet_nodes=dirichlet,
-        neumann_edges=neumann,
         foundation="two_body",
         h=h,
         node_body=node_body,
@@ -332,12 +307,6 @@ def refine_uniform(mesh: Mesh2D) -> Mesh2D:
         if a in mesh.dirichlet_nodes and b in mesh.dirichlet_nodes:
             dirichlet.add(mid(a, b))
 
-    neumann = set()
-    for a, b in mesh.neumann_edges:
-        m = mid(a, b)
-        neumann.add((min(a, m), max(a, m)))
-        neumann.add((min(m, b), max(m, b)))
-
     segments = []
     for seg in mesh.interface_segments:
         pa, pb = seg.node_plus
@@ -357,7 +326,6 @@ def refine_uniform(mesh: Mesh2D) -> Mesh2D:
         triangles=np.array(new_tris, dtype=np.int64),
         interface_segments=tuple(segments),
         dirichlet_nodes=frozenset(dirichlet),
-        neumann_edges=frozenset(neumann),
         foundation=mesh.foundation,
         h=mesh.h * 0.5,
         node_body=np.array(body, dtype=np.int8),
@@ -481,5 +449,3 @@ def export_csv(mesh: Mesh2D, path) -> None:
         out.write(f"h,{float(mesh.h)!r},\n")
         for i in sorted(mesh.dirichlet_nodes):
             out.write(f"dirichlet_node,{i},\n")
-        for a, b in sorted(mesh.neumann_edges):
-            out.write(f"neumann_edge,{a},{b}\n")
