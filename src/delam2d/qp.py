@@ -315,15 +315,15 @@ def solve_qp(
     must be a factorization of H; its cached columns are reused while
     problem.B is the same object, which must not change in place.
     """
-    rows = problem.B  # the caller's object tags the cached columns
+    caller_B = problem.B  # the caller's object tags the cached columns
     H = sp.csc_matrix(problem.H, dtype=float)
-    B = sp.csr_matrix(rows, dtype=float)
+    B = sp.csr_matrix(caller_B, dtype=float)
     problem = QpProblem(H=H, g=problem.g, B=B, c=problem.c)
     g, c, m = problem.g, problem.c, problem.m
     if factor is None:
         factor = factorize(H)
-    if factor.cols_of is not rows:
-        factor.cols_of, factor.cols = rows, {}
+    if factor.cols_of is not caller_B:
+        factor.cols_of, factor.cols = caller_B, {}
     cols = factor.cols  # H^{-1} B_i^T per constraint row
     if max_iter is None:
         max_iter = 3 * (m + 1) + 30

@@ -431,7 +431,7 @@ def run(
             break
 
         if not np.array_equal(z_next, state.z):
-            step_op = None  # one factor and one column cache live at a time
+            step_op = None  # drop the old operator first: one column cache at a time
             step_op = _StepOperator(ops, z_next, tau)
         state = new_state
         bulk_prev, interface_prev = bulk, interface

@@ -43,6 +43,13 @@ def assert_matches_oracle(problem, tol=1e-10):
     return sol, ref
 
 
+def assert_same_solution(a, b, label):
+    assert np.array_equal(a.x, b.x), label
+    assert np.array_equal(a.multipliers, b.multipliers), label
+    assert a.active_set == b.active_set, label
+    assert a.iterations == b.iterations, label
+
+
 class TestOracleEquivalence:
     def test_thousand_seeded_instances(self):
         rng = np.random.default_rng(20240817)
@@ -96,10 +103,7 @@ class TestOracleEquivalence:
                 c=dense.c,
             )
             sol_d, sol_s = solve_qp(dense), solve_qp(problem)
-            assert np.array_equal(sol_d.x, sol_s.x), f"instance {k}"
-            assert np.array_equal(sol_d.multipliers, sol_s.multipliers), f"instance {k}"
-            assert sol_d.active_set == sol_s.active_set, f"instance {k}"
-            assert sol_d.iterations == sol_s.iterations, f"instance {k}"
+            assert_same_solution(sol_d, sol_s, f"instance {k}")
             ref = brute_force_qp(dense)
             assert np.abs(sol_s.x - ref.x).max() <= 1e-10 * (1 + np.abs(ref.x).max())
             if dense.m:
@@ -109,13 +113,6 @@ class TestOracleEquivalence:
                     project_feasible(problem.B, problem.c, x0),
                 ), f"instance {k}"
         assert 0 in sizes and len(sizes) > 2  # unconstrained and constrained draws
-
-
-def assert_same_solution(a, b, label):
-    assert np.array_equal(a.x, b.x), label
-    assert np.array_equal(a.multipliers, b.multipliers), label
-    assert a.active_set == b.active_set, label
-    assert a.iterations == b.iterations, label
 
 
 class TestFactorColumnCache:
