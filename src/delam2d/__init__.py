@@ -33,9 +33,7 @@ from .constitutive import (
     AdhesiveLaw,
     IsotropicElasticity,
     ViscosityLaw,
-    dissipation_threshold,
     elasticity_tensor,
-    mode_mixity_angle,
 )
 from .energetics import (
     EnergyLedger,
@@ -59,7 +57,6 @@ from .mesh import (
     Mesh2D,
     build_benchmark_mesh,
     build_two_body_mesh,
-    refine_uniform,
 )
 from .qp import (
     QpNonconvergenceError,
@@ -74,7 +71,6 @@ from .stepper import (
     State,
     Trajectory,
     build_operators,
-    interpolant_eval,
     run,
 )
 
@@ -112,16 +108,12 @@ __all__ = [
     "build_simulation",
     "build_two_body_mesh",
     "config_hash",
-    "dissipation_threshold",
     "elasticity_tensor",
     "energy_inequality_residual",
-    "interpolant_eval",
     "load_config",
     "mixity_histogram",
-    "mode_mixity_angle",
     "momentum_residual",
     "parse_config",
-    "refine_uniform",
     "run",
     "run_chi_sweep",
     "run_convergence",

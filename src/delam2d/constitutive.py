@@ -24,9 +24,6 @@ __all__ = [
     "ViscosityLaw",
     "AdhesiveLaw",
     "elasticity_tensor",
-    "mode_mixity_angle",
-    "dissipation_threshold",
-    "adhesive_energy_density",
 ]
 
 HALF_PI = 0.5 * math.pi
@@ -166,34 +163,3 @@ def elasticity_tensor(material: IsotropicElasticity) -> np.ndarray:
             [0.0, 0.0, c33],
         ]
     )
-
-
-def _frame_components(jump: np.ndarray, normal: np.ndarray) -> tuple[float, float]:
-    """Normal and tangential jump components, the tangent being the normal turned by +90 degrees."""
-    jump = np.asarray(jump, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    return float(jump @ n), float(jump @ np.array([-n[1], n[0]]))
-
-
-def mode_mixity_angle(jump: np.ndarray, normal: np.ndarray, law: AdhesiveLaw) -> float:
-    """Mixity angle in [0, pi/2] of one displacement jump; see AdhesiveLaw.mixity."""
-    return float(law.mixity(*_frame_components(jump, normal)))
-
-
-def dissipation_threshold(angle: float, law: AdhesiveLaw) -> float:
-    """Energy per unit area dissipated by debonding at one mixity angle.
-
-    See AdhesiveLaw.threshold; the angle must lie in [0, pi/2].
-    """
-    if not 0.0 <= angle <= HALF_PI * (1.0 + 1e-12):
-        raise ValueError(f"mixity angle must lie in [0, pi/2], got {angle}")
-    return float(law.threshold(angle))
-
-
-def adhesive_energy_density(
-    jump: np.ndarray, z: float, law: AdhesiveLaw, normal: np.ndarray
-) -> float:
-    """Stored glue energy per unit interface area, (z/2)(kappa_n j_n^2 + kappa_t |j_t|^2)."""
-    if not -1e-12 <= z <= 1.0 + 1e-12:
-        raise ValueError(f"bond fraction must lie in [0, 1], got {z}")
-    return z * float(law.energy_density(*_frame_components(jump, normal)))

@@ -25,7 +25,6 @@ __all__ = [
     "EnergyLedger",
     "MixityRecord",
     "stored_energy",
-    "dissipation_rate",
     "build_ledger",
     "energy_inequality_residual",
     "semistability_check",
@@ -53,32 +52,6 @@ def stored_energy(ops: Operators, state: State) -> tuple[bool, float]:
     drive, _ = segment_energies(ops, state.u)
     interface = float(z @ drive) if drive.size else 0.0
     return True, bulk + interface
-
-
-def dissipation_rate(
-    ops: Operators, state: State, u_dot: np.ndarray, z_dot: np.ndarray
-) -> tuple[bool, float]:
-    """Instantaneous dissipation of a rate pair at a given state.
-
-    Viscous part u_dot . V u_dot plus the debonding part, the
-    mixity-dependent threshold (evaluated at the state's midpoint jumps)
-    times |z_dot| per segment.  Healing (z_dot > 0) is inadmissible and
-    returns an infinite rate with a False flag.
-    """
-    z_dot = np.asarray(z_dot, dtype=float)
-    if z_dot.size and z_dot.max(initial=0.0) > 1e-12:
-        return False, math.inf
-    viscous = float(u_dot @ (ops.V @ u_dot))
-    if z_dot.size:
-        _, psi = segment_energies(ops, state.u)
-        thresh = ops.adhesive.threshold(psi) * ops.seg_length
-        finite = np.isfinite(thresh) | (z_dot == 0.0)
-        if not finite.all():
-            return True, math.inf
-        debond = float(np.sum(np.where(z_dot == 0.0, 0.0, thresh * (-z_dot))))
-    else:
-        debond = 0.0
-    return True, viscous + debond
 
 
 @dataclass(frozen=True)

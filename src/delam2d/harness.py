@@ -398,8 +398,8 @@ def run_convergence(
     """
     if len(levels) < 2:
         raise HarnessError("a convergence study needs at least two levels")
-    if sorted(levels) != list(levels):
-        raise HarnessError(f"levels must increase, got {levels}")
+    if any(a >= b for a, b in zip(levels[:-1], levels[1:])):
+        raise HarnessError(f"levels must increase strictly, got {levels}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -477,11 +477,17 @@ def run_convergence(
 def run_chi_sweep(config: SimulationConfig, out_dir) -> list[RunResult]:
     """Run the configuration once per viscosity scale in its chi list."""
     chis = config.chi_sweep if config.chi_sweep is not None else (config.material.chi,)
+    names = [f"chi_{chi:g}" for chi in chis]
+    if len(set(names)) < len(names):
+        raise HarnessError(
+            f"chi values {list(chis)} share member directories {names}; "
+            "give values that differ in 6 significant digits"
+        )
     out = Path(out_dir)
     results = []
     summary = []
-    for chi in chis:
-        sub = out / f"chi_{chi:g}"
+    for chi, name in zip(chis, names):
+        sub = out / name
         member = replace(config, material=replace(config.material, chi=chi))
         result = run_single(member, sub)
         results.append(result)

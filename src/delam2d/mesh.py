@@ -28,7 +28,6 @@ __all__ = [
     "Mesh2D",
     "build_benchmark_mesh",
     "build_two_body_mesh",
-    "refine_uniform",
     "validate",
     "export_csv",
 ]
@@ -57,7 +56,7 @@ class Mesh2D:
     nodes: (N, 2) float coordinates.  triangles: (M, 3) int, counter
     clockwise.  node_body labels which bonded body a node belongs to
     (all zero for the single-body rigid variant).  h is the generating
-    cell size, used for refinement bookkeeping and time-step scaling.
+    cell size, reported per level by the refinement ladder.
     """
 
     nodes: np.ndarray
@@ -108,11 +107,6 @@ class Mesh2D:
         xy = self.nodes[ends[first, 0]]
         return ends, first[np.lexsort((xy[:, 1], xy[:, 0]))]
 
-    def interface_nodes(self) -> list[tuple[int, int]]:
-        """Unique (plus, minus) node pairs along the interface, by increasing x."""
-        ends, first = self.interface_ends()
-        return [(int(p), int(m)) for p, m in ends[first]]
-
 
 def _grid_nodes(L: float, H: float, nx: int, ny: int, y0: float = 0.0) -> np.ndarray:
     xs = np.linspace(0.0, L, nx + 1)
@@ -159,15 +153,6 @@ def _glued_cell_range(nx: int, n_glued: int, glued_from: str) -> range:
     if glued_from == "right":
         return range(nx - n_glued, nx)
     raise ValueError(f"glued_from must be 'left' or 'right', got {glued_from!r}")
-
-
-def _boundary_edges(triangles: np.ndarray) -> set[tuple[int, int]]:
-    count: dict[tuple[int, int], int] = {}
-    for a, b, c in triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (int(min(u, v)), int(max(u, v)))
-            count[key] = count.get(key, 0) + 1
-    return {e for e, k in count.items() if k == 1}
 
 
 def build_benchmark_mesh(
@@ -270,65 +255,6 @@ def build_two_body_mesh(
         foundation="two_body",
         h=h,
         node_body=node_body,
-    )
-
-
-def refine_uniform(mesh: Mesh2D) -> Mesh2D:
-    """Split every triangle into four and every interface segment into two.
-
-    Midpoint nodes are shared through an edge table, so the refined mesh
-    stays conforming; boundary tags and segment normals are inherited.
-    """
-    nodes = [tuple(p) for p in mesh.nodes]
-    body = list(mesh.node_body)
-    midpoint: dict[tuple[int, int], int] = {}
-
-    def mid(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        idx = midpoint.get(key)
-        if idx is None:
-            idx = len(nodes)
-            pa, pb = mesh.nodes[a], mesh.nodes[b]
-            nodes.append(((pa[0] + pb[0]) * 0.5, (pa[1] + pb[1]) * 0.5))
-            body.append(body[a])
-            midpoint[key] = idx
-        return idx
-
-    new_tris = []
-    for a, b, c in mesh.triangles:
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        new_tris.extend(
-            [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
-        )
-
-    boundary = _boundary_edges(mesh.triangles)
-    dirichlet = set(mesh.dirichlet_nodes)
-    for a, b in boundary:
-        if a in mesh.dirichlet_nodes and b in mesh.dirichlet_nodes:
-            dirichlet.add(mid(a, b))
-
-    segments = []
-    for seg in mesh.interface_segments:
-        pa, pb = seg.node_plus
-        ma, mb = seg.node_minus
-        pm = mid(pa, pb)
-        mm = pm if mesh.foundation == "rigid" else mid(ma, mb)
-        half = seg.length * 0.5
-        segments.append(
-            InterfaceSegment((pa, pm), (ma, mm), seg.normal, half)
-        )
-        segments.append(
-            InterfaceSegment((pm, pb), (mm, mb), seg.normal, half)
-        )
-
-    return Mesh2D(
-        nodes=np.array(nodes),
-        triangles=np.array(new_tris, dtype=np.int64),
-        interface_segments=tuple(segments),
-        dirichlet_nodes=frozenset(dirichlet),
-        foundation=mesh.foundation,
-        h=mesh.h * 0.5,
-        node_body=np.array(body, dtype=np.int8),
     )
 
 

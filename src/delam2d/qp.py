@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -107,7 +107,6 @@ class QpSolution:
     kkt: KktResiduals
     iterations: int
     objective: float
-    objective_trace: tuple[float, ...] = field(default=(), repr=False)
 
 
 class _Factor:
@@ -276,7 +275,6 @@ def _build_solution(
     working: list[int],
     mu_w: np.ndarray,
     iterations: int,
-    trace: list[float],
     tol: float,
 ) -> QpSolution:
     mu = np.zeros(problem.m)
@@ -290,7 +288,6 @@ def _build_solution(
         kkt=kkt,
         iterations=iterations,
         objective=problem.objective(x),
-        objective_trace=tuple(trace),
     )
 
 
@@ -329,9 +326,8 @@ def solve_qp(
         max_iter = 3 * (m + 1) + 30
 
     x_unc = factor.solve(-g)
-    trace: list[float] = []
     if m == 0:
-        return _build_solution(problem, x_unc, [], np.zeros(0), 0, trace, tol)
+        return _build_solution(problem, x_unc, [], np.zeros(0), 0, tol)
 
     g_scale, c_scale = _scales(problem, x_unc)
     feas_tol = tol * c_scale
@@ -389,7 +385,6 @@ def solve_qp(
                 iterations,
             )
         iterations += 1
-        trace.append(problem.objective(x))
 
         x_target, mu_w = eqp(working)
         d = x_target - x
@@ -406,7 +401,7 @@ def solve_qp(
         if step <= 1e-12 * ref:
             if len(working) == 0 or float(mu_w.min()) >= -tol * g_scale:
                 return _build_solution(
-                    problem, x_target, working, mu_w, iterations, trace, tol
+                    problem, x_target, working, mu_w, iterations, tol
                 )
             del working[int(np.argmin(mu_w))]
             continue

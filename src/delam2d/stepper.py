@@ -15,7 +15,6 @@ carry enough to audit the scheme's inequalities without re-solving.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,7 +44,6 @@ __all__ = [
     "delamination_step",
     "segment_energies",
     "run",
-    "interpolant_eval",
 ]
 
 FEASIBILITY_TOL = 1e-10  # meters of admissible interpenetration
@@ -363,7 +361,7 @@ def run(
             u_next, sol = displacement_step(
                 ops, state, tau, t_k, qp_tol, qp_max_iter, warm, step_op
             )
-        except qp.QpNonconvergenceError as err:
+        except (qp.QpNonconvergenceError, InvariantViolation) as err:
             err.args = (f"step {k} (t={t_k:.6g}): {err.args[0]}",)
             err.trajectory = traj  # completed steps, for post-mortem output
             raise
@@ -477,37 +475,3 @@ def _check_step(
                 f"t={t:.6g}: semistability violated on segments {np.nonzero(bad)[0].tolist()}",
                 traj,
             )
-
-
-def interpolant_eval(traj: Trajectory, t: float, kind: str) -> State:
-    """Evaluate the trajectory between grid points.
-
-    kind 'left' gives the piecewise-constant interpolant taking the
-    value of the interval's right endpoint (continuous from the left),
-    'right' the one taking the left endpoint's value, and 'linear' the
-    piecewise-affine displacement.  The bond field is BV in time, so the
-    linear kind pairs the affine displacement with the left-kind bond.
-    """
-    times = traj.times
-    if not times:
-        raise ValueError("empty trajectory")
-    t_end = times[-1]
-    if t < -1e-12 or t > t_end * (1.0 + 1e-12) + 1e-300:
-        raise ValueError(f"time {t} outside [0, {t_end}]")
-    t = min(max(t, 0.0), t_end)
-    k = bisect.bisect_left(times, t)
-    if k < len(times) and times[k] == t:
-        if kind == "left" or kind == "linear":
-            return traj.states[k]
-        if kind == "right":
-            return traj.states[max(k - 1, 0)]
-        raise ValueError(f"unknown interpolant kind {kind!r}")
-    lo, hi = traj.states[k - 1], traj.states[k]
-    if kind == "left":
-        return State(t=t, u=hi.u, z=hi.z)
-    if kind == "right":
-        return State(t=t, u=lo.u, z=lo.z)
-    if kind == "linear":
-        w = (t - lo.t) / (hi.t - lo.t)
-        return State(t=t, u=(1.0 - w) * lo.u + w * hi.u, z=hi.z)
-    raise ValueError(f"unknown interpolant kind {kind!r}")

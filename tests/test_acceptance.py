@@ -28,7 +28,7 @@ from delam2d import (
     run_single,
     semistability_check,
 )
-from delam2d.constitutive import AdhesiveLaw, dissipation_threshold
+from delam2d.constitutive import AdhesiveLaw
 from delam2d.harness import CURVE_SET, _level_config
 from test_assembly import (
     UNIT_MATERIAL,
@@ -57,7 +57,7 @@ def toughness_ratio(mode_sensitivity: float) -> float:
         mode1_toughness=187.5,
         mode_sensitivity=mode_sensitivity,
     )
-    return dissipation_threshold(math.pi / 2, law) / dissipation_threshold(0.0, law)
+    return float(law.threshold(math.pi / 2)) / float(law.threshold(0.0))
 
 
 @pytest.fixture(scope="module")

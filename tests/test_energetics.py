@@ -12,7 +12,6 @@ from delam2d.constitutive import (
 )
 from delam2d.energetics import (
     build_ledger,
-    dissipation_rate,
     energy_inequality_residual,
     mixity_histogram,
     momentum_residual,
@@ -106,54 +105,6 @@ class TestStoredEnergy:
         _, phi_none = stored_energy(toy_ops, State(0.0, u, np.zeros(toy_ops.n_segments)))
         assert phi_half == pytest.approx(0.5 * (phi_full + phi_none), rel=1e-12)
         assert phi_none < phi_half < phi_full
-
-
-class TestDissipationRate:
-    def test_zero_rates(self, toy_ops):
-        state = init_state(toy_ops)
-        ok, r = dissipation_rate(
-            toy_ops, state, np.zeros(toy_ops.mesh.n_dofs), np.zeros(toy_ops.n_segments)
-        )
-        assert ok
-        assert r == 0.0
-
-    def test_healing_is_infeasible(self, toy_ops):
-        state = init_state(toy_ops)
-        z_dot = np.zeros(toy_ops.n_segments)
-        z_dot[1] = 0.25
-        ok, r = dissipation_rate(toy_ops, state, np.zeros(toy_ops.mesh.n_dofs), z_dot)
-        assert not ok
-        assert r == math.inf
-
-    def test_pure_viscous_matrix_identity(self, toy_ops):
-        rng = np.random.default_rng(3)
-        state = init_state(toy_ops)
-        for _ in range(5):
-            u_dot = rng.normal(size=toy_ops.mesh.n_dofs)
-            ok, r = dissipation_rate(toy_ops, state, u_dot, np.zeros(toy_ops.n_segments))
-            assert ok
-            assert r == pytest.approx(float(u_dot @ (toy_ops.V @ u_dot)), rel=1e-12)
-
-    def test_debonding_pays_the_threshold(self, toy_ops):
-        state = init_state(toy_ops)  # rest: psi = 0, threshold a_I * length
-        z_dot = np.zeros(toy_ops.n_segments)
-        z_dot[2] = -1.0
-        ok, r = dissipation_rate(toy_ops, state, np.zeros(toy_ops.mesh.n_dofs), z_dot)
-        assert ok
-        assert r == pytest.approx(float(toy_ops.seg_length[2]), rel=1e-12)
-
-    def test_unbounded_threshold_reported(self, toy_ops):
-        # pure sliding with sensitivity 0 puts the threshold at infinity
-        u = np.zeros(toy_ops.mesh.n_dofs)
-        for seg in toy_ops.mesh.interface_segments:
-            for node in seg.node_plus:
-                u[2 * node] = 1.0
-        state = State(0.0, u, np.ones(toy_ops.n_segments))
-        z_dot = np.zeros(toy_ops.n_segments)
-        z_dot[0] = -1.0
-        ok, r = dissipation_rate(toy_ops, state, np.zeros(toy_ops.mesh.n_dofs), z_dot)
-        assert ok
-        assert r == math.inf
 
 
 class TestLedger:

@@ -729,6 +729,22 @@ class TestCli:
         assert main(["converge", "--config", path, "--out", str(tmp_path / "c"), "--levels", "9"]) == 1
         assert "at least two levels" in capsys.readouterr().err
 
+    def test_converge_rejects_repeated_levels(self, tmp_path, capsys):
+        # two runs of one level would share level_009/
+        path = write_doc(tmp_path, tiny_doc())
+        out = tmp_path / "c"
+        assert main(["converge", "--config", path, "--out", str(out), "--levels", "9,9"]) == 1
+        assert "must increase strictly" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_rejects_chi_values_sharing_a_directory(self, tmp_path, capsys):
+        # both print as chi_0.001; the second member would overwrite the first
+        path = write_doc(tmp_path, tiny_doc(material={"chi": [1e-3, 1.0000001e-3]}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert "share member directories" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mesh_dump_cli(self, tmp_path, capsys):
         path = write_doc(tmp_path, tiny_doc())
         out = tmp_path / "mesh.csv"
@@ -763,3 +779,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("delam2d: invariant violation: ")
         assert "penetrate" in err
+
+    def test_step_invariant_violation_leaves_outputs(self, tmp_path, capsys):
+        # fully glued bar pulled down at the driven corner: the first step's
+        # solve refuses the prescribed penetration before any step completes
+        doc = make_doc(
+            geometry={"glued_fraction": 1.0},
+            loading={"direction": [1.0, -0.6]},
+            time={"T": 0.2},
+        )
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("delam2d: invariant violation: step 1 (t=0.02): ")
+        assert "penetrate" in err
+
+        digest = config_hash(parse_config(doc))
+        energies = read_csv(out / "energies.csv")
+        assert energies[0] == digest
+        assert energies[1][:2] == ["t", "bulk_elastic"]
+        assert [[float(x) for x in row] for row in energies[2]] == [[0.0] * 8]  # the t = 0 row
+        forces = read_csv(out / "forces.csv")
+        assert forces == (digest, ["t", "reaction_x", "reaction_y", "bonded_length", "min_gap"], [])
+        meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+        assert meta["config_hash"] == digest
+        assert meta["n_steps"] == 0

@@ -13,7 +13,6 @@ from delam2d.mesh import (
     build_benchmark_mesh,
     build_two_body_mesh,
     export_csv,
-    refine_uniform,
     signed_areas,
     validate,
 )
@@ -81,9 +80,10 @@ class TestBenchmarkMesh:
 
     def test_interface_nodes_ordered_chain(self):
         m = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        pairs = m.interface_nodes()
+        ends, first = m.interface_ends()
+        pairs = ends[first]
         assert len(pairs) == 10
-        xs = [m.nodes[p, 0] for p, _ in pairs]
+        xs = m.nodes[pairs[:, 0], 0].tolist()
         assert xs == sorted(xs)
 
     def test_triangles_positively_oriented(self):
@@ -132,40 +132,6 @@ class TestTwoBodyMesh:
         m = build_two_body_mesh(0.25, 0.025, 6, 0.8)
         bodies = {int(m.node_body[n]) for n in m.dirichlet_nodes}
         assert bodies == {0, 1}
-
-
-class TestRefineUniform:
-    def test_counts_quadruple_and_halve(self):
-        m = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        r = refine_uniform(m)
-        assert len(r.triangles) == 4 * len(m.triangles)
-        assert len(r.interface_segments) == 2 * len(m.interface_segments)
-        assert r.h == pytest.approx(m.h / 2)
-        assert validate(r) == []
-
-    def test_original_nodes_preserved(self):
-        m = build_benchmark_mesh(0.25, 0.025, 4, 1.0)
-        r = refine_uniform(m)
-        assert np.allclose(r.nodes[: m.n_nodes], m.nodes)
-
-    def test_segment_lengths_halve(self):
-        m = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        r = refine_uniform(m)
-        for seg in r.interface_segments:
-            assert seg.length == pytest.approx(m.h / 2)
-            assert seg.normal == (0.0, -1.0)
-
-    def test_two_body_refines_clean(self):
-        m = build_two_body_mesh(0.25, 0.025, 6, 0.75)
-        r = refine_uniform(m)
-        assert validate(r) == []
-        assert len(r.interface_segments) == 2 * len(m.interface_segments)
-
-    def test_twice_refined_validates(self):
-        m = build_benchmark_mesh(0.25, 0.025, 5, 0.9)
-        rr = refine_uniform(refine_uniform(m))
-        assert validate(rr) == []
-        assert rr.h == pytest.approx(m.h / 4)
 
 
 class TestValidateCatchesCorruption:

@@ -186,11 +186,18 @@ class TestSolutionQuality:
                 )
 
     def test_objective_trace_monotone(self):
+        # Iterate k is the point a budget of k iterations stops at; the
+        # objective must never rise from one iterate to the next.
         rng = np.random.default_rng(7)
         for _ in range(50):
             problem = random_instance(rng)
             sol = solve_qp(problem)
-            trace = sol.objective_trace
+            trace = []
+            for k in range(sol.iterations):
+                with pytest.raises(QpNonconvergenceError) as err:
+                    solve_qp(problem, max_iter=k)
+                trace.append(problem.objective(err.value.x))
+            trace.append(sol.objective)
             for a, b in zip(trace[:-1], trace[1:]):
                 assert b <= a + 1e-9 * (1.0 + abs(a))
 

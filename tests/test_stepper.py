@@ -15,7 +15,6 @@ from delam2d.stepper import (
     delamination_step,
     displacement_step,
     init_state,
-    interpolant_eval,
     run,
     segment_energies,
 )
@@ -320,48 +319,6 @@ class TestRun:
             work = rep.energy.device_work_increment
             assert abs(work) > 0.0
             assert float(rep.reaction @ step) == pytest.approx(work, rel=1e-9)
-
-
-class TestInterpolantEval:
-    def test_grid_point_semantics(self, small_traj):
-        k = 7
-        t_k = small_traj.times[k]
-        assert interpolant_eval(small_traj, t_k, "left") is small_traj.states[k]
-        assert interpolant_eval(small_traj, t_k, "linear") is small_traj.states[k]
-        assert interpolant_eval(small_traj, t_k, "right") is small_traj.states[k - 1]
-        assert interpolant_eval(small_traj, 0.0, "right") is small_traj.states[0]
-
-    def test_open_interval_constant_kinds(self, small_traj):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            k = int(rng.integers(1, len(small_traj.times)))
-            lo, hi = small_traj.times[k - 1], small_traj.times[k]
-            t = lo + (hi - lo) * rng.uniform(0.05, 0.95)
-            left = interpolant_eval(small_traj, t, "left")
-            right = interpolant_eval(small_traj, t, "right")
-            assert np.array_equal(left.u, small_traj.states[k].u)
-            assert np.array_equal(right.u, small_traj.states[k - 1].u)
-            assert np.array_equal(left.z, small_traj.states[k].z)
-            assert np.array_equal(right.z, small_traj.states[k - 1].z)
-
-    def test_midpoint_linear_is_mean(self, small_traj):
-        k = 11
-        t = 0.5 * (small_traj.times[k - 1] + small_traj.times[k])
-        state = interpolant_eval(small_traj, t, "linear")
-        mean = 0.5 * (small_traj.states[k - 1].u + small_traj.states[k].u)
-        assert np.allclose(state.u, mean, rtol=0, atol=1e-18)
-        # the bond field is BV in time: linear pairs with the left kind
-        assert np.array_equal(state.z, small_traj.states[k].z)
-
-    def test_out_of_range_rejected(self, small_traj):
-        with pytest.raises(ValueError, match="outside"):
-            interpolant_eval(small_traj, -0.5, "left")
-        with pytest.raises(ValueError, match="outside"):
-            interpolant_eval(small_traj, small_traj.times[-1] + 1.0, "left")
-
-    def test_unknown_kind_rejected(self, small_traj):
-        with pytest.raises(ValueError, match="kind"):
-            interpolant_eval(small_traj, 0.03, "cubic")
 
 
 def test_state_records_are_consistent(small_traj):
