@@ -131,7 +131,7 @@ class AdhesiveLaw:
         """
         num = self.kappa_t * (np.asarray(j_t, dtype=float) ** 2)
         den = self.kappa_n * j_n * j_n + self.mixity_regularization
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             psi = np.arctan(np.sqrt(num / den))
         return np.where(den > 0.0, psi, np.where(num > 0.0, HALF_PI, 0.0))
 

@@ -1,13 +1,17 @@
 """Convex quadratic programs with inequality constraints.
 
 Solves min 0.5 x.Hx + g.x subject to B x + c >= 0 for symmetric positive
-definite H by a primal active-set method.  Each outer iteration solves
-the equality-constrained subproblem of the current working set through
-the Schur complement on the multipliers, reusing a single sparse LU
-factorization of H.  The factor caches the columns H^{-1} B_i^T for its
-life, so calls that pass it again with the same B object (the time steps
-of one bond field) solve only for rows not seen yet; one B per cache, and
-a call with a different B object clears it.
+definite H by a primal active-set method.  The equality-constrained
+subproblem (EQP) of a working set is solved through the Schur complement
+on the multipliers, reusing a single sparse LU factorization of H.  Each
+working set the iteration visits is solved once: after an accepted warm
+start, or after a step that no row blocks, the iterate already sits at
+the EQP minimizer, so the next iteration tests that solve's multipliers.
+The factor caches, for its life, the columns H^{-1} B_i^T and their
+constraint images B H^{-1} B_i^T (m floats each), and a Schur matrix is a
+slice of cached images.  Calls that pass the factor again with the same B
+object (the time steps of one bond field) solve only for rows not seen
+yet; one B per cache, and a call with a different B object clears it.
 
 One sparse code path: solve_qp and project_feasible convert their
 operands once, on entry, H to CSC and B to CSR of shape (m, n), so dense
@@ -112,7 +116,8 @@ class QpSolution:
 class _Factor:
     """SuperLU factor of H, converted to CSC on entry; each solve refines once.
 
-    cols maps row i of the B object cols_of to H^{-1} B_i^T (see solve_qp).
+    cols maps row i of the B object cols_of to H^{-1} B_i^T, and images
+    maps it to B H^{-1} B_i^T, one entry per constraint row (see solve_qp).
     """
 
     def __init__(self, H):
@@ -120,6 +125,7 @@ class _Factor:
         self._lu = spla.splu(self.H)
         self.cols_of = None
         self.cols: dict[int, np.ndarray] = {}
+        self.images: dict[int, np.ndarray] = {}
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._lu.solve(rhs)
@@ -133,9 +139,8 @@ def factorize(H) -> _Factor:
     return _Factor(H)
 
 
-def _scales(problem: QpProblem, x: np.ndarray) -> tuple[float, float]:
+def _scales(problem: QpProblem, x: np.ndarray, Hx: np.ndarray) -> tuple[float, float]:
     g_scale = 1.0 + float(np.abs(problem.g).max(initial=0.0))
-    Hx = problem.H @ x
     g_scale += float(np.abs(Hx).max(initial=0.0))
     c_scale = 1.0 + float(np.abs(problem.c).max(initial=0.0))
     if problem.m:
@@ -150,8 +155,14 @@ def kkt_check(problem: QpProblem, x: np.ndarray, multipliers: np.ndarray) -> Kkt
     set).  Stationarity and dual residuals are scaled by the gradient
     magnitude, primal and complementarity by the constraint magnitude.
     """
-    g_scale, c_scale = _scales(problem, x)
-    grad = problem.H @ x + problem.g
+    return _kkt(problem, x, problem.H @ x, multipliers)
+
+
+def _kkt(
+    problem: QpProblem, x: np.ndarray, Hx: np.ndarray, multipliers: np.ndarray
+) -> KktResiduals:
+    g_scale, c_scale = _scales(problem, x, Hx)
+    grad = Hx + problem.g
     if problem.m:
         grad = grad - problem.B.T @ multipliers
         slacks = problem.slacks(x)
@@ -255,39 +266,28 @@ def project_feasible(B, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return x
 
 
-def _active_from_slacks(problem: QpProblem, x: np.ndarray, tol: float) -> tuple[int, ...]:
-    """Constraints holding with equality at x, by a shared scaled tolerance.
-
-    Both solvers derive their reported active set through this rule, so
-    degenerate zero-multiplier actives are classified identically.
-    """
-    if problem.m == 0:
-        return ()
-    _, c_scale = _scales(problem, x)
-    act_tol = max(tol, 1e-9) * c_scale
-    slacks = problem.slacks(x)
-    return tuple(int(i) for i in np.nonzero(slacks <= act_tol)[0])
-
-
 def _build_solution(
-    problem: QpProblem,
-    x: np.ndarray,
-    working: list[int],
-    mu_w: np.ndarray,
-    iterations: int,
-    tol: float,
+    problem: QpProblem, x: np.ndarray, mu: np.ndarray, iterations: int, tol: float
 ) -> QpSolution:
-    mu = np.zeros(problem.m)
-    mu[working] = mu_w
-    active = _active_from_slacks(problem, x, tol)
-    kkt = kkt_check(problem, x, mu)
+    """The solution record of x with multipliers mu; one H-matvec serves it.
+
+    Both solvers report through here, so both read the active set off the
+    slacks by one scaled tolerance and classify degenerate
+    zero-multiplier actives identically.
+    """
+    Hx = problem.H @ x
+    active: tuple[int, ...] = ()
+    if problem.m:
+        _, c_scale = _scales(problem, x, Hx)
+        act_tol = max(tol, 1e-9) * c_scale
+        active = tuple(int(i) for i in np.nonzero(problem.slacks(x) <= act_tol)[0])
     return QpSolution(
         x=x,
         active_set=active,
         multipliers=mu,
-        kkt=kkt,
+        kkt=_kkt(problem, x, Hx, mu),
         iterations=iterations,
-        objective=problem.objective(x),
+        objective=0.5 * float(x @ Hx) + float(problem.g @ x),  # problem.objective(x)
     )
 
 
@@ -320,23 +320,25 @@ def solve_qp(
     if factor is None:
         factor = factorize(H)
     if factor.cols_of is not caller_B:
-        factor.cols_of, factor.cols = caller_B, {}
-    cols = factor.cols  # H^{-1} B_i^T per constraint row
+        factor.cols_of, factor.cols, factor.images = caller_B, {}, {}
+    cols, images = factor.cols, factor.images  # H^{-1} B_i^T, B H^{-1} B_i^T
     if max_iter is None:
         max_iter = 3 * (m + 1) + 30
 
     x_unc = factor.solve(-g)
     if m == 0:
-        return _build_solution(problem, x_unc, [], np.zeros(0), 0, tol)
+        return _build_solution(problem, x_unc, np.zeros(0), 0, tol)
 
-    g_scale, c_scale = _scales(problem, x_unc)
+    g_scale, c_scale = _scales(problem, x_unc, H @ x_unc)
     feas_tol = tol * c_scale
+    slacks_unc = problem.slacks(x_unc)
+    unc_size = float(np.abs(x_unc).max(initial=0.0))
 
     def col(i: int) -> np.ndarray:
         v = cols.get(i)
         if v is None:
             v = factor.solve(B[i].toarray().ravel())
-            cols[i] = v
+            cols[i], images[i] = v, B @ v
         return v
 
     def eqp(working: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -344,9 +346,10 @@ def solve_qp(
         if not working:
             return x_unc.copy(), np.zeros(0)
         M = np.column_stack([col(i) for i in working])
-        Bw = B[working]
-        S = Bw @ M
-        rhs = -(Bw @ x_unc + c[working])
+        # S[a, b] = B_a H^{-1} B_b^T, entry a of working row b's image:
+        # the products and summation order of B[working] @ M, so its bits
+        S = np.column_stack([images[i][working] for i in working])
+        rhs = -slacks_unc[working]
         with warnings.catch_warnings():
             warnings.simplefilter("error", sla.LinAlgWarning)
             try:
@@ -358,23 +361,23 @@ def solve_qp(
                 mu, *_ = np.linalg.lstsq(S, rhs, rcond=None)
         return x_unc + M @ mu, mu
 
+    # reached: the EQP of the working set once x sits at its minimizer,
+    # after an accepted warm start or a step that no row blocks
     working: list[int] = []
-    x = None
+    x = reached = None
     if warm_start:
         seed = sorted(set(int(i) for i in warm_start if 0 <= int(i) < m))
         try:
-            x_try, _ = eqp(seed)
+            x_try, mu_try = eqp(seed)
         except sla.LinAlgError:
             x_try = None
         if x_try is not None and float(problem.slacks(x_try).min()) >= -feas_tol:
-            working = seed
-            x = x_try
+            working, x, reached = seed, x_try, (x_try, mu_try)
     if x is None:
-        if float(problem.slacks(x_unc).min()) >= -feas_tol:
+        if float(slacks_unc.min()) >= -feas_tol:
             x = x_unc.copy()
         else:
             x = project_feasible(B, c, x_unc)
-        working = []
 
     iterations = 0
     while True:
@@ -386,7 +389,8 @@ def solve_qp(
             )
         iterations += 1
 
-        x_target, mu_w = eqp(working)
+        x_target, mu_w = eqp(working) if reached is None else reached
+        reached = None
         d = x_target - x
         step = float(np.abs(d).max(initial=0.0))
         # x_target is assembled from the unconstrained minimizer, which can
@@ -394,15 +398,15 @@ def solve_qp(
         # cancellation, else noise directions admit bogus blocking rows
         ref = 1.0 + max(
             float(np.abs(x).max(initial=0.0)),
-            float(np.abs(x_unc).max(initial=0.0)),
+            unc_size,
             float(np.abs(x_target).max(initial=0.0)),
         )
 
         if step <= 1e-12 * ref:
             if len(working) == 0 or float(mu_w.min()) >= -tol * g_scale:
-                return _build_solution(
-                    problem, x_target, working, mu_w, iterations, tol
-                )
+                mu = np.zeros(m)
+                mu[working] = mu_w
+                return _build_solution(problem, x_target, mu, iterations, tol)
             del working[int(np.argmin(mu_w))]
             continue
 
@@ -420,8 +424,10 @@ def solve_qp(
         x = x + alpha * d
         if alpha < 1.0:
             working = sorted(working + [int(rows[k])])
-        # no blocker: x reached the EQP minimizer; the next pass sees a
-        # zero step and runs the multiplier test
+        else:
+            # no blocker: x reached the EQP minimizer up to one rounding, so
+            # the next pass keeps this solve and sees a roundoff-level step
+            reached = x_target, mu_w
 
 
 def brute_force_qp(problem: QpProblem, tol: float = 1e-10) -> QpSolution:
@@ -479,14 +485,6 @@ def brute_force_qp(problem: QpProblem, tol: float = 1e-10) -> QpSolution:
                 best = (obj, x, mu_full)
     if best is None:
         raise RuntimeError("no KKT candidate found; constraints look infeasible")
-    obj, x, mu = best
-    active = _active_from_slacks(problem, x, tol)
-    return QpSolution(
-        x=x,
-        active_set=active,
-        multipliers=mu,
-        kkt=kkt_check(problem, x, mu),
-        iterations=0,
-        objective=obj,
-    )
+    _, x, mu = best
+    return _build_solution(problem, x, mu, 0, tol)
 

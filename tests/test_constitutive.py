@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,14 @@ class TestModeMixityAngle:
 
     def test_pure_sliding_is_half_pi(self):
         assert BENCH_ADHESIVE.mixity(0.0, 1e-4) == 0.5 * math.pi
+
+    def test_subnormal_normal_jump_is_half_pi_without_warning(self):
+        # kappa_n j_n^2 is subnormal, so the ratio under the root overflows
+        # to inf; arctan(inf) = pi/2 is the right angle and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = BENCH_ADHESIVE.mixity(1e-160, 1.0)
+        assert psi == 0.5 * math.pi
 
     def test_zero_jump_is_zero(self):
         assert BENCH_ADHESIVE.mixity(0.0, 0.0) == 0.0

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delam2d import qp
 from delam2d.qp import (
     QpNonconvergenceError,
     QpProblem,
@@ -234,6 +235,35 @@ class TestWarmStart:
             cold = solve_qp(problem)
             warm = solve_qp(problem, warm_start=bogus)
             assert np.allclose(warm.x, cold.x, atol=1e-8 * (1 + np.abs(cold.x).max()))
+
+
+class TestOneEqpPerWorkingSet:
+    def test_warm_start_and_unblocked_step_reuse_their_solve(self, monkeypatch):
+        # min 0.5 |x - (1, 1)|^2 with x0 <= 0.5 (row 0) and x1 >= 0 (row 1),
+        # warm-started from both rows.  The seed's EQP minimizer (0.5, 0)
+        # is feasible and accepted; its multiplier test drops row 1
+        # (mu = -1); no row blocks the step to the minimizer (0.5, 1) of
+        # {0}, whose multiplier test (mu = 0.5) ends the solve.  Two
+        # nonempty working sets, so two Schur solves, in three iterations.
+        sizes = []
+        solve = qp.sla.solve
+
+        def spy(S, rhs, **kwargs):
+            sizes.append(len(rhs))
+            return solve(S, rhs, **kwargs)
+
+        monkeypatch.setattr(qp.sla, "solve", spy)
+        problem = QpProblem(
+            H=np.eye(2),
+            g=-np.ones(2),
+            B=np.array([[-1.0, 0.0], [0.0, 1.0]]),
+            c=np.array([0.5, 0.0]),
+        )
+        sol = solve_qp(problem, warm_start=(0, 1))
+        assert sizes == [2, 1]  # {0, 1}, then {0}
+        assert sol.iterations == 3
+        assert np.array_equal(sol.x, [0.5, 1.0])
+        assert sol.active_set == (0,)
 
 
 class TestTieRules:
