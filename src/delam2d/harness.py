@@ -156,35 +156,44 @@ def _check_provenance(out: Path, digest: str) -> None:
             )
 
 
-def _write_csv(path: Path, digest: str, columns: dict) -> None:
+def _write_table(out, columns: dict) -> None:
     """Named columns, one row per entry: floats with repr, all else with str."""
     cells = []
     for values in columns.values():
         v = np.asarray(values)
         if v.dtype == bool:
             v = v.astype(int)
-        fmt = repr if v.dtype.kind == "f" else str
-        cells.append([fmt(x) for x in v.tolist()])
+        cells.append(map(repr if v.dtype.kind == "f" else str, v.tolist()))
+    out.write(",".join(columns) + "\n")
+    out.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _write_csv(path: Path, digest: str, columns: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(f"# config_hash={digest}\n")
-        out.write(",".join(columns) + "\n")
-        for row in zip(*cells):
-            out.write(",".join(row) + "\n")
+        _write_table(out, columns)
 
 
 def _write_snapshot(path: Path, digest: str, ops: Operators, state) -> None:
-    mesh = ops.mesh
+    nodes = ops.mesh.nodes
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(f"# config_hash={digest}\n")
         out.write(f"# t={_fmt(state.t)}\n")
-        out.write("nodes\nid,x,y,ux,uy\n")
-        for i, (x, y) in enumerate(mesh.nodes):
-            out.write(
-                f"{i},{_fmt(x)},{_fmt(y)},{_fmt(state.u[2 * i])},{_fmt(state.u[2 * i + 1])}\n"
-            )
-        out.write("interface\nid,x_mid,z\n")
-        for e, xm in enumerate(ops.seg_x_mid):
-            out.write(f"{e},{_fmt(xm)},{_fmt(state.z[e])}\n")
+        out.write("nodes\n")
+        _write_table(
+            out,
+            {
+                "id": np.arange(len(nodes)),
+                "x": nodes[:, 0],
+                "y": nodes[:, 1],
+                "ux": state.u[0::2],
+                "uy": state.u[1::2],
+            },
+        )
+        out.write("interface\n")
+        _write_table(
+            out, {"id": np.arange(len(ops.seg_x_mid)), "x_mid": ops.seg_x_mid, "z": state.z}
+        )
 
 
 def _snapshot_steps(config: SimulationConfig) -> set[int]:

@@ -1,21 +1,33 @@
 """Convex quadratic programs with inequality constraints.
 
 Solves min 0.5 x.Hx + g.x subject to B x + c >= 0 for symmetric positive
-definite H by a primal active-set method.  The equality-constrained
-subproblem (EQP) of a working set is solved through the Schur complement
-on the multipliers, reusing a single sparse LU factorization of H.  Each
-working set the iteration visits is solved once: after an accepted warm
-start, or after a step that no row blocks, the iterate already sits at
-the EQP minimizer, so the next iteration tests that solve's multipliers.
-The factor caches, for its life, the columns H^{-1} B_i^T and their
-constraint images B H^{-1} B_i^T (m floats each), and a Schur matrix is a
-slice of cached images.  Calls that pass the factor again with the same B
-object (the time steps of one bond field) solve only for rows not seen
-yet; one B per cache, and a call with a different B object clears it.
+definite H by the range-space (Schur complement) form of the primal
+active-set method.  The constraint rows are few next to the unknowns, so
+the iteration runs on m-vectors: the iterate is its slacks s = B x + c
+together with coefficients on the columns H^{-1} B_i^T,
+
+    x = a x0 + (1 - a) x_unc + sum_i lam_i H^{-1} B_i^T,
+
+where x_unc = -H^{-1} g and x0 is the projected cold start (a = 0 when
+there is none).  The equality subproblem (EQP) of a working set W gives
+multipliers mu from the Schur matrix B_W H^{-1} B_W^T and target slacks
+s_unc + sum_b mu_b B H^{-1} B_{W_b}^T; a step of length alpha moves s,
+lam and a alike.  The n-vector x is formed once, from the final working
+set, as x_unc + [H^{-1} B_i^T for i in W] @ mu.  Each working set the
+iteration visits is solved once: after an accepted warm start, or after a
+step that no row blocks, the iterate sits at the EQP minimizer and the
+next iteration tests that solve's multipliers.
+
+The factor caches, for its life, the columns H^{-1} B_i^T, their max
+norms and their constraint images B H^{-1} B_i^T (row i of an m x m
+array), and a Schur matrix is a slice of cached images.  Calls that pass
+the factor again with the same B object (the time steps of one bond
+field) solve only for rows not seen yet; one B per cache, and a call with
+a different B object clears it.
 
 One sparse code path: solve_qp and project_feasible convert their
-operands once, on entry, H to CSC and B to CSR of shape (m, n), so dense
-and sparse copies of one problem give bitwise-equal results.
+operands once, on entry, H to CSC and B to canonical CSR of shape (m, n),
+so dense and sparse copies of one problem give bitwise-equal results.
 
 Determinism: two lowest-index rules make identical inputs give identical
 iterates.  The ratio test blocks on the row of least ratio, the lowest
@@ -116,8 +128,10 @@ class QpSolution:
 class _Factor:
     """SuperLU factor of H, converted to CSC on entry; each solve refines once.
 
-    cols maps row i of the B object cols_of to H^{-1} B_i^T, and images
-    maps it to B H^{-1} B_i^T, one entry per constraint row (see solve_qp).
+    For the rows i of the B object cols_of that solve_qp has met, cols[i]
+    is H^{-1} B_i^T, col_max[i] its max norm and img[i] its constraint
+    image B H^{-1} B_i^T; rows not met yet hold zeros.  B_norm, the
+    largest absolute row sum of cols_of, bounds |B v|_inf by B_norm |v|_inf.
     """
 
     def __init__(self, H):
@@ -125,7 +139,9 @@ class _Factor:
         self._lu = spla.splu(self.H)
         self.cols_of = None
         self.cols: dict[int, np.ndarray] = {}
-        self.images: dict[int, np.ndarray] = {}
+        self.col_max = np.zeros(0)
+        self.img = np.zeros((0, 0))
+        self.B_norm = 0.0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._lu.solve(rhs)
@@ -175,18 +191,36 @@ def _kkt(
     return KktResiduals(stationarity, primal, dual, compl)
 
 
+def _csr(B):
+    """B as canonical CSR of floats: sorted column indices, no duplicates."""
+    B = sp.csr_matrix(B, dtype=float)
+    if not B.has_canonical_format:
+        B = B.copy()
+        B.sum_duplicates()
+    return B
+
+
 def _relaxed_sweeps(B, c, x, norms2, exit_tol, budget):
-    """Over-relaxed cyclic half-space projections; returns (x, converged)."""
+    """Over-relaxed cyclic half-space projections; returns (x, converged).
+
+    Each violated row is read straight from CSR and updated in place: its
+    slack sums b_j x_j in CSR order, as B @ x does, and plus c_i.
+    """
     relaxation = 1.5
+    indptr, indices, data = B.indptr, B.indices, B.data
     for _ in range(budget):
         slacks = B @ x + c
         if float(slacks.min()) >= -exit_tol:
             return x, True
         for i in np.nonzero(slacks < 0.0)[0]:
-            row = B[i]
-            s = float((row @ x)[0] + c[i])
+            cols = indices[indptr[i] : indptr[i + 1]]
+            vals = data[indptr[i] : indptr[i + 1]]
+            s = 0.0
+            for b, xj in zip(vals.tolist(), x[cols].tolist()):
+                s += b * xj
+            s += c[i]
             if s < 0.0:
-                x = x - relaxation * (s / norms2[i]) * row.toarray().ravel()
+                x[cols] -= relaxation * (s / norms2[i]) * vals
     return x, False
 
 
@@ -226,7 +260,7 @@ _MAX_SWEEPS = 1000  # relaxed sweeps before the linear-program fallback
 def project_feasible(B, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Find a point of the half-space intersection B x + c >= 0 near x0.
 
-    B, dense or sparse, is converted to CSR on entry.  Over-relaxed
+    B, dense or sparse, is converted to canonical CSR on entry.  Over-relaxed
     cyclic projections settle rows with disjoint supports (nodal
     constraints) in one sweep and converge linearly on generic systems.
     Thin wedges between nearly parallel rows stall them, so an exhausted
@@ -241,7 +275,7 @@ def project_feasible(B, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
     x = np.array(x0, dtype=float)
     if len(c) == 0:
         return x
-    B = sp.csr_matrix(B, dtype=float)
+    B = _csr(B)
     norms2 = np.asarray(B.multiply(B).sum(axis=1)).ravel()
     if np.any(norms2 == 0.0):
         raise ValueError("constraint row with zero norm cannot be projected onto")
@@ -308,20 +342,22 @@ def solve_qp(
     they never entered the working set.
 
     max_iter caps the active-set iterations (default 3(m + 1) + 30).
-    H is converted to CSC and B to CSR on entry; factor, when given,
+    H is converted to CSC and B to canonical CSR on entry; factor, when given,
     must be a factorization of H; its cached columns are reused while
     problem.B is the same object, which must not change in place.
     """
     caller_B = problem.B  # the caller's object tags the cached columns
     H = sp.csc_matrix(problem.H, dtype=float)
-    B = sp.csr_matrix(caller_B, dtype=float)
+    B = _csr(caller_B)
     problem = QpProblem(H=H, g=problem.g, B=B, c=problem.c)
     g, c, m = problem.g, problem.c, problem.m
     if factor is None:
         factor = factorize(H)
     if factor.cols_of is not caller_B:
-        factor.cols_of, factor.cols, factor.images = caller_B, {}, {}
-    cols, images = factor.cols, factor.images  # H^{-1} B_i^T, B H^{-1} B_i^T
+        factor.cols_of, factor.cols = caller_B, {}
+        factor.col_max, factor.img = np.zeros(m), np.zeros((m, m))
+        factor.B_norm = float(np.asarray(abs(B).sum(axis=1)).max(initial=0.0))
+    cols, col_max, img, B_norm = factor.cols, factor.col_max, factor.img, factor.B_norm
     if max_iter is None:
         max_iter = 3 * (m + 1) + 30
 
@@ -334,21 +370,30 @@ def solve_qp(
     slacks_unc = problem.slacks(x_unc)
     unc_size = float(np.abs(x_unc).max(initial=0.0))
 
-    def col(i: int) -> np.ndarray:
-        v = cols.get(i)
-        if v is None:
-            v = factor.solve(B[i].toarray().ravel())
-            cols[i], images[i] = v, B @ v
-        return v
+    def cache(working: list[int]) -> None:
+        for i in working:
+            if i not in cols:
+                rhs = np.zeros(problem.n)
+                lo, hi = B.indptr[i], B.indptr[i + 1]
+                rhs[B.indices[lo:hi]] = B.data[lo:hi]
+                v = factor.solve(rhs)
+                cols[i], col_max[i], img[i] = v, np.abs(v).max(initial=0.0), B @ v
+
+    def combine(base: np.ndarray, rows, weights: np.ndarray) -> np.ndarray:
+        """base + sum_k weights[k] H^{-1} B_{rows[k]}^T, an n-vector."""
+        if len(rows) == 0:
+            return base.copy()
+        return base + np.column_stack([cols[i] for i in rows]) @ weights
 
     def eqp(working: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Minimizer and multipliers with the working constraints as equalities."""
+        """Multipliers and target slacks with the working rows as equalities."""
         if not working:
-            return x_unc.copy(), np.zeros(0)
-        M = np.column_stack([col(i) for i in working])
+            return np.zeros(0), slacks_unc
+        cache(working)
+        images = img[working]
         # S[a, b] = B_a H^{-1} B_b^T, entry a of working row b's image:
         # the products and summation order of B[working] @ M, so its bits
-        S = np.column_stack([images[i][working] for i in working])
+        S = images[:, working].T
         rhs = -slacks_unc[working]
         with warnings.catch_warnings():
             warnings.simplefilter("error", sla.LinAlgWarning)
@@ -359,75 +404,101 @@ def solve_qp(
                 # consistent; least-norm multipliers still give the unique
                 # minimizer because null(S) = null(Bw^T) cannot move x
                 mu, *_ = np.linalg.lstsq(S, rhs, rcond=None)
-        return x_unc + M @ mu, mu
+        return mu, slacks_unc + mu @ images
 
+    # The iterate is its slacks s = B x + c and, with x0 the projected cold
+    # start, x = a x0 + (1 - a) x_unc + sum_i lam_i H^{-1} B_i^T.
     # reached: the EQP of the working set once x sits at its minimizer,
     # after an accepted warm start or a step that no row blocks
     working: list[int] = []
-    x = reached = None
+    lam = np.zeros(m)
+    a, x0, x0_size = 0.0, None, 0.0
+    s = reached = None
     if warm_start:
         seed = sorted(set(int(i) for i in warm_start if 0 <= int(i) < m))
         try:
-            x_try, mu_try = eqp(seed)
+            mu_try, s_try = eqp(seed)
         except sla.LinAlgError:
-            x_try = None
-        if x_try is not None and float(problem.slacks(x_try).min()) >= -feas_tol:
-            working, x, reached = seed, x_try, (x_try, mu_try)
-    if x is None:
+            s_try = None
+        if s_try is not None and float(s_try.min()) >= -feas_tol:
+            working, s, reached = seed, s_try, (mu_try, s_try)
+            lam[seed] = mu_try
+    if s is None:
         if float(slacks_unc.min()) >= -feas_tol:
-            x = x_unc.copy()
+            s = slacks_unc
         else:
-            x = project_feasible(B, c, x_unc)
+            x0 = project_feasible(B, c, x_unc)
+            a, x0_size, s = 1.0, float(np.abs(x0).max(initial=0.0)), problem.slacks(x0)
+
+    def iterate() -> np.ndarray:
+        base = x_unc if a == 0.0 else a * x0 + (1.0 - a) * x_unc
+        support = np.flatnonzero(lam)
+        return combine(base, support, lam[support])
 
     iterations = 0
     while True:
         if iterations >= max_iter:
             raise QpNonconvergenceError(
                 f"active-set method did not converge within {max_iter} iterations",
-                x,
+                iterate(),
                 iterations,
             )
         iterations += 1
 
-        x_target, mu_w = eqp(working) if reached is None else reached
+        if reached is None:
+            mu_w, target = eqp(working)
+            Bd = target - s  # B d for the step d from x to the EQP minimizer
+            bd_size = float(np.abs(Bd).max(initial=0.0))
+            # x_target is assembled from the unconstrained minimizer, which can
+            # dwarf x itself; a step only counts above the roundoff left by that
+            # cancellation, |d| <= 1e-12 ref, else noise directions admit bogus
+            # blocking rows.  |B d| <= B_norm |d| and ref_upper >= ref settle
+            # the test in constraint space unless B d is itself that small.
+            ref_upper = 1.0 + max(
+                a * x0_size + (1.0 - a) * unc_size + float(np.abs(lam) @ col_max),
+                unc_size + float(np.abs(mu_w) @ col_max[working]),
+            )
+            small = bd_size <= 2e-12 * ref_upper * B_norm
+            if small:
+                x, x_target = iterate(), combine(x_unc, working, mu_w)
+                ref = 1.0 + max(
+                    float(np.abs(x).max(initial=0.0)),
+                    unc_size,
+                    float(np.abs(x_target).max(initial=0.0)),
+                )
+                small = float(np.abs(x_target - x).max(initial=0.0)) <= 1e-12 * ref
+        else:
+            # no blocker moved x onto this EQP minimizer up to one rounding
+            mu_w, target = reached
+            small = True
         reached = None
-        d = x_target - x
-        step = float(np.abs(d).max(initial=0.0))
-        # x_target is assembled from the unconstrained minimizer, which can
-        # dwarf x itself; a step only counts above the roundoff left by that
-        # cancellation, else noise directions admit bogus blocking rows
-        ref = 1.0 + max(
-            float(np.abs(x).max(initial=0.0)),
-            unc_size,
-            float(np.abs(x_target).max(initial=0.0)),
-        )
 
-        if step <= 1e-12 * ref:
+        if small:
             if len(working) == 0 or float(mu_w.min()) >= -tol * g_scale:
                 mu = np.zeros(m)
                 mu[working] = mu_w
-                return _build_solution(problem, x_target, mu, iterations, tol)
+                x = combine(x_unc, working, mu_w)
+                return _build_solution(problem, x, mu, iterations, tol)
             del working[int(np.argmin(mu_w))]
             continue
 
-        slacks = problem.slacks(x)
-        Bd = B @ d
-        descent_tol = -1e-14 * (1.0 + float(np.abs(Bd).max(initial=0.0)))
+        descent_tol = -1e-14 * (1.0 + bd_size)
         eligible = Bd < descent_tol
         eligible[working] = False
         rows = np.flatnonzero(eligible)
-        ratios = np.maximum(0.0, slacks[rows]) / -Bd[rows]
+        ratios = np.maximum(0.0, s[rows]) / -Bd[rows]
         # the row of least ratio (argmin: the lowest index on an exact tie)
         # blocks a step that it cuts short by more than 1e-15
         k = int(np.argmin(ratios)) if rows.size else -1
         alpha = ratios[k] if k >= 0 and ratios[k] < 1.0 - 1e-15 else 1.0
-        x = x + alpha * d
+        s = s + alpha * Bd
+        lam *= 1.0 - alpha
+        lam[working] += alpha * mu_w
+        a *= 1.0 - alpha
         if alpha < 1.0:
             working = sorted(working + [int(rows[k])])
         else:
-            # no blocker: x reached the EQP minimizer up to one rounding, so
-            # the next pass keeps this solve and sees a roundoff-level step
-            reached = x_target, mu_w
+            reached = mu_w, target
 
 
 def brute_force_qp(problem: QpProblem, tol: float = 1e-10) -> QpSolution:

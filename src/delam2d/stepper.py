@@ -203,6 +203,9 @@ class _StepOperator:
         # The device acts on the driven body only; in the two-body variant the
         # lower body's clamped edge is prescribed too but carries no reaction.
         self.driven = ops.mesh.node_body[ops.dofmap.prescribed[0::2] // 2] == 0
+        # the prescribed rows, the only ones the reaction reads
+        presc = ops.dofmap.prescribed
+        self.C_presc, self.V_presc = self.C_hat[presc], ops.V[presc]
 
     def solve(
         self,
@@ -233,11 +236,10 @@ class _StepOperator:
 
     def boundary_work(self, u_prev: np.ndarray, u_next: np.ndarray) -> tuple[np.ndarray, float]:
         """Driven-edge reaction (N/m) at u_next and the device work of the step."""
-        presc = self.ops.dofmap.prescribed
         du = u_next - u_prev
-        r = (self.C_hat @ u_next + self.ops.V @ (du / self.tau))[presc]
+        r = self.C_presc @ u_next + self.V_presc @ (du / self.tau)
         reaction = np.array([r[0::2][self.driven].sum(), r[1::2][self.driven].sum()])
-        return reaction, float(r @ du[presc])
+        return reaction, float(r @ du[self.ops.dofmap.prescribed])
 
 
 def init_state(ops: Operators, u0: np.ndarray | None = None, z0=None) -> State:

@@ -304,6 +304,25 @@ class TestRunSingleOutputs:
         assert node_rows == mesh.n_nodes
         assert len(lines) - lines.index("interface") - 2 == len(mesh.interface_segments)
 
+    def test_snapshot_round_trip(self, small_result):
+        # every float of a snapshot parses back to the state's value exactly
+        snaps = sorted((small_result.out_dir / "snapshots").iterdir())
+        traj, ops = small_result.trajectory, small_result.ops
+        for path in (snaps[0], snaps[-1]):
+            state = traj.states[int(path.stem.split("_")[1])]
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert float(lines[1].removeprefix("# t=")) == state.t
+            at = lines.index("interface")
+            assert lines[3] == "id,x,y,ux,uy" and lines[at + 1] == "id,x_mid,z"
+            nodes = np.array([[float(v) for v in row.split(",")] for row in lines[4:at]])
+            segs = np.array([[float(v) for v in row.split(",")] for row in lines[at + 2 :]])
+            assert np.array_equal(nodes[:, 0], np.arange(ops.mesh.n_nodes))
+            assert np.array_equal(nodes[:, 1:3], ops.mesh.nodes)
+            assert np.array_equal(nodes[:, 3:].ravel(), state.u)
+            assert np.array_equal(segs[:, 0], np.arange(len(ops.seg_x_mid)))
+            assert np.array_equal(segs[:, 1], ops.seg_x_mid)
+            assert np.array_equal(segs[:, 2], state.z)
+
     def test_meta_json(self, small_result):
         meta = json.loads((small_result.out_dir / "meta.json").read_text(encoding="utf-8"))
         assert set(meta) == {

@@ -116,6 +116,34 @@ class TestOracleEquivalence:
         assert 0 in sizes and len(sizes) > 2  # unconstrained and constrained draws
 
 
+def sequential_projection(B, c, x0, budget=qp._MAX_SWEEPS):
+    """project_feasible's relaxed sweeps on a dense B, one entry at a time.
+
+    Squared row norms reduce the squared nonzeros with np.add.reduceat,
+    as CSR row sums do.  Returns None when the sweep budget runs out.
+    """
+
+    def dot(row, v):
+        total = 0.0
+        for b, vj in zip(row.tolist(), v.tolist()):
+            total += b * vj
+        return total
+
+    x = np.array(x0, dtype=float)
+    nonzeros = [row[row != 0.0] for row in B]
+    norms2 = [np.add.reduceat(nz * nz, [0])[0] for nz in nonzeros]
+    exit_tol = 1e-12 * (1.0 + float(np.abs(c).max()))
+    for _ in range(budget):
+        slacks = [dot(row, x) + ci for row, ci in zip(B, c)]
+        if min(slacks) >= -exit_tol:
+            return x
+        for i in np.nonzero(np.array(slacks) < 0.0)[0]:
+            s = dot(B[i], x) + c[i]
+            if s < 0.0:
+                x = x - 1.5 * (s / norms2[i]) * B[i]
+    return None
+
+
 class TestFactorColumnCache:
     def test_reused_factor_matches_fresh_factors(self):
         # One H and one B object over a sequence of right-hand sides, as in
@@ -266,6 +294,48 @@ class TestOneEqpPerWorkingSet:
         assert sol.active_set == (0,)
 
 
+class TestConstraintSpaceIteration:
+    def test_degenerate_vertex_step_decided_in_n_space(self):
+        # min 0.5 |x - (2, 0)|^2 with three rows through the vertex (1, 0):
+        # x0 <= 1, x0 + x1 <= 1 and x0 - x1 <= 1.  The cold start (0.5, 0)
+        # steps toward (2, 0) until row 0 blocks at (1, 0), which is the
+        # minimizer of the working set {0}: B d is zero, so the exact
+        # n-space step test decides, and the multiplier test ends the solve.
+        problem = QpProblem(
+            H=np.eye(2),
+            g=np.array([-2.0, 0.0]),
+            B=np.array([[-1.0, 0.0], [-1.0, -1.0], [-1.0, 1.0]]),
+            c=np.ones(3),
+        )
+        sol, ref = assert_matches_oracle(problem)
+        assert np.array_equal(sol.x, [1.0, 0.0])
+        assert sol.active_set == (0, 1, 2)
+        assert np.array_equal(sol.multipliers, [1.0, 0.0, 0.0])
+        assert sol.iterations == 2
+
+    def test_solve_forms_the_working_columns_once(self, monkeypatch):
+        # Eight iterations through several working sets run on m-vectors;
+        # the n x k matrix of working columns is stacked once, for the
+        # returned minimizer of the final working set.
+        shapes = []
+        column_stack = np.column_stack
+
+        def spy(arrays):
+            out = column_stack(arrays)
+            shapes.append(out.shape)
+            return out
+
+        problem = random_instance(np.random.default_rng(66))
+        monkeypatch.setattr(np, "column_stack", spy)
+        sol = solve_qp(problem)
+        monkeypatch.undo()
+        assert sol.iterations == 8
+        assert shapes == [(problem.n, 3)]
+        ref = brute_force_qp(problem)
+        assert np.abs(sol.x - ref.x).max() <= 1e-10 * (1 + np.abs(ref.x).max())
+        assert sol.active_set == ref.active_set
+
+
 class TestTieRules:
     @pytest.mark.parametrize(
         "offsets, blocker",
@@ -330,6 +400,32 @@ class TestProjectFeasible:
             x = project_feasible(problem.B, problem.c, rng.normal(size=problem.n))
             c_scale = 1.0 + float(np.abs(problem.c).max())
             assert problem.slacks(x).min() >= -1e-10 * c_scale
+
+    @pytest.mark.parametrize("pattern", ["overlapping", "two_per_row"])
+    def test_sweeps_match_dense_sequential_reference(self, pattern):
+        # The sweeps read rows from CSR; a dense row, summed and updated
+        # entry by entry in column order, must give the same bits.
+        rng = np.random.default_rng(15)
+        checked = 0
+        for _ in range(30):
+            n, m = int(rng.integers(3, 9)), int(rng.integers(2, 6))
+            if pattern == "two_per_row":
+                B = np.zeros((m, n))
+                for i in range(m):
+                    j = rng.choice(n, size=2, replace=False)
+                    B[i, j] = rng.normal(size=2)
+            else:
+                B = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.6)
+                B[np.abs(B).sum(axis=1) == 0.0, 0] = 1.0
+            x_feas = rng.normal(size=n)
+            c = rng.uniform(0.0, 0.5, size=m) - B @ x_feas
+            x0 = x_feas + rng.normal(size=n)
+            ref = sequential_projection(B, c, x0)
+            if ref is None:
+                continue  # budget spent: the linear-program fallback takes over
+            assert np.array_equal(project_feasible(sp.csr_matrix(B), c, x0), ref)
+            checked += 1
+        assert checked >= 20
 
     def test_disjoint_rows_in_one_sweep(self):
         # nodal rows touch disjoint dofs: one relaxed sweep settles both
