@@ -5,7 +5,9 @@ loading, and time (required), plus solver and outputs (optional).
 Parsing applies documented defaults, records which ones fired, checks
 every invariant, and reports all problems at once with paths like
 ``material.nu``.  The canonical echo (defaults filled in, keys sorted)
-is hashed so output files can state exactly what produced them.
+is hashed so output files can state exactly what produced them.  Both
+the echo and the typed section dataclasses are built from the checked
+values by the table, with no per-field code.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,9 +48,9 @@ class GeometryConfig:
     L: float
     H: float
     n_interface: int
-    glued_fraction: float = 0.9
-    glued_from: str = "left"
-    foundation: str = "rigid"
+    glued_fraction: float
+    glued_from: str
+    foundation: str
 
 
 @dataclass(frozen=True)
@@ -63,14 +66,14 @@ class AdhesiveConfig:
     kappa_t: float
     a_I: float
     mode_sensitivity: float  # JSON key "lambda"
-    eps_reg: float = 0.0
+    eps_reg: float
 
 
 @dataclass(frozen=True)
 class LoadingConfig:
     speed: float
     direction: tuple[float, float]
-    normalize_direction: bool = True
+    normalize_direction: bool
 
     def unit_direction(self) -> tuple[float, float]:
         dx, dy = self.direction
@@ -84,21 +87,21 @@ class LoadingConfig:
 class TimeConfig:
     T: float
     tau: float
-    stop_after_full_debond: float | None = None
+    stop_after_full_debond: float | None
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    qp_tol: float = 1e-10
-    qp_max_iter: int | None = None
-    energy_tol_factor: float = 1e-8
-    seed: int = 0
+    qp_tol: float
+    qp_max_iter: int | None
+    energy_tol_factor: float
+    seed: int
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = "results"
-    snapshot_times: tuple[float, ...] | None = None
+    directory: str
+    snapshot_times: tuple[float, ...] | None
 
 
 @dataclass(frozen=True)
@@ -112,11 +115,12 @@ class SimulationConfig:
     outputs: OutputConfig
     chi_sweep: tuple[float, ...] | None
     defaults_applied: tuple[str, ...]
-    canonical: dict = field(repr=False, default_factory=dict)
+    canonical: dict = field(repr=False)
 
 
 _SCHEMA: dict[str, dict[str, tuple]] = {
-    # section -> key -> (required, default, kind)
+    # section -> key -> (required, default, kind); the one home of each
+    # setting.  A section whose keys all have defaults may be left out.
     "geometry": {
         "L": (True, None, "number"),
         "H": (False, "L/10", "number"),
@@ -159,7 +163,11 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-_OPTIONAL_SECTIONS = ("solver", "outputs")
+# section -> its dataclass, as SimulationConfig declares it
+_SECTION_TYPES = typing.get_type_hints(SimulationConfig)
+
+# JSON keys whose dataclass field has another name
+_FIELD_NAMES = {"lambda": "mode_sensitivity"}
 
 
 def _check_kind(value, kind: str) -> bool:
@@ -194,6 +202,19 @@ def _check_kind(value, kind: str) -> bool:
     raise AssertionError(kind)
 
 
+def _cast(value, kind: str):
+    """The typed field value of a checked setting; a chi list gives its first member."""
+    if value is None or kind in ("str", "bool", "int_or_null"):
+        return value
+    if kind == "int":
+        return int(value)
+    if kind in ("vec2", "list_or_null"):
+        return tuple(float(v) for v in value)
+    if isinstance(value, list):
+        value = value[0]
+    return float(value)
+
+
 def parse_config(doc: dict) -> SimulationConfig:
     """Validate a configuration document and fill in defaults.
 
@@ -212,7 +233,7 @@ def parse_config(doc: dict) -> SimulationConfig:
     for section, keys in _SCHEMA.items():
         raw = doc.get(section)
         if raw is None:
-            if section in _OPTIONAL_SECTIONS:
+            if not any(required for required, _, _ in keys.values()):
                 raw = {}
                 defaults.append(section)
             else:
@@ -242,13 +263,7 @@ def parse_config(doc: dict) -> SimulationConfig:
     if problems:
         raise ConfigError(problems)
 
-    geo, mat, adh = values["geometry"], values["material"], values["adhesive"]
-    load, tim, sol, outp = (
-        values["loading"],
-        values["time"],
-        values["solver"],
-        values["outputs"],
-    )
+    geo, mat, adh, load, tim, sol, outp = values.values()  # in _SCHEMA order
 
     if geo["H"] == "L/10":
         geo["H"] = geo["L"] / 10.0
@@ -316,72 +331,18 @@ def parse_config(doc: dict) -> SimulationConfig:
         raise ConfigError(problems)
 
     chi_sweep = tuple(float(c) for c in mat["chi"]) if isinstance(mat["chi"], list) else None
-    chi0 = chis[0]
-
     canonical = {
-        "geometry": {k: geo[k] for k in sorted(geo)},
-        "material": {"E": mat["E"], "nu": mat["nu"], "chi": mat["chi"]},
-        "adhesive": {k: adh[k] for k in sorted(adh)},
-        "loading": {
-            "speed": load["speed"],
-            "direction": list(load["direction"]),
-            "normalize_direction": load["normalize_direction"],
-        },
-        "time": {k: tim[k] for k in sorted(tim)},
-        "solver": {k: sol[k] for k in sorted(sol)},
-        "outputs": {
-            "directory": outp["directory"],
-            "snapshot_times": list(outp["snapshot_times"])
-            if outp["snapshot_times"] is not None
-            else None,
-        },
+        section: {k: list(v) if isinstance(v, (list, tuple)) else v for k, v in sorted(out.items())}
+        for section, out in values.items()
     }
-
+    typed = {
+        section: _SECTION_TYPES[section](
+            **{_FIELD_NAMES.get(k, k): _cast(v, _SCHEMA[section][k][2]) for k, v in out.items()}
+        )
+        for section, out in values.items()
+    }
     return SimulationConfig(
-        geometry=GeometryConfig(
-            L=float(geo["L"]),
-            H=float(geo["H"]),
-            n_interface=int(geo["n_interface"]),
-            glued_fraction=float(geo["glued_fraction"]),
-            glued_from=geo["glued_from"],
-            foundation=geo["foundation"],
-        ),
-        material=MaterialConfig(E=float(mat["E"]), nu=float(mat["nu"]), chi=float(chi0)),
-        adhesive=AdhesiveConfig(
-            kappa_n=float(adh["kappa_n"]),
-            kappa_t=float(adh["kappa_t"]),
-            a_I=float(adh["a_I"]),
-            mode_sensitivity=float(adh["lambda"]),
-            eps_reg=float(adh["eps_reg"]),
-        ),
-        loading=LoadingConfig(
-            speed=float(load["speed"]),
-            direction=(float(load["direction"][0]), float(load["direction"][1])),
-            normalize_direction=bool(load["normalize_direction"]),
-        ),
-        time=TimeConfig(
-            T=float(tim["T"]),
-            tau=float(tim["tau"]),
-            stop_after_full_debond=(
-                None
-                if tim["stop_after_full_debond"] is None
-                else float(tim["stop_after_full_debond"])
-            ),
-        ),
-        solver=SolverConfig(
-            qp_tol=float(sol["qp_tol"]),
-            qp_max_iter=sol["qp_max_iter"],
-            energy_tol_factor=float(sol["energy_tol_factor"]),
-            seed=int(sol["seed"]),
-        ),
-        outputs=OutputConfig(
-            directory=outp["directory"],
-            snapshot_times=(
-                None
-                if outp["snapshot_times"] is None
-                else tuple(float(s) for s in outp["snapshot_times"])
-            ),
-        ),
+        **typed,
         chi_sweep=chi_sweep,
         defaults_applied=tuple(defaults),
         canonical=canonical,

@@ -19,7 +19,7 @@ are treated as immutable once built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,51 +210,31 @@ def build_two_body_mesh(
 ) -> Mesh2D:
     """Two stacked rectangles glued across y = 0 with duplicated seam nodes.
 
-    The upper body mirrors the rigid benchmark (driven right edge); the
-    lower body is clamped along its bottom.  Interface segments pair the
+    The upper body is the rigid benchmark's bar (driven right edge),
+    built by build_benchmark_mesh; the lower body is clamped along its
+    bottom.  Interface segments pair the
     coincident node duplicates, normal pointing from the upper body into
     the lower one.
     """
-    if L <= 0 or H <= 0:
-        raise ValueError(f"domain sides must be positive, got L={L}, H={H}")
-    nx, n_glued = _bottom_cell_counts(n_interface, glued_fraction)
-    h = L / nx
-    ny = max(1, round(H / h))
-
-    upper_nodes = _grid_nodes(L, H, nx, ny)
+    upper = build_benchmark_mesh(L, H, n_interface, glued_fraction, glued_from)
+    nx, _ = _bottom_cell_counts(n_interface, glued_fraction)
+    offset = upper.n_nodes
+    ny = offset // (nx + 1) - 1  # the upper grid has (nx + 1) x (ny + 1) nodes
     lower_nodes = _grid_nodes(L, H, nx, ny, y0=-H)
-    offset = len(upper_nodes)
-    nodes = np.vstack([upper_nodes, lower_nodes])
-    node_body = np.concatenate(
-        [np.zeros(len(upper_nodes), np.int8), np.ones(len(lower_nodes), np.int8)]
-    )
-    triangles = np.vstack(
-        [_grid_triangles(nx, ny), _grid_triangles(nx, ny, offset=offset)]
-    )
-
-    dirichlet = set(int(j * (nx + 1) + nx) for j in range(ny + 1))  # upper right edge
-    dirichlet.update(int(offset + i) for i in range(nx + 1))  # lower bottom edge
-    dirichlet = frozenset(dirichlet)
-
     lower_top_row = offset + ny * (nx + 1)
-    segments = []
-    for i in _glued_cell_range(nx, n_glued, glued_from):
-        plus = (i, i + 1)
-        minus = (lower_top_row + i, lower_top_row + i + 1)
-        segments.append(
-            InterfaceSegment(
-                node_plus=plus, node_minus=minus, normal=(0.0, -1.0), length=h
-            )
-        )
-
+    segments = tuple(
+        replace(seg, node_minus=tuple(lower_top_row + i for i in seg.node_plus))
+        for seg in upper.interface_segments
+    )
     return Mesh2D(
-        nodes=nodes,
-        triangles=triangles,
-        interface_segments=tuple(segments),
-        dirichlet_nodes=dirichlet,
+        nodes=np.vstack([upper.nodes, lower_nodes]),
+        triangles=np.vstack([upper.triangles, _grid_triangles(nx, ny, offset=offset)]),
+        interface_segments=segments,
+        # the upper right edge and the lower bottom edge
+        dirichlet_nodes=upper.dirichlet_nodes | frozenset(range(offset, offset + nx + 1)),
         foundation="two_body",
-        h=h,
-        node_body=node_body,
+        h=upper.h,
+        node_body=np.repeat(np.array([0, 1], np.int8), [offset, len(lower_nodes)]),
     )
 
 

@@ -79,9 +79,6 @@ class StepEnergy:
     tolerance, and its running sum is the work-energy gap.
     """
 
-    stored_bulk: float
-    stored_interface: float
-    viscous_increment: float
     debond_increment: float
     device_work_increment: float
     inequality_residual: float
@@ -90,9 +87,6 @@ class StepEnergy:
 @dataclass(frozen=True)
 class StepReport:
     t: float
-    qp_iterations: int
-    active_constraints: tuple[int, ...]
-    kkt: qp.KktResiduals
     debonded: tuple[int, ...]
     drive: np.ndarray  # per-segment glue energy integral (J/m)
     threshold: np.ndarray  # per-segment dissipation bound (J/m)
@@ -211,9 +205,9 @@ class _StepOperator:
         self,
         u_prev: np.ndarray,
         t_next: float,
-        warm: tuple[int, ...] | None = None,
-        qp_tol: float = 1e-10,
-        qp_max_iter: int | None = None,
+        warm: tuple[int, ...] | None,
+        qp_tol: float,
+        qp_max_iter: int | None,
     ) -> tuple[np.ndarray, qp.QpSolution]:
         """Full displacement at t_next after u_prev, and the QP's record."""
         ops = self.ops
@@ -385,18 +379,12 @@ def run(
         min_gap = float(gaps.min()) if gaps.size else 0.0
 
         energy = StepEnergy(
-            stored_bulk=bulk,
-            stored_interface=interface,
-            viscous_increment=viscous_inc,
             debond_increment=debond_inc,
             device_work_increment=device_inc,
             inequality_residual=residual,
         )
         report = StepReport(
             t=t_k,
-            qp_iterations=sol.iterations,
-            active_constraints=sol.active_set,
-            kkt=sol.kkt,
             debonded=debonded,
             drive=drive,
             threshold=threshold,

@@ -302,6 +302,42 @@ class TestTrajectoryNorms:
         # initial L1 mass plus one full release of every segment
         assert norms["bond_variation_l1"] == pytest.approx(2.0 * glued_length, rel=1e-12)
 
+    def test_h1_norms_match_per_triangle_quadrature(self, small_ops, small_traj):
+        mesh = small_ops.mesh
+
+        def h1_sq(u):
+            # area * |(e11, e22, 2 e12)|^2 plus the vertex-rule L2 term, per triangle
+            total = 0.0
+            for tri in mesh.triangles:
+                (x0, y0), (x1, y1), (x2, y2) = mesh.nodes[tri]
+                det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+                b = np.array([y1 - y2, y2 - y0, y0 - y1]) / det
+                c = np.array([x2 - x1, x0 - x2, x1 - x0]) / det
+                ux, uy = u[2 * tri], u[2 * tri + 1]
+                strain = np.array([b @ ux, c @ uy, c @ ux + b @ uy])
+                area = 0.5 * det
+                total += area * (strain @ strain) + area * (ux @ ux + uy @ uy) / 3.0
+            return total
+
+        rng = np.random.default_rng(5)
+        noisy = Trajectory(
+            times=[0.0, 0.5, 1.25],
+            states=[State(t, rng.normal(size=mesh.n_dofs), small_traj.states[0].z)
+                    for t in (0.0, 0.5, 1.25)],
+            reports=[None, None, None],
+        )
+        for traj in (small_traj, noisy):
+            states, times = traj.states, traj.times
+            sup = max(math.sqrt(h1_sq(s.u)) for s in states)
+            rate_sq = h1_sq(states[0].u) + sum(
+                (times[k] - times[k - 1])
+                * h1_sq((states[k].u - states[k - 1].u) / (times[k] - times[k - 1]))
+                for k in range(1, len(states))
+            )
+            norms = trajectory_norms(small_ops, traj)
+            assert norms["displacement_sup_h1"] == pytest.approx(sup, rel=1e-11)
+            assert norms["displacement_rate_h1"] == pytest.approx(math.sqrt(rate_sq), rel=1e-11)
+
     def test_rest_trajectory_norms_vanish(self, small_ops):
         state = init_state(small_ops, z0=0.0)
         traj = Trajectory(times=[0.0], states=[state], reports=[None])

@@ -8,6 +8,8 @@ the on-disk contract shows up here rather than in downstream scripts.
 import json
 import math
 import re
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from delam2d import (
     run_single,
 )
 from delam2d.cli import main
+from delam2d.config import _SCHEMA, SimulationConfig
 from delam2d.harness import CURVE_SET, _curve_distance, _level_config
 from delam2d.mesh import _bottom_cell_counts
 from delam2d.qp import QpNonconvergenceError
@@ -156,6 +159,32 @@ class TestParseConfig:
         assert config.outputs.directory == "results"
         assert config.outputs.snapshot_times is None
 
+    def test_defaults_applied_in_schema_order(self):
+        assert parse_config(make_doc()).defaults_applied == (
+            "geometry.glued_fraction",
+            "geometry.glued_from",
+            "geometry.foundation",
+            "adhesive.eps_reg",
+            "loading.normalize_direction",
+            "time.stop_after_full_debond",
+            "solver",
+            "solver.qp_tol",
+            "solver.qp_max_iter",
+            "solver.energy_tol_factor",
+            "solver.seed",
+            "outputs",
+            "outputs.directory",
+            "outputs.snapshot_times",
+        )
+
+    def test_schema_keys_are_the_section_fields(self):
+        # every setting is one _SCHEMA row and one dataclass field, in order
+        sections = typing.get_type_hints(SimulationConfig)
+        assert [f.name for f in fields(SimulationConfig)][: len(_SCHEMA)] == list(_SCHEMA)
+        for section, keys in _SCHEMA.items():
+            names = ["mode_sensitivity" if k == "lambda" else k for k in keys]
+            assert names == [f.name for f in fields(sections[section])], section
+
     def test_height_defaults_to_tenth_of_length(self):
         doc = make_doc()
         del doc["geometry"]["H"]
@@ -194,6 +223,12 @@ class TestConfigHash:
         b = config_hash(parse_config(make_doc()))
         assert a == b
         assert re.fullmatch(r"[0-9a-f]{64}", a)
+
+    def test_benchmark_digest_is_pinned(self):
+        # every result file of benchmark.json carries this digest
+        assert config_hash(load_config(REPO_ROOT / "benchmark.json")) == (
+            "09faebe0308106be9b48145bee2e8ebcf4759325889fde0194377d93842773c1"
+        )
 
     def test_sensitive_to_values(self):
         a = config_hash(parse_config(make_doc()))

@@ -128,6 +128,23 @@ class TestTwoBodyMesh:
             assert len(bodies) == 1
         assert upper and len(upper) < m.n_nodes
 
+    @pytest.mark.parametrize(
+        "n,f,side", [(9, 0.9, "left"), (9, 0.37, "right"), (6, 1.0, "left"), (27, 0.9, "right")]
+    )
+    def test_upper_bar_is_the_rigid_mesh(self, n, f, side):
+        rigid = build_benchmark_mesh(0.25, 0.025, n, f, side)
+        m = build_two_body_mesh(0.25, 0.025, n, f, side)
+        k, t = rigid.n_nodes, len(rigid.triangles)
+        assert m.nodes[:k].tobytes() == rigid.nodes.tobytes()
+        assert np.array_equal(m.node_body[:k], np.zeros(k)) and m.node_body[k:].all()
+        assert np.array_equal(m.triangles[:t], rigid.triangles)
+        assert m.triangles[t:].min() >= k
+        assert {i for i in m.dirichlet_nodes if i < k} == rigid.dirichlet_nodes
+        assert [s.node_plus for s in m.interface_segments] == [
+            s.node_plus for s in rigid.interface_segments
+        ]
+        assert m.h == rigid.h
+
     def test_dirichlet_spans_both_bodies(self):
         m = build_two_body_mesh(0.25, 0.025, 6, 0.8)
         bodies = {int(m.node_body[n]) for n in m.dirichlet_nodes}
