@@ -210,9 +210,13 @@ class DofMap:
         return vals.ravel()
 
     def expand(self, u_free: np.ndarray, t: float) -> np.ndarray:
+        return self.scatter(u_free, self.prescribed_values(t))
+
+    def scatter(self, u_free: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The full vector of u_free and the prescribed values."""
         u = np.zeros(self.n_dofs)
         u[self.free] = u_free
-        u[self.prescribed] = self.prescribed_values(t)
+        u[self.prescribed] = values
         return u
 
 
@@ -252,16 +256,16 @@ class ConstraintMatrix:
     The inequality on the full displacement splits as
     rows @ u_free + offset(t) >= 0 where offset collects the prescribed
     contributions.  Rows whose dofs are all prescribed cannot enter the
-    program; they are kept aside as fixed offsets that must stay
-    nonnegative for the data to be admissible.  node_pairs records the
-    (plus, minus) interface nodes of each row.
+    program; they are kept aside in fixed, and fixed @ prescribed_values(t)
+    must stay nonnegative for the data to be admissible.  node_pairs
+    records the (plus, minus) interface nodes of each row.
     """
 
     rows: sp.csr_matrix
     prescribed_part: sp.csr_matrix
     dofmap: DofMap
     node_pairs: tuple[tuple[int, int], ...]
-    fixed_offsets: Callable[[float], np.ndarray]
+    fixed: sp.csr_matrix
 
     @property
     def n_rows(self) -> int:
@@ -289,12 +293,11 @@ def constraint_matrix(mesh: Mesh2D, dofmap: DofMap) -> ConstraintMatrix:
     free = G[:, dofmap.free]
     has_free = free.getnnz(axis=1) > 0
     presc = G[:, dofmap.prescribed]
-    fixed = presc[~has_free]
     return ConstraintMatrix(
         rows=free[has_free],
         prescribed_part=presc[has_free],
         dofmap=dofmap,
         node_pairs=tuple((int(p), int(q)) for p, q in ends[first[has_free]]),
-        fixed_offsets=lambda t: fixed @ dofmap.prescribed_values(t),
+        fixed=presc[~has_free],
     )
 

@@ -156,16 +156,21 @@ def _check_provenance(out: Path, digest: str) -> None:
             )
 
 
-def _write_table(out, columns: dict) -> None:
-    """Named columns, one row per entry: floats with repr, all else with str."""
+def _format_rows(columns: dict) -> list[str]:
+    """One comma-joined line per entry: floats with repr, all else with str."""
     cells = []
     for values in columns.values():
         v = np.asarray(values)
         if v.dtype == bool:
             v = v.astype(int)
         cells.append(map(repr if v.dtype.kind == "f" else str, v.tolist()))
+    return [",".join(row) for row in zip(*cells)]
+
+
+def _write_table(out, columns: dict) -> None:
+    """Named columns, one row per entry: floats with repr, all else with str."""
     out.write(",".join(columns) + "\n")
-    out.writelines(",".join(row) + "\n" for row in zip(*cells))
+    out.writelines(row + "\n" for row in _format_rows(columns))
 
 
 def _write_csv(path: Path, digest: str, columns: dict) -> None:
@@ -174,26 +179,23 @@ def _write_csv(path: Path, digest: str, columns: dict) -> None:
         _write_table(out, columns)
 
 
-def _write_snapshot(path: Path, digest: str, ops: Operators, state) -> None:
+def _snapshot_writer(digest: str, ops: Operators):
+    """write(path, state) of one run's snapshots: the node table (id, x, y,
+    ux, uy) and the interface table (id, x_mid, z), as _write_table gives
+    them.  The columns fixed by the mesh are formatted once, here."""
     nodes = ops.mesh.nodes
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(f"# config_hash={digest}\n")
-        out.write(f"# t={_fmt(state.t)}\n")
-        out.write("nodes\n")
-        _write_table(
-            out,
-            {
-                "id": np.arange(len(nodes)),
-                "x": nodes[:, 0],
-                "y": nodes[:, 1],
-                "ux": state.u[0::2],
-                "uy": state.u[1::2],
-            },
-        )
-        out.write("interface\n")
-        _write_table(
-            out, {"id": np.arange(len(ops.seg_x_mid)), "x_mid": ops.seg_x_mid, "z": state.z}
-        )
+    node_rows = _format_rows({"id": np.arange(len(nodes)), "x": nodes[:, 0], "y": nodes[:, 1]})
+    seg_rows = _format_rows({"id": np.arange(len(ops.seg_x_mid)), "x_mid": ops.seg_x_mid})
+
+    def write(path: Path, state) -> None:
+        u_rows = _format_rows({"ux": state.u[0::2], "uy": state.u[1::2]})
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            out.write(f"# config_hash={digest}\n# t={_fmt(state.t)}\nnodes\nid,x,y,ux,uy\n")
+            out.writelines(f"{a},{b}\n" for a, b in zip(node_rows, u_rows))
+            out.write("interface\nid,x_mid,z\n")
+            out.writelines(f"{a},{b}\n" for a, b in zip(seg_rows, _format_rows({"z": state.z})))
+
+    return write
 
 
 def _snapshot_steps(config: SimulationConfig) -> set[int]:
@@ -225,11 +227,12 @@ def run_single(config: SimulationConfig, out_dir) -> RunResult:
     snap_dir.mkdir(exist_ok=True)
     planned = _snapshot_steps(config)
     written: set[int] = set()
+    write_snapshot = _snapshot_writer(digest, ops)
 
     def on_step(state, report):
         k = round(state.t / tau)
         if k in planned:
-            _write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", digest, ops, state)
+            write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", state)
             written.add(k)
 
     def emit(traj) -> RunResult:
@@ -239,7 +242,7 @@ def run_single(config: SimulationConfig, out_dir) -> RunResult:
         _write_run_outputs(config, ops, traj, ledger, norms, out, digest, runtime)
         last = len(traj.states) - 1
         for k in sorted({min(last, k) for k in planned} - written):
-            _write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", digest, ops, traj.states[k])
+            write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", traj.states[k])
         return RunResult(
             config=config, ops=ops, trajectory=traj, ledger=ledger, norms=norms, out_dir=out
         )

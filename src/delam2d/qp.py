@@ -25,9 +25,12 @@ the factor again with the same B object (the time steps of one bond
 field) solve only for rows not seen yet; one B per cache, and a call with
 a different B object clears it.
 
-One sparse code path: solve_qp and project_feasible convert their
-operands once, on entry, H to CSC and B to canonical CSR of shape (m, n),
-so dense and sparse copies of one problem give bitwise-equal results.
+One sparse code path: H is used as float CSC and B as canonical float
+CSR of shape (m, n), converted on entry only when not already in that
+form, so dense and sparse copies of one problem give bitwise-equal
+results and the stepper's held operands are never rebuilt.  Each sparse
+product is computed once per solve (B x_unc, B x); the KKT residuals and
+the objective, which only tests read, are evaluated when first read.
 
 Determinism: two lowest-index rules make identical inputs give identical
 iterates.  The ratio test blocks on the row of least ratio, the lowest
@@ -40,13 +43,14 @@ usable up to 20 constraints) is the reference for testing.
 from __future__ import annotations
 
 import itertools
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 __all__ = [
     "QpProblem",
@@ -120,9 +124,17 @@ class QpSolution:
     x: np.ndarray
     active_set: tuple[int, ...]
     multipliers: np.ndarray  # length m, zero off the active set
-    kkt: KktResiduals
+    slacks: np.ndarray  # B x + c
     iterations: int
-    objective: float
+    problem: QpProblem = field(repr=False)  # as solved, operands converted
+
+    @cached_property
+    def kkt(self) -> KktResiduals:
+        return kkt_check(self.problem, self.x, self.multipliers)
+
+    @cached_property
+    def objective(self) -> float:
+        return self.problem.objective(self.x)
 
 
 class _Factor:
@@ -132,13 +144,18 @@ class _Factor:
     is H^{-1} B_i^T, col_max[i] its max norm and img[i] its constraint
     image B H^{-1} B_i^T; rows not met yet hold zeros.  B_norm, the
     largest absolute row sum of cols_of, bounds |B v|_inf by B_norm |v|_inf.
+    block is the last (rows, column_stack of their columns) that solve_qp
+    stacked, or None: consecutive steps often end on one working set.
     """
 
     def __init__(self, H):
-        self.H = sp.csc_matrix(H, dtype=float)
+        if not (sp.issparse(H) and H.format == "csc" and H.dtype == np.float64):
+            H = sp.csc_matrix(H, dtype=float)
+        self.H = H
         self._lu = spla.splu(self.H)
         self.cols_of = None
         self.cols: dict[int, np.ndarray] = {}
+        self.block: tuple[tuple[int, ...], np.ndarray] | None = None
         self.col_max = np.zeros(0)
         self.img = np.zeros((0, 0))
         self.B_norm = 0.0
@@ -155,13 +172,9 @@ def factorize(H) -> _Factor:
     return _Factor(H)
 
 
-def _scales(problem: QpProblem, x: np.ndarray, Hx: np.ndarray) -> tuple[float, float]:
-    g_scale = 1.0 + float(np.abs(problem.g).max(initial=0.0))
-    g_scale += float(np.abs(Hx).max(initial=0.0))
-    c_scale = 1.0 + float(np.abs(problem.c).max(initial=0.0))
-    if problem.m:
-        c_scale += float(np.abs(problem.B @ x).max(initial=0.0))
-    return g_scale, c_scale
+def _scale(v: np.ndarray, w: np.ndarray) -> float:
+    """1 + max|v| + max|w|: the gradient scale (g, Hx) or the constraint scale (c, Bx)."""
+    return 1.0 + float(np.abs(v).max(initial=0.0)) + float(np.abs(w).max(initial=0.0))
 
 
 def kkt_check(problem: QpProblem, x: np.ndarray, multipliers: np.ndarray) -> KktResiduals:
@@ -171,17 +184,14 @@ def kkt_check(problem: QpProblem, x: np.ndarray, multipliers: np.ndarray) -> Kkt
     set).  Stationarity and dual residuals are scaled by the gradient
     magnitude, primal and complementarity by the constraint magnitude.
     """
-    return _kkt(problem, x, problem.H @ x, multipliers)
-
-
-def _kkt(
-    problem: QpProblem, x: np.ndarray, Hx: np.ndarray, multipliers: np.ndarray
-) -> KktResiduals:
-    g_scale, c_scale = _scales(problem, x, Hx)
+    Hx = problem.H @ x
+    g_scale = _scale(problem.g, Hx)
     grad = Hx + problem.g
     if problem.m:
+        Bx = problem.B @ x
+        c_scale = _scale(problem.c, Bx)
         grad = grad - problem.B.T @ multipliers
-        slacks = problem.slacks(x)
+        slacks = Bx + problem.c
         primal = max(0.0, -float(slacks.min())) / c_scale
         dual = max(0.0, -float(multipliers.min())) / g_scale
         compl = float(np.abs(multipliers * slacks).max()) / (g_scale * c_scale)
@@ -193,7 +203,8 @@ def _kkt(
 
 def _csr(B):
     """B as canonical CSR of floats: sorted column indices, no duplicates."""
-    B = sp.csr_matrix(B, dtype=float)
+    if not (sp.issparse(B) and B.format == "csr" and B.dtype == np.float64):
+        B = sp.csr_matrix(B, dtype=float)
     if not B.has_canonical_format:
         B = B.copy()
         B.sum_duplicates()
@@ -303,26 +314,31 @@ def project_feasible(B, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
 def _build_solution(
     problem: QpProblem, x: np.ndarray, mu: np.ndarray, iterations: int, tol: float
 ) -> QpSolution:
-    """The solution record of x with multipliers mu; one H-matvec serves it.
+    """The solution record of x with multipliers mu; one B-matvec serves it.
 
     Both solvers report through here, so both read the active set off the
     slacks by one scaled tolerance and classify degenerate
     zero-multiplier actives identically.
     """
-    Hx = problem.H @ x
-    active: tuple[int, ...] = ()
-    if problem.m:
-        _, c_scale = _scales(problem, x, Hx)
-        act_tol = max(tol, 1e-9) * c_scale
-        active = tuple(int(i) for i in np.nonzero(problem.slacks(x) <= act_tol)[0])
-    return QpSolution(
-        x=x,
-        active_set=active,
-        multipliers=mu,
-        kkt=_kkt(problem, x, Hx, mu),
-        iterations=iterations,
-        objective=0.5 * float(x @ Hx) + float(problem.g @ x),  # problem.objective(x)
-    )
+    Bx = problem.B @ x
+    slacks = Bx + problem.c
+    act_tol = max(tol, 1e-9) * _scale(problem.c, Bx)
+    active = tuple(np.flatnonzero(slacks <= act_tol).tolist())
+    return QpSolution(x, active, mu, slacks, iterations, problem)
+
+
+def _solve_spd(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """scipy.linalg.solve(S, rhs, assume_a="pos") bit for bit, calling LAPACK directly.
+
+    Factors S's upper triangle, as that does, and raises LinAlgError where
+    it raises or warns: a failed factorization or rcond below epsilon.
+    """
+    if len(rhs) == 1 and S[0, 0] != 0.0:
+        return rhs / S[0, 0]
+    R, info = lapack.dpotrf(S, lower=False)
+    if info or lapack.dpocon(R, np.abs(S).sum(axis=0).max())[0] < np.finfo(float).eps:
+        raise sla.LinAlgError("Schur matrix is not numerically positive definite")
+    return lapack.dpotrs(R, rhs)[0]
 
 
 def solve_qp(
@@ -342,19 +358,19 @@ def solve_qp(
     they never entered the working set.
 
     max_iter caps the active-set iterations (default 3(m + 1) + 30).
-    H is converted to CSC and B to canonical CSR on entry; factor, when given,
-    must be a factorization of H; its cached columns are reused while
-    problem.B is the same object, which must not change in place.
+    factor, when given, must be a factorization of problem.H, whose CSC
+    copy factor.H the solve uses; B is converted to canonical CSR on entry.
+    The factor's cached columns are reused while problem.B is the same
+    object, which must not change in place.
     """
     caller_B = problem.B  # the caller's object tags the cached columns
-    H = sp.csc_matrix(problem.H, dtype=float)
-    B = _csr(caller_B)
+    if factor is None:
+        factor = factorize(problem.H)
+    H, B = factor.H, _csr(caller_B)
     problem = QpProblem(H=H, g=problem.g, B=B, c=problem.c)
     g, c, m = problem.g, problem.c, problem.m
-    if factor is None:
-        factor = factorize(H)
     if factor.cols_of is not caller_B:
-        factor.cols_of, factor.cols = caller_B, {}
+        factor.cols_of, factor.cols, factor.block = caller_B, {}, None
         factor.col_max, factor.img = np.zeros(m), np.zeros((m, m))
         factor.B_norm = float(np.asarray(abs(B).sum(axis=1)).max(initial=0.0))
     cols, col_max, img, B_norm = factor.cols, factor.col_max, factor.img, factor.B_norm
@@ -365,9 +381,10 @@ def solve_qp(
     if m == 0:
         return _build_solution(problem, x_unc, np.zeros(0), 0, tol)
 
-    g_scale, c_scale = _scales(problem, x_unc, H @ x_unc)
-    feas_tol = tol * c_scale
-    slacks_unc = problem.slacks(x_unc)
+    g_scale = _scale(g, H @ x_unc)
+    Bx_unc = B @ x_unc
+    feas_tol = tol * _scale(c, Bx_unc)
+    slacks_unc = Bx_unc + c
     unc_size = float(np.abs(x_unc).max(initial=0.0))
 
     def cache(working: list[int]) -> None:
@@ -383,7 +400,10 @@ def solve_qp(
         """base + sum_k weights[k] H^{-1} B_{rows[k]}^T, an n-vector."""
         if len(rows) == 0:
             return base.copy()
-        return base + np.column_stack([cols[i] for i in rows]) @ weights
+        key = tuple(map(int, rows))
+        if factor.block is None or factor.block[0] != key:
+            factor.block = key, np.column_stack([cols[i] for i in key])
+        return base + factor.block[1] @ weights
 
     def eqp(working: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Multipliers and target slacks with the working rows as equalities."""
@@ -395,15 +415,13 @@ def solve_qp(
         # the products and summation order of B[working] @ M, so its bits
         S = images[:, working].T
         rhs = -slacks_unc[working]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", sla.LinAlgWarning)
-            try:
-                mu = sla.solve(S, rhs, assume_a="pos")
-            except (sla.LinAlgError, sla.LinAlgWarning):
-                # coincident constraint planes make S singular but
-                # consistent; least-norm multipliers still give the unique
-                # minimizer because null(S) = null(Bw^T) cannot move x
-                mu, *_ = np.linalg.lstsq(S, rhs, rcond=None)
+        try:
+            mu = _solve_spd(S, rhs)
+        except sla.LinAlgError:
+            # coincident constraint planes make S singular but
+            # consistent; least-norm multipliers still give the unique
+            # minimizer because null(S) = null(Bw^T) cannot move x
+            mu, *_ = np.linalg.lstsq(S, rhs, rcond=None)
         return mu, slacks_unc + mu @ images
 
     # The iterate is its slacks s = B x + c and, with x0 the projected cold

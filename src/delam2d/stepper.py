@@ -210,23 +210,24 @@ class _StepOperator:
         qp_max_iter: int | None,
     ) -> tuple[np.ndarray, qp.QpSolution]:
         """Full displacement at t_next after u_prev, and the QP's record."""
-        ops = self.ops
-        fixed = ops.constraint.fixed_offsets(t_next)
+        ops, dofmap, constraint = self.ops, self.ops.dofmap, self.ops.constraint
+        values = dofmap.prescribed_values(t_next)
+        fixed = constraint.fixed @ values
         if fixed.size and float(fixed.min()) < -FEASIBILITY_TOL:
             raise InvariantViolation(
                 "driven boundary values penetrate the foundation at a fully prescribed "
                 f"interface node (worst gap {fixed.min():.3e})"
             )
-        u_ext = ops.dofmap.expand(np.zeros(ops.dofmap.n_free), t_next)
+        u_ext = dofmap.scatter(np.zeros(dofmap.n_free), values)
         g_full = self.C_hat @ u_ext + ops.V @ ((u_ext - u_prev) / self.tau)
         problem = qp.QpProblem(
-            H=self.H, g=g_full[ops.dofmap.free], B=ops.constraint.rows,
-            c=ops.constraint.offset(t_next),
+            H=self.H, g=g_full[dofmap.free], B=constraint.rows,
+            c=constraint.prescribed_part @ values,
         )
         sol = qp.solve_qp(
             problem, tol=qp_tol, max_iter=qp_max_iter, warm_start=warm, factor=self.factor
         )
-        return ops.dofmap.expand(sol.x, t_next), sol
+        return dofmap.scatter(sol.x, values), sol
 
     def boundary_work(self, u_prev: np.ndarray, u_next: np.ndarray) -> tuple[np.ndarray, float]:
         """Driven-edge reaction (N/m) at u_next and the device work of the step."""
@@ -375,8 +376,8 @@ def run(
         stored_inc = (bulk + interface) - (bulk_prev + interface_prev)
         residual = device_inc - stored_inc - debond_inc - viscous_inc
 
-        gaps = ops.constraint.gaps(u_next)
-        min_gap = float(gaps.min()) if gaps.size else 0.0
+        # sol.slacks are constraint.gaps(u_next): rows @ x + prescribed_part @ values
+        min_gap = float(sol.slacks.min()) if sol.slacks.size else 0.0
 
         energy = StepEnergy(
             debond_increment=debond_inc,

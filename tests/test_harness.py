@@ -5,6 +5,7 @@ header line, exact column order, repr-formatted floats) so a change in
 the on-disk contract shows up here rather than in downstream scripts.
 """
 
+import io
 import json
 import math
 import re
@@ -32,9 +33,16 @@ from delam2d import (
 )
 from delam2d.cli import main
 from delam2d.config import _SCHEMA, SimulationConfig
-from delam2d.harness import CURVE_SET, _curve_distance, _level_config
+from delam2d.harness import (
+    CURVE_SET,
+    _curve_distance,
+    _level_config,
+    _snapshot_writer,
+    _write_table,
+)
 from delam2d.mesh import _bottom_cell_counts
 from delam2d.qp import QpNonconvergenceError
+from delam2d.stepper import State
 
 # Pull-off run on a 6x1-cell bar: 10 steps, well under a second.
 TINY = {"geometry": {"n_interface": 5}, "time": {"T": 0.5, "tau": 0.05}}
@@ -357,6 +365,38 @@ class TestRunSingleOutputs:
             assert np.array_equal(segs[:, 0], np.arange(len(ops.seg_x_mid)))
             assert np.array_equal(segs[:, 1], ops.seg_x_mid)
             assert np.array_equal(segs[:, 2], state.z)
+
+    def test_snapshot_writer_matches_the_table_writer(self, small_result, tmp_path):
+        # The writer formats the mesh columns once per run; its file must be
+        # the text _write_table gives for all columns of a state, here a
+        # random one with a partly released bond field.
+        ops, digest = small_result.ops, config_hash(small_result.config)
+        rng = np.random.default_rng(19)
+        state = State(
+            t=float(rng.uniform()),
+            u=rng.normal(size=ops.mesh.n_dofs) * 10.0 ** rng.uniform(-20, 5, size=ops.mesh.n_dofs),
+            z=(rng.random(size=ops.n_segments) < 0.5).astype(float),
+        )
+        path = tmp_path / "snapshot.csv"
+        _snapshot_writer(digest, ops)(path, state)
+        nodes = ops.mesh.nodes
+        expected = io.StringIO()
+        expected.write(f"# config_hash={digest}\n# t={state.t!r}\nnodes\n")
+        _write_table(
+            expected,
+            {
+                "id": np.arange(len(nodes)),
+                "x": nodes[:, 0],
+                "y": nodes[:, 1],
+                "ux": state.u[0::2],
+                "uy": state.u[1::2],
+            },
+        )
+        expected.write("interface\n")
+        _write_table(
+            expected, {"id": np.arange(len(ops.seg_x_mid)), "x_mid": ops.seg_x_mid, "z": state.z}
+        )
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_meta_json(self, small_result):
         meta = json.loads((small_result.out_dir / "meta.json").read_text(encoding="utf-8"))

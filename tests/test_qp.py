@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +187,116 @@ class TestFactorColumnCache:
         assert cached >= 10  # enough first solves left columns to go stale
 
 
+def perturbed(problem, rng, size=1e-3):
+    """The problem with g moved by a relative size, H, B and c kept."""
+    g = problem.g * (1.0 + size * rng.normal(size=problem.n))
+    return QpProblem(H=problem.H, g=g, B=problem.B, c=problem.c)
+
+
+def converted(problem):
+    """The problem with H as CSC and B as canonical CSR, as the stepper holds them."""
+    return QpProblem(
+        H=sp.csc_matrix(problem.H), g=problem.g, B=sp.csr_matrix(problem.B), c=problem.c
+    )
+
+
+class TestConvertedOperands:
+    def test_steady_solves_build_no_sparse_matrix(self, monkeypatch):
+        # Operands already in CSC and canonical CSR with one factor: the
+        # solves convert nothing, and give the bits of the dense problems.
+        rng = np.random.default_rng(16)
+        base = converted(random_instance(rng, max_dofs=12, max_cons=6))
+        while base.m < 3:
+            base = converted(random_instance(rng, max_dofs=12, max_cons=6))
+        problems = [base, perturbed(base, rng)]
+        factor = factorize(base.H)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_qp built a sparse matrix")
+
+        monkeypatch.setattr(qp.sp, "csc_matrix", refuse)
+        monkeypatch.setattr(qp.sp, "csr_matrix", refuse)
+        sols, warm = [], None
+        for problem in problems:
+            sols.append(solve_qp(problem, warm_start=warm, factor=factor))
+            warm = sols[-1].active_set
+        monkeypatch.undo()
+        warm = None
+        for problem, sol in zip(problems, sols):
+            dense = QpProblem(H=base.H.toarray(), g=problem.g, B=base.B.toarray(), c=base.c)
+            ref = solve_qp(dense, warm_start=warm)
+            assert_same_solution(sol, ref, "converted operands")
+            warm = ref.active_set
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 160])
+    def test_spd_solve_has_the_bits_of_scipy_solve(self, n):
+        # Symmetric and roundoff-asymmetric Schur matrices, in C and in
+        # Fortran order (the EQP passes a transposed slice).
+        rng = np.random.default_rng(n)
+        for k in range(8):
+            A = rng.normal(size=(n, n))
+            S = A @ A.T + 0.1 * np.eye(n)
+            if k % 2:  # the upper triangle one ulp off the lower
+                upper = np.triu_indices(n, 1)
+                S[upper] = np.nextafter(S[upper], np.inf)
+            rhs = rng.normal(size=n)
+            ref = sla.solve(S, rhs, assume_a="pos")
+            for layout in (np.ascontiguousarray(S), np.asfortranarray(S)):
+                assert np.array_equal(qp._solve_spd(layout, rhs), ref), f"size {n}, case {k}"
+
+    def test_spd_solve_raises_where_scipy_fails_or_warns(self):
+        # coincident rows (singular), near-coincident rows (rcond below eps)
+        # and a zero 1 x 1 matrix send the EQP to its least-squares branch
+        for S in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 2.0**-52]], [[0.0]]):
+            S, rhs = np.array(S), np.ones(len(S))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", sla.LinAlgWarning)
+                with pytest.raises((sla.LinAlgError, sla.LinAlgWarning)):
+                    sla.solve(S, rhs, assume_a="pos")
+            with pytest.raises(sla.LinAlgError):
+                qp._solve_spd(S, rhs)
+
+    def test_certificates_read_lazily_equal_direct_evaluation(self):
+        rng = np.random.default_rng(17)
+        for k in range(60):
+            problem = converted(random_instance(rng))
+            sol = solve_qp(problem)
+            assert sol.kkt == kkt_check(problem, sol.x, sol.multipliers), f"instance {k}"
+            assert sol.objective == problem.objective(sol.x), f"instance {k}"
+            assert np.array_equal(sol.slacks, problem.slacks(sol.x)), f"instance {k}"
+
+    def test_reused_block_gives_the_bits_of_a_fresh_stack(self, monkeypatch):
+        # A repeat that ends on the working set of the previous solve reuses
+        # the factor's stacked columns instead of stacking them again; its
+        # x must equal a fresh factor's, which stacks them anew.
+        rng = np.random.default_rng(18)
+        stacks = []
+        column_stack = np.column_stack
+
+        def spy(arrays):
+            stacks.append(len(arrays))
+            return column_stack(arrays)
+
+        reused = 0
+        for k in range(40):
+            first = converted(random_instance(rng, max_dofs=10, max_cons=6))
+            factor = factorize(first.H)
+            sol = solve_qp(first, factor=factor)
+            if factor.block is None:
+                continue
+            block = factor.block[1]
+            second = perturbed(first, rng)
+            monkeypatch.setattr(np, "column_stack", spy)
+            repeat = solve_qp(second, warm_start=sol.active_set, factor=factor)
+            monkeypatch.undo()
+            fresh = solve_qp(second, warm_start=sol.active_set)
+            assert_same_solution(repeat, fresh, f"instance {k}")
+            if factor.block[1] is block:
+                reused += 1
+        assert reused >= 10
+        assert len(stacks) < reused  # most repeats stacked nothing
+
+
 class TestSolutionQuality:
     def test_kkt_residuals_small(self):
         rng = np.random.default_rng(4)
@@ -274,13 +387,13 @@ class TestOneEqpPerWorkingSet:
         # {0}, whose multiplier test (mu = 0.5) ends the solve.  Two
         # nonempty working sets, so two Schur solves, in three iterations.
         sizes = []
-        solve = qp.sla.solve
+        solve = qp._solve_spd
 
-        def spy(S, rhs, **kwargs):
+        def spy(S, rhs):
             sizes.append(len(rhs))
-            return solve(S, rhs, **kwargs)
+            return solve(S, rhs)
 
-        monkeypatch.setattr(qp.sla, "solve", spy)
+        monkeypatch.setattr(qp, "_solve_spd", spy)
         problem = QpProblem(
             H=np.eye(2),
             g=-np.ones(2),

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from delam2d import stepper
 from delam2d.constitutive import AdhesiveLaw, IsotropicElasticity, ViscosityLaw
 from delam2d.harness import build_simulation
 from delam2d.mesh import build_benchmark_mesh
@@ -319,6 +320,33 @@ class TestRun:
             work = rep.energy.device_work_increment
             assert abs(work) > 0.0
             assert float(rep.reaction @ step) == pytest.approx(work, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"geometry": {"foundation": "two_body"}}, {"loading": {"direction": [-1.0, -0.6]}}],
+        ids=["rigid", "two_body", "compressive"],
+    )
+    def test_step_slacks_are_the_gaps_of_the_expanded_solution(self, overrides, monkeypatch):
+        # The step reads min_gap off the QP's slacks and expands x with the
+        # prescribed values computed once per step; both must give the bits
+        # of constraint.gaps and dofmap.expand at every step.
+        ops = build_simulation(parse_config(make_doc(**overrides)))[1]
+        seen = []
+        step = stepper.displacement_step
+
+        def spy(ops, state, tau, t_next, *args):
+            u, sol = step(ops, state, tau, t_next, *args)
+            seen.append((t_next, u, sol))
+            return u, sol
+
+        monkeypatch.setattr(stepper, "displacement_step", spy)
+        traj = run(ops, tau=0.02, t_end=0.4)
+        assert len(seen) == 20
+        for (t, u, sol), report in zip(seen, traj.reports[1:]):
+            gaps = ops.constraint.gaps(u)
+            assert np.array_equal(sol.slacks, gaps)
+            assert report.min_gap == float(gaps.min())
+            assert np.array_equal(u, ops.dofmap.expand(sol.x, t))
 
 
 def test_state_records_are_consistent(small_traj):
