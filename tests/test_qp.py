@@ -221,6 +221,7 @@ class TestConvertedOperands:
             sols.append(solve_qp(problem, warm_start=warm, factor=factor))
             warm = sols[-1].active_set
         monkeypatch.undo()
+        assert all(sol.active_set for sol in sols)  # the EQP and the stacking ran
         warm = None
         for problem, sol in zip(problems, sols):
             dense = QpProblem(H=base.H.toarray(), g=problem.g, B=base.B.toarray(), c=base.c)
