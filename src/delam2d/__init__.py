@@ -62,7 +62,6 @@ from .qp import (
     QpNonconvergenceError,
     QpProblem,
     QpSolution,
-    brute_force_qp,
     solve_qp,
 )
 from .stepper import (
@@ -101,7 +100,6 @@ __all__ = [
     "TimeConfig",
     "Trajectory",
     "ViscosityLaw",
-    "brute_force_qp",
     "build_benchmark_mesh",
     "build_ledger",
     "build_operators",

@@ -2,9 +2,12 @@
 
 Solves min 0.5 x.Hx + g.x subject to B x + c >= 0 for symmetric positive
 definite H by the range-space (Schur complement) form of the primal
-active-set method.  The constraint rows are few next to the unknowns, so
-the iteration runs on m-vectors: the iterate is its slacks s = B x + c
-together with coefficients on the columns H^{-1} B_i^T,
+active-set method.  B holds nodal non-penetration rows: each nonzero, no
+two sharing a column (checked, ValueError otherwise), so every Schur
+matrix is positive definite and the cold-start projection is one closed
+form.  The rows are few next to the unknowns, so the iteration runs on
+m-vectors: the iterate is its slacks s = B x + c together with
+coefficients on the columns H^{-1} B_i^T,
 
     x = a x0 + (1 - a) x_unc + sum_i lam_i H^{-1} B_i^T,
 
@@ -26,23 +29,22 @@ field) solve only for rows not seen yet; one B per cache, and a call with
 a different B object clears it.
 
 One sparse code path: H is used as float CSC and B as canonical float
-CSR of shape (m, n), converted on entry only when not already in that
-form, so dense and sparse copies of one problem give bitwise-equal
-results and the stepper's held operands are never rebuilt.  Each sparse
-product is computed once per solve (B x_unc, B x); the KKT residuals and
-the objective, which only tests read, are evaluated when first read.
+CSR of shape (m, n) without stored zeros, converted only when not
+already in that form, so dense and sparse copies of one problem give
+bitwise-equal results and the stepper's held operands are never rebuilt.
+Each sparse product is computed once per solve (B x_unc, B x); the KKT
+residuals and the objective, which only tests read, are evaluated when
+first read.
 
 Determinism: two lowest-index rules make identical inputs give identical
 iterates.  The ratio test blocks on the row of least ratio, the lowest
 index among exact ties, when that ratio cuts the step short by more than
 1e-15.  The removal rule drops the lowest-index working row of most
-negative multiplier.  A brute-force oracle (dense subset enumeration,
-usable up to 20 constraints) is the reference for testing.
+negative multiplier.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,7 +61,6 @@ __all__ = [
     "QpNonconvergenceError",
     "factorize",
     "solve_qp",
-    "brute_force_qp",
     "kkt_check",
     "project_feasible",
 ]
@@ -78,10 +79,10 @@ class QpNonconvergenceError(RuntimeError):
 class QpProblem:
     """min 0.5 x.Hx + g.x  s.t.  B x + c >= 0.
 
-    H must be symmetric positive definite (sparse or dense); B may have
-    zero rows (unconstrained).  Rows of B are assumed linearly
-    independent, which holds for nodal non-penetration rows with
-    disjoint supports.
+    H must be symmetric positive definite (sparse or dense).  B, sparse
+    or dense, has one row per constraint and may have none
+    (unconstrained); each row must be nonzero and no two rows may share a
+    column, as for nodal non-penetration rows.
     """
 
     H: object
@@ -140,10 +141,11 @@ class QpSolution:
 class _Factor:
     """SuperLU factor of H, converted to CSC on entry; each solve refines once.
 
-    For the rows i of the B object cols_of that solve_qp has met, cols[i]
-    is H^{-1} B_i^T, col_max[i] its max norm and img[i] its constraint
-    image B H^{-1} B_i^T; rows not met yet hold zeros.  B_norm, the
-    largest absolute row sum of cols_of, bounds |B v|_inf by B_norm |v|_inf.
+    B is the checked canonical CSR copy of the B object cols_of.  For the
+    rows i that solve_qp has met, cols[i] is H^{-1} B_i^T, col_max[i] its
+    max norm and img[i] its constraint image B H^{-1} B_i^T; rows not met
+    yet hold zeros.  B_norm, the largest absolute row sum of B, bounds
+    |B v|_inf by B_norm |v|_inf.
     block is the last (rows, column_stack of their columns) that solve_qp
     stacked, or None: consecutive steps often end on one working set.
     """
@@ -153,7 +155,7 @@ class _Factor:
             H = sp.csc_matrix(H, dtype=float)
         self.H = H
         self._lu = spla.splu(self.H)
-        self.cols_of = None
+        self.cols_of = self.B = None
         self.cols: dict[int, np.ndarray] = {}
         self.block: tuple[tuple[int, ...], np.ndarray] | None = None
         self.col_max = np.zeros(0)
@@ -201,113 +203,43 @@ def kkt_check(problem: QpProblem, x: np.ndarray, multipliers: np.ndarray) -> Kkt
     return KktResiduals(stationarity, primal, dual, compl)
 
 
-def _csr(B):
-    """B as canonical CSR of floats: sorted column indices, no duplicates."""
+def _nodal_rows(B):
+    """B as canonical float CSR without stored zeros; ValueError unless nodal rows."""
     if not (sp.issparse(B) and B.format == "csr" and B.dtype == np.float64):
         B = sp.csr_matrix(B, dtype=float)
-    if not B.has_canonical_format:
+    if not (B.has_canonical_format and B.data.all()):
         B = B.copy()
         B.sum_duplicates()
+        B.eliminate_zeros()
+    if (np.diff(B.indptr) == 0).any():
+        raise ValueError("constraint row with no nonzero entry")
+    if np.unique(B.indices).size < B.nnz:
+        raise ValueError("constraint rows share a column; nodal rows have disjoint supports")
     return B
 
 
-def _relaxed_sweeps(B, c, x, norms2, exit_tol, budget):
-    """Over-relaxed cyclic half-space projections; returns (x, converged).
-
-    Each violated row is read straight from CSR and updated in place: its
-    slack sums b_j x_j in CSR order, as B @ x does, and plus c_i.
-    """
-    relaxation = 1.5
-    indptr, indices, data = B.indptr, B.indices, B.data
-    for _ in range(budget):
-        slacks = B @ x + c
-        if float(slacks.min()) >= -exit_tol:
-            return x, True
-        for i in np.nonzero(slacks < 0.0)[0]:
-            cols = indices[indptr[i] : indptr[i + 1]]
-            vals = data[indptr[i] : indptr[i + 1]]
-            s = 0.0
-            for b, xj in zip(vals.tolist(), x[cols].tolist()):
-                s += b * xj
-            s += c[i]
-            if s < 0.0:
-                x[cols] -= relaxation * (s / norms2[i]) * vals
-    return x, False
-
-
-def _feasibility_lp(B, c: np.ndarray, norms: np.ndarray):
-    """Max-min-slack linear program deciding feasibility of B x + c >= 0.
-
-    Maximizes delta subject to B x + c >= delta * row_norm with delta
-    capped at one, so unbounded wedges still give a bounded program.  A
-    negative optimal delta certifies an empty intersection; otherwise the
-    returned point sits as deep inside the set as the cap allows.
-    """
-    # deferred: scipy.optimize is slow to import and only stalled projections get here
-    from scipy.optimize import linprog
-
-    n = B.shape[1]
-    A_ub = sp.hstack([-B, sp.csr_matrix(norms[:, None])], format="csr")
-    cost = np.zeros(n + 1)
-    cost[n] = -1.0
-    bounds = [(None, None)] * n + [(None, 1.0)]
-    res = linprog(
-        cost,
-        A_ub=A_ub,
-        b_ub=np.asarray(c, dtype=float),
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status == 2:  # proven infeasible
-        return None, -np.inf
-    if not res.success:
-        raise RuntimeError(f"feasibility linear program failed: {res.message}")
-    return res.x[:n], float(res.x[n])
-
-
-_MAX_SWEEPS = 1000  # relaxed sweeps before the linear-program fallback
-
-
 def project_feasible(B, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Find a point of the half-space intersection B x + c >= 0 near x0.
+    """A point of B x + c >= 0 near x0, by one pass over the violated rows.
 
-    B, dense or sparse, is converted to canonical CSR on entry.  Over-relaxed
-    cyclic projections settle rows with disjoint supports (nodal
-    constraints) in one sweep and converge linearly on generic systems.
-    Thin wedges between nearly parallel rows stall them, so an exhausted
-    sweep budget falls back to a max-min-slack linear program that
-    either certifies infeasibility or supplies a point as interior as
-    the geometry allows; least-squares equality corrections then snap any
-    rows the program left a solver tolerance below zero.
-
-    Raises RuntimeError for infeasible constraints and ValueError on a
-    zero constraint row.
+    B, dense or sparse, must hold nonzero rows with disjoint supports
+    (ValueError otherwise), so each violated row i moves only its own
+    dofs: x_j -= 1.5 (s_i / |B_i|^2) B_ij, over-relaxed to leave the slack
+    s_i = (B x + c)_i at -s_i / 2.  x0 is returned unchanged when no row
+    is violated by more than 1e-12 (1 + max|c|).
     """
     x = np.array(x0, dtype=float)
     if len(c) == 0:
         return x
-    B = _csr(B)
-    norms2 = np.asarray(B.multiply(B).sum(axis=1)).ravel()
-    if np.any(norms2 == 0.0):
-        raise ValueError("constraint row with zero norm cannot be projected onto")
-    exit_tol = 1e-12 * (1.0 + float(np.abs(c).max(initial=0.0)))
-    x, ok = _relaxed_sweeps(B, c, x, norms2, exit_tol, _MAX_SWEEPS)
-    if ok:
+    B = _nodal_rows(B)
+    slacks = B @ x + c
+    if float(slacks.min()) >= -1e-12 * (1.0 + float(np.abs(c).max())):
         return x
-    x_lp, delta = _feasibility_lp(B, c, np.sqrt(norms2))
-    if delta < -exit_tol:
-        raise RuntimeError("feasibility projection found no point; constraints are infeasible")
-    x = np.asarray(x_lp, dtype=float)
-    for _ in range(3):
-        slacks = np.asarray(B @ x + c, dtype=float)
-        viol = np.nonzero(slacks < -exit_tol)[0]
-        if len(viol) == 0:
-            return x
-        dx, *_ = np.linalg.lstsq(B[viol].toarray(), -slacks[viol], rcond=None)
-        x = x + dx
-    x, ok = _relaxed_sweeps(B, c, x, norms2, exit_tol, 50)
-    if not ok:
-        raise RuntimeError("feasibility projection stalled short of tolerance")
+    norms2 = np.asarray(B.multiply(B).sum(axis=1)).ravel()
+    counts = np.diff(B.indptr)
+    viol = slacks < 0.0
+    entries = np.repeat(viol, counts)  # the CSR entries of violated rows
+    step = np.repeat(1.5 * (slacks[viol] / norms2[viol]), counts[viol])
+    x[B.indices[entries]] -= step * B.data[entries]
     return x
 
 
@@ -359,20 +291,25 @@ def solve_qp(
 
     max_iter caps the active-set iterations (default 3(m + 1) + 30).
     factor, when given, must be a factorization of problem.H, whose CSC
-    copy factor.H the solve uses; B is converted to canonical CSR on entry.
-    The factor's cached columns are reused while problem.B is the same
-    object, which must not change in place.
+    copy factor.H the solve uses.  The rows of B must be nonzero with
+    disjoint supports (ValueError otherwise), which makes every Schur
+    matrix positive definite.  B is checked and converted to canonical
+    CSR once per B object: the factor keeps that copy and the cached
+    columns while problem.B is the same object, which must not change in
+    place.
     """
     caller_B = problem.B  # the caller's object tags the cached columns
     if factor is None:
         factor = factorize(problem.H)
-    H, B = factor.H, _csr(caller_B)
-    problem = QpProblem(H=H, g=problem.g, B=B, c=problem.c)
-    g, c, m = problem.g, problem.c, problem.m
+    m = len(problem.c)
     if factor.cols_of is not caller_B:
-        factor.cols_of, factor.cols, factor.block = caller_B, {}, None
+        B = _nodal_rows(caller_B)
+        factor.cols_of, factor.B, factor.cols, factor.block = caller_B, B, {}, None
         factor.col_max, factor.img = np.zeros(m), np.zeros((m, m))
         factor.B_norm = float(np.asarray(abs(B).sum(axis=1)).max(initial=0.0))
+    H, B = factor.H, factor.B
+    problem = QpProblem(H=H, g=problem.g, B=B, c=problem.c)
+    g, c = problem.g, problem.c
     cols, col_max, img, B_norm = factor.cols, factor.col_max, factor.img, factor.B_norm
     if max_iter is None:
         max_iter = 3 * (m + 1) + 30
@@ -412,16 +349,9 @@ def solve_qp(
         cache(working)
         images = img[working]
         # S[a, b] = B_a H^{-1} B_b^T, entry a of working row b's image:
-        # the products and summation order of B[working] @ M, so its bits
-        S = images[:, working].T
-        rhs = -slacks_unc[working]
-        try:
-            mu = _solve_spd(S, rhs)
-        except sla.LinAlgError:
-            # coincident constraint planes make S singular but
-            # consistent; least-norm multipliers still give the unique
-            # minimizer because null(S) = null(Bw^T) cannot move x
-            mu, *_ = np.linalg.lstsq(S, rhs, rcond=None)
+        # the products and summation order of B[working] @ M, so its bits;
+        # disjoint nonzero rows make S positive definite
+        mu = _solve_spd(images[:, working].T, -slacks_unc[working])
         return mu, slacks_unc + mu @ images
 
     # The iterate is its slacks s = B x + c and, with x0 the projected cold
@@ -434,11 +364,8 @@ def solve_qp(
     s = reached = None
     if warm_start:
         seed = sorted(set(int(i) for i in warm_start if 0 <= int(i) < m))
-        try:
-            mu_try, s_try = eqp(seed)
-        except sla.LinAlgError:
-            s_try = None
-        if s_try is not None and float(s_try.min()) >= -feas_tol:
+        mu_try, s_try = eqp(seed)
+        if float(s_try.min()) >= -feas_tol:
             working, s, reached = seed, s_try, (mu_try, s_try)
             lam[seed] = mu_try
     if s is None:
@@ -517,63 +444,4 @@ def solve_qp(
             working = sorted(working + [int(rows[k])])
         else:
             reached = mu_w, target
-
-
-def brute_force_qp(problem: QpProblem, tol: float = 1e-10) -> QpSolution:
-    """Reference solve by enumerating all active subsets (m <= 20).
-
-    For each subset the equality KKT system is solved; candidates must be
-    primal feasible with nonnegative multipliers.  The minimizer is the
-    feasible candidate of least objective.  Exponential cost, testing
-    use only.
-    """
-    H = problem.H.toarray() if sp.issparse(problem.H) else np.asarray(problem.H, float)
-    B = problem.B.toarray() if sp.issparse(problem.B) else np.asarray(problem.B, float)
-    g, c = problem.g, problem.c
-    n, m = problem.n, problem.m
-    if m > 20:
-        raise ValueError(f"brute force supports at most 20 constraints, got {m}")
-
-    cho = sla.cho_factor(H)
-    x_unc = sla.cho_solve(cho, -g)
-    x_unc += sla.cho_solve(cho, -g - H @ x_unc)
-    g_scale = 1.0 + float(np.abs(g).max(initial=0.0)) + float(
-        np.abs(H).max() * np.abs(x_unc).max(initial=0.0)
-    )
-    c_scale = 1.0 + float(np.abs(c).max(initial=0.0))
-
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for r in range(m + 1):
-        for subset in itertools.combinations(range(m), r):
-            S = list(subset)
-            if r:
-                Bw = B[S]
-                M = sla.cho_solve(cho, Bw.T)
-                M += sla.cho_solve(cho, Bw.T - H @ M)
-                schur = Bw @ M
-                sv = sla.svdvals(schur)
-                # dependent rows: some independent subset reaches the same
-                # minimizer, so degenerate working sets can be skipped
-                if sv[-1] <= 1e-12 * sv[0]:
-                    continue
-                try:
-                    mu = sla.solve(schur, -(Bw @ x_unc + c[S]), assume_a="pos")
-                except sla.LinAlgError:
-                    continue
-                x = x_unc + M @ mu
-            else:
-                x, mu = x_unc.copy(), np.zeros(0)
-            if m and float((B @ x + c).min()) < -tol * c_scale:
-                continue
-            if r and float(mu.min()) < -tol * g_scale:
-                continue
-            obj = problem.objective(x)
-            if best is None or obj < best[0]:
-                mu_full = np.zeros(m)
-                mu_full[S] = mu
-                best = (obj, x, mu_full)
-    if best is None:
-        raise RuntimeError("no KKT candidate found; constraints look infeasible")
-    _, x, mu = best
-    return _build_solution(problem, x, mu, 0, tol)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from delam2d import qp
 from delam2d.assembly import (
     GAUSS_2PT,
     assemble_interface,
@@ -318,3 +319,18 @@ class TestConstraintMatrix:
         con = constraint_matrix(mesh, dofmap)
         _, first = mesh.interface_ends()
         assert con.n_rows == len(first)
+
+    @pytest.mark.parametrize("glued_fraction", [0.9, 1.0])
+    @pytest.mark.parametrize("glued_from", ["left", "right"])
+    @pytest.mark.parametrize("builder", [build_benchmark_mesh, build_two_body_mesh])
+    def test_rows_are_nonzero_with_disjoint_supports(self, builder, glued_from, glued_fraction):
+        # the contract solve_qp and project_feasible check; a glued
+        # fraction of 1 reaches the driven edge, whose prescribed dofs
+        # leave two-body rows with one nonzero and drop rigid rows
+        mesh = builder(0.25, 0.025, 9, glued_fraction, glued_from=glued_from)
+        con = constraint_matrix(mesh, dirichlet_map(mesh, lambda t: np.zeros(2)))
+        assert con.n_rows > 0
+        assert qp._nodal_rows(con.rows) is con.rows  # already canonical, nothing copied
+        assert set(np.diff(con.rows.indptr)) <= {1, 2}
+        if glued_fraction == 1.0:
+            assert con.prescribed_part.nnz + con.fixed.nnz > 0

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -11,7 +13,6 @@ from delam2d import qp
 from delam2d.qp import (
     QpNonconvergenceError,
     QpProblem,
-    brute_force_qp,
     factorize,
     kkt_check,
     project_feasible,
@@ -19,20 +20,95 @@ from delam2d.qp import (
 )
 
 
+def nodal_rows(rng, m, n):
+    """m x n rows of one or two random nonzeros each, on disjoint dofs (m <= n)."""
+    two = rng.random(size=m) < 0.5
+    two[np.cumsum(two) > n - m] = False  # the supports must fit in n dofs
+    ends = np.cumsum(1 + two)
+    dofs = rng.permutation(n)
+    B = np.zeros((m, n))
+    for i, (lo, hi) in enumerate(zip(ends - 1 - two, ends)):
+        B[i, dofs[lo:hi]] = rng.normal(size=hi - lo)
+    return B
+
+
 def random_instance(rng, max_dofs=12, max_cons=6, scale_spread=2.0):
-    """Feasible random strictly convex QP: x0 below is always admissible."""
+    """Feasible random strictly convex QP: x0 below is always admissible.
+
+    Each row's support, of one or two dofs, comes from a disjoint
+    partition of the dofs, as for nodal non-penetration rows.
+    """
     n = int(rng.integers(1, max_dofs + 1))
-    m = int(rng.integers(0, max_cons + 1))
+    m = int(rng.integers(0, min(max_cons, n) + 1))
     A = rng.normal(size=(n, n))
     H = A @ A.T + (0.1 + rng.uniform()) * np.eye(n)
     H *= 10.0 ** rng.uniform(-scale_spread, scale_spread)
     g = rng.normal(size=n) * 10.0 ** rng.uniform(-scale_spread, scale_spread)
-    B = rng.normal(size=(m, n))
+    B = nodal_rows(rng, m, n)
     x0 = rng.normal(size=n)
     # mix of tight and slack constraints at the feasible anchor
     slack = rng.uniform(0.0, 1.0, size=m) * (rng.random(size=m) < 0.7)
     c = slack - B @ x0
     return QpProblem(H=H, g=g, B=B, c=c)
+
+
+def brute_force_qp(problem, tol=1e-10):
+    """Reference solve by enumerating all active subsets (m <= 20).
+
+    For each subset the equality KKT system is solved; candidates must be
+    primal feasible with nonnegative multipliers.  The minimizer is the
+    feasible candidate of least objective.  Exponential cost, testing
+    use only.
+    """
+    H = problem.H.toarray() if sp.issparse(problem.H) else np.asarray(problem.H, float)
+    B = problem.B.toarray() if sp.issparse(problem.B) else np.asarray(problem.B, float)
+    g, c = problem.g, problem.c
+    n, m = problem.n, problem.m
+    if m > 20:
+        raise ValueError(f"brute force supports at most 20 constraints, got {m}")
+
+    cho = sla.cho_factor(H)
+    x_unc = sla.cho_solve(cho, -g)
+    x_unc += sla.cho_solve(cho, -g - H @ x_unc)
+    g_scale = 1.0 + float(np.abs(g).max(initial=0.0)) + float(
+        np.abs(H).max() * np.abs(x_unc).max(initial=0.0)
+    )
+    c_scale = 1.0 + float(np.abs(c).max(initial=0.0))
+
+    best: tuple[float, np.ndarray, np.ndarray] | None = None
+    for r in range(m + 1):
+        for subset in itertools.combinations(range(m), r):
+            S = list(subset)
+            if r:
+                Bw = B[S]
+                M = sla.cho_solve(cho, Bw.T)
+                M += sla.cho_solve(cho, Bw.T - H @ M)
+                schur = Bw @ M
+                sv = sla.svdvals(schur)
+                # dependent rows: some independent subset reaches the same
+                # minimizer, so degenerate working sets can be skipped
+                if sv[-1] <= 1e-12 * sv[0]:
+                    continue
+                try:
+                    mu = sla.solve(schur, -(Bw @ x_unc + c[S]), assume_a="pos")
+                except sla.LinAlgError:
+                    continue
+                x = x_unc + M @ mu
+            else:
+                x, mu = x_unc.copy(), np.zeros(0)
+            if m and float((B @ x + c).min()) < -tol * c_scale:
+                continue
+            if r and float(mu.min()) < -tol * g_scale:
+                continue
+            obj = problem.objective(x)
+            if best is None or obj < best[0]:
+                mu_full = np.zeros(m)
+                mu_full[S] = mu
+                best = (obj, x, mu_full)
+    if best is None:
+        raise RuntimeError("no KKT candidate found; constraints look infeasible")
+    _, x, mu = best
+    return qp._build_solution(problem, x, mu, 0, tol)
 
 
 def assert_matches_oracle(problem, tol=1e-10):
@@ -71,18 +147,6 @@ class TestOracleEquivalence:
             sol, ref = assert_matches_oracle(problem)
             assert sol.active_set == ()
 
-    def test_duplicate_rows_degenerate(self):
-        # Identical rows make the multipliers non-unique; the active set
-        # read off the final slacks must still agree between solvers.
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            base = random_instance(rng, max_dofs=6, max_cons=3)
-            if base.m == 0:
-                continue
-            B = np.vstack([base.B, base.B[0]])
-            c = np.concatenate([base.c, base.c[:1]])
-            assert_matches_oracle(QpProblem(H=base.H, g=base.g, B=B, c=c))
-
     def test_all_constraints_active(self):
         H = np.eye(2)
         g = np.array([1.0, 1.0])  # pulls toward (-1, -1)
@@ -119,32 +183,27 @@ class TestOracleEquivalence:
         assert 0 in sizes and len(sizes) > 2  # unconstrained and constrained draws
 
 
-def sequential_projection(B, c, x0, budget=qp._MAX_SWEEPS):
-    """project_feasible's relaxed sweeps on a dense B, one entry at a time.
+def dense_projection(B, c, x0):
+    """project_feasible on a dense B, one row and one entry at a time.
 
-    Squared row norms reduce the squared nonzeros with np.add.reduceat,
-    as CSR row sums do.  Returns None when the sweep budget runs out.
+    Slacks sum each row's nonzeros in column order; squared row norms
+    reduce the squared nonzeros with np.add.reduceat, as CSR row sums do.
     """
-
-    def dot(row, v):
-        total = 0.0
-        for b, vj in zip(row.tolist(), v.tolist()):
-            total += b * vj
-        return total
-
     x = np.array(x0, dtype=float)
-    nonzeros = [row[row != 0.0] for row in B]
-    norms2 = [np.add.reduceat(nz * nz, [0])[0] for nz in nonzeros]
-    exit_tol = 1e-12 * (1.0 + float(np.abs(c).max()))
-    for _ in range(budget):
-        slacks = [dot(row, x) + ci for row, ci in zip(B, c)]
-        if min(slacks) >= -exit_tol:
-            return x
-        for i in np.nonzero(np.array(slacks) < 0.0)[0]:
-            s = dot(B[i], x) + c[i]
-            if s < 0.0:
-                x = x - 1.5 * (s / norms2[i]) * B[i]
-    return None
+    slacks = []
+    for row, ci in zip(B, c):
+        total = 0.0
+        for b, xj in zip(row[row != 0.0].tolist(), x[row != 0.0].tolist()):
+            total += b * xj
+        slacks.append(total + ci)
+    if min(slacks) >= -1e-12 * (1.0 + float(np.abs(c).max())):
+        return x
+    for row, s in zip(B, slacks):
+        if s < 0.0:
+            nz = row != 0.0
+            norm2 = np.add.reduceat(row[nz] * row[nz], [0])[0]
+            x[nz] -= 1.5 * (s / norm2) * row[nz]
+    return x
 
 
 class TestFactorColumnCache:
@@ -176,7 +235,7 @@ class TestFactorColumnCache:
         for k in range(40):
             first = random_instance(rng, max_dofs=6, max_cons=4)
             x0 = rng.normal(size=first.n)
-            B = rng.normal(size=(first.m, first.n))
+            B = nodal_rows(rng, first.m, first.n)
             second = QpProblem(H=first.H, g=first.g, B=B, c=-B @ x0)
             factor = factorize(first.H)
             solve_qp(first, factor=factor)
@@ -185,6 +244,23 @@ class TestFactorColumnCache:
                 solve_qp(second, factor=factor), solve_qp(second), f"instance {k}"
             )
         assert cached >= 10  # enough first solves left columns to go stale
+
+    def test_rows_checked_once_per_B_object(self, monkeypatch):
+        # Steady solves with one factor and one B object check B once
+        checks = []
+        nodal_rows = qp._nodal_rows
+
+        def spy(B):
+            checks.append(B)
+            return nodal_rows(B)
+
+        monkeypatch.setattr(qp, "_nodal_rows", spy)
+        problem = QpProblem(H=np.eye(2), g=-np.ones(2), B=np.eye(2), c=np.zeros(2))
+        factor = factorize(problem.H)
+        for _ in range(3):
+            solve_qp(problem, factor=factor)
+        solve_qp(dataclasses.replace(problem, B=np.eye(2)), factor=factor)
+        assert len(checks) == 2
 
 
 def perturbed(problem, rng, size=1e-3):
@@ -246,8 +322,8 @@ class TestConvertedOperands:
                 assert np.array_equal(qp._solve_spd(layout, rhs), ref), f"size {n}, case {k}"
 
     def test_spd_solve_raises_where_scipy_fails_or_warns(self):
-        # coincident rows (singular), near-coincident rows (rcond below eps)
-        # and a zero 1 x 1 matrix send the EQP to its least-squares branch
+        # singular, nearly singular (rcond below eps) and zero 1 x 1
+        # matrices raise as scipy does; nodal rows never give the EQP one
         for S in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 2.0**-52]], [[0.0]]):
             S, rhs = np.array(S), np.ones(len(S))
             with warnings.catch_warnings():
@@ -410,25 +486,26 @@ class TestOneEqpPerWorkingSet:
 
 class TestConstraintSpaceIteration:
     def test_degenerate_vertex_step_decided_in_n_space(self):
-        # min 0.5 |x - (2, 0)|^2 with three rows through the vertex (1, 0):
-        # x0 <= 1, x0 + x1 <= 1 and x0 - x1 <= 1.  The cold start (0.5, 0)
-        # steps toward (2, 0) until row 0 blocks at (1, 0), which is the
-        # minimizer of the working set {0}: B d is zero, so the exact
+        # min 0.5 |x - (2, 0, 0, 0)|^2 with three rows through the vertex
+        # (1, 0, 0, 0): x0 <= 1, x1 + x2 >= 0 and x3 >= 0, the last two
+        # tight at the unconstrained minimizer.  The cold start (0.5, 0, 0, 0)
+        # steps toward (2, 0, 0, 0) until row 0 blocks at the vertex, which
+        # is the minimizer of the working set {0}: B d is zero, so the exact
         # n-space step test decides, and the multiplier test ends the solve.
         problem = QpProblem(
-            H=np.eye(2),
-            g=np.array([-2.0, 0.0]),
-            B=np.array([[-1.0, 0.0], [-1.0, -1.0], [-1.0, 1.0]]),
-            c=np.ones(3),
+            H=np.eye(4),
+            g=np.array([-2.0, 0.0, 0.0, 0.0]),
+            B=np.array([[-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+            c=np.array([1.0, 0.0, 0.0]),
         )
         sol, ref = assert_matches_oracle(problem)
-        assert np.array_equal(sol.x, [1.0, 0.0])
+        assert np.array_equal(sol.x, [1.0, 0.0, 0.0, 0.0])
         assert sol.active_set == (0, 1, 2)
         assert np.array_equal(sol.multipliers, [1.0, 0.0, 0.0])
         assert sol.iterations == 2
 
     def test_solve_forms_the_working_columns_once(self, monkeypatch):
-        # Eight iterations through several working sets run on m-vectors;
+        # Nine iterations through several working sets run on m-vectors;
         # the n x k matrix of working columns is stacked once, for the
         # returned minimizer of the final working set.
         shapes = []
@@ -439,12 +516,12 @@ class TestConstraintSpaceIteration:
             shapes.append(out.shape)
             return out
 
-        problem = random_instance(np.random.default_rng(66))
+        problem = random_instance(np.random.default_rng(110))
         monkeypatch.setattr(np, "column_stack", spy)
         sol = solve_qp(problem)
         monkeypatch.undo()
-        assert sol.iterations == 8
-        assert shapes == [(problem.n, 3)]
+        assert sol.iterations == 9
+        assert shapes == [(problem.n, 4)]
         ref = brute_force_qp(problem)
         assert np.abs(sol.x - ref.x).max() <= 1e-10 * (1 + np.abs(ref.x).max())
         assert sol.active_set == ref.active_set
@@ -461,21 +538,38 @@ class TestTieRules:
             ((0.0, 4e-16, 4e-16), 1),
         ],
     )
-    def test_least_ratio_blocks_and_exact_ties_go_to_the_lower_index(self, offsets, blocker):
-        # x <= 0.5 - offset per row, pulled toward x = 1: the first step is
-        # blocked by rows whose ratios differ by a few ulps or not at all,
-        # and the blocking row is the only one to carry a multiplier at the
-        # solution
+    def test_least_ratio_blocks_and_exact_ties_go_to_the_lower_index(
+        self, offsets, blocker, monkeypatch
+    ):
+        # A hub dof y (last) tied by unit springs to one leaf x_i per tie
+        # row and to ground; the unconstrained minimizer is all ones.  Tie
+        # row i is 2^i (0.5 - offset - x_i) >= 0; the last row, y >= 0, is
+        # the warm start.  Its EQP minimizer, zero, is feasible, and its
+        # multiplier is negative, so the solve drops it and steps from zero
+        # toward the ones, blocked by tie rows whose ratios differ by a few
+        # ulps or not at all (the scales 2^i are exact).  The next Schur
+        # solve is the blocker's own: 1 x 1, about 2 * 4^blocker.
         m = len(offsets)
-        problem = QpProblem(
-            H=np.eye(1),
-            g=np.array([-1.0]),
-            B=-np.ones((m, 1)),
-            c=0.5 - np.array(offsets),
-        )
-        sol = solve_qp(problem)
-        assert sol.multipliers[blocker] > 0.0
-        assert np.count_nonzero(sol.multipliers) == 1
+        H = np.eye(m + 1)
+        H[m, m], H[m, :m], H[:m, m] = m + 1.0, -1.0, -1.0
+        scale = 2.0 ** np.arange(m)
+        B = np.zeros((m + 1, m + 1))
+        B[np.arange(m), np.arange(m)], B[m, m] = -scale, 1.0
+        c = np.append(scale * (0.5 - np.array(offsets)), 0.0)
+        g = -H @ np.ones(m + 1)
+        schur = []
+        solve = qp._solve_spd
+
+        def spy(S, rhs):
+            schur.append(float(S[0, 0]) if len(rhs) == 1 else None)
+            return solve(S, rhs)
+
+        monkeypatch.setattr(qp, "_solve_spd", spy)
+        sol = solve_qp(QpProblem(H=H, g=g, B=B, c=c), warm_start=(m,))
+        monkeypatch.undo()
+        assert schur[0] == pytest.approx(1.0)  # the warm start's row y >= 0
+        assert schur[1] == pytest.approx(2.0 * 4.0**blocker)
+        assert sol.multipliers[m] == 0.0
 
 
 class TestNonconvergence:
@@ -515,34 +609,29 @@ class TestProjectFeasible:
             c_scale = 1.0 + float(np.abs(problem.c).max())
             assert problem.slacks(x).min() >= -1e-10 * c_scale
 
-    @pytest.mark.parametrize("pattern", ["overlapping", "two_per_row"])
-    def test_sweeps_match_dense_sequential_reference(self, pattern):
-        # The sweeps read rows from CSR; a dense row, summed and updated
+    @pytest.mark.parametrize("per_row", [1, 2], ids=["one_per_row", "two_per_row"])
+    def test_closed_form_matches_dense_per_row_reference(self, per_row):
+        # The pass reads rows from CSR; a dense row, summed and updated
         # entry by entry in column order, must give the same bits.
         rng = np.random.default_rng(15)
-        checked = 0
+        moved = 0
         for _ in range(30):
-            n, m = int(rng.integers(3, 9)), int(rng.integers(2, 6))
-            if pattern == "two_per_row":
-                B = np.zeros((m, n))
-                for i in range(m):
-                    j = rng.choice(n, size=2, replace=False)
-                    B[i, j] = rng.normal(size=2)
-            else:
-                B = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.6)
-                B[np.abs(B).sum(axis=1) == 0.0, 0] = 1.0
+            m = int(rng.integers(2, 6))
+            n = per_row * m + int(rng.integers(0, 4))
+            B = np.zeros((m, n))
+            for i, dofs in enumerate(rng.permutation(n)[: per_row * m].reshape(m, per_row)):
+                B[i, dofs] = rng.normal(size=per_row)
             x_feas = rng.normal(size=n)
             c = rng.uniform(0.0, 0.5, size=m) - B @ x_feas
             x0 = x_feas + rng.normal(size=n)
-            ref = sequential_projection(B, c, x0)
-            if ref is None:
-                continue  # budget spent: the linear-program fallback takes over
-            assert np.array_equal(project_feasible(sp.csr_matrix(B), c, x0), ref)
-            checked += 1
-        assert checked >= 20
+            x = project_feasible(sp.csr_matrix(B), c, x0)
+            assert np.array_equal(x, dense_projection(B, c, x0))
+            assert (B @ x + c).min() >= 0.0
+            moved += not np.array_equal(x, x0)
+        assert moved >= 20
 
     def test_disjoint_rows_in_one_sweep(self):
-        # nodal rows touch disjoint dofs: one relaxed sweep settles both
+        # nodal rows touch disjoint dofs: one relaxed pass settles both
         B = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
         c = np.array([-1.0, -4.0])
         x = project_feasible(B, c, np.zeros(3))
@@ -550,15 +639,32 @@ class TestProjectFeasible:
         assert slacks.min() >= 0.0
         assert slacks.max() <= 4.0  # no wild overshoot past the boundary
 
-    def test_infeasible_raises(self):
-        B = np.array([[1.0], [-1.0]])
-        c = np.array([-1.0, -0.5])  # x >= 1 and x <= -0.5
-        with pytest.raises(RuntimeError):
-            project_feasible(B, c, np.array([0.0]))
+    @pytest.mark.parametrize(
+        "B",
+        [
+            np.array([[1.0, 0.0], [-1.0, 0.0]]),  # x0 >= 1 and x0 <= -0.5
+            np.array([[1.0, 1.0], [0.0, 1.0]]),
+            sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]])),  # coincident planes
+        ],
+        ids=["opposed", "overlapping", "coincident"],
+    )
+    def test_overlapping_rows_rejected(self, B):
+        problem = QpProblem(H=np.eye(2), g=-np.ones(2), B=B, c=np.array([-1.0, -0.5]))
+        with pytest.raises(ValueError, match="share a column"):
+            solve_qp(problem)
+        with pytest.raises(ValueError, match="share a column"):
+            project_feasible(B, problem.c, np.zeros(2))
 
     def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
-            project_feasible(np.zeros((1, 2)), np.array([1.0]), np.zeros(2))
+        for B in (
+            np.array([[1.0, 0.0], [0.0, 0.0]]),
+            sp.csr_matrix(([1.0, 0.0], ([0, 1], [0, 1])), shape=(2, 2)),  # a stored zero
+        ):
+            problem = QpProblem(H=np.eye(2), g=-np.ones(2), B=B, c=np.array([-1.0, -0.5]))
+            with pytest.raises(ValueError, match="no nonzero"):
+                solve_qp(problem)
+            with pytest.raises(ValueError, match="no nonzero"):
+                project_feasible(B, problem.c, np.zeros(2))
 
 
 class TestKktCheck:
