@@ -17,7 +17,6 @@ this is u_y >= 0 at every glued bottom node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,14 +120,14 @@ def _jump_rows(mesh: Mesh2D, positions) -> sp.csr_matrix:
     shape weights (1 - s, s) of its endpoints: negated on the body
     side, positive on the foundation side, which is absent in rigid mode.
     """
-    segs = mesh.interface_segments
-    n = np.array([seg.normal for seg in segs], dtype=float).reshape(-1, 2)
+    n = mesh.seg_normal
     frame = np.stack([n, np.column_stack([-n[:, 1], n[:, 0]])], axis=1)  # (e, c, xy)
     shape = np.array([[1.0 - s, s] for s in positions])  # (p, endpoint)
-    m, p = len(segs), len(shape)
+    m, p = len(n), len(shape)
     row = (np.arange(m)[:, None, None] * p + np.arange(p)[:, None]) * 2 + np.arange(2)
-    plus, minus = mesh.segment_nodes()
-    sides = [(plus, -1.0)] if mesh.foundation == "rigid" else [(plus, -1.0), (minus, 1.0)]
+    sides = [(mesh.seg_plus, -1.0)]
+    if mesh.foundation != "rigid":
+        sides.append((mesh.seg_minus, 1.0))
     rows, cols, vals = [], [], []
     for nodes, sign in sides:
         # (e, p, c, endpoint, xy)
@@ -147,10 +146,7 @@ def _jump_rows(mesh: Mesh2D, positions) -> sp.csr_matrix:
 
 def jump_operator(mesh: Mesh2D) -> JumpOperator:
     """The interface jump at the Gauss points, built once per mesh."""
-    return JumpOperator(
-        matrix=_jump_rows(mesh, GAUSS_2PT),
-        length=np.array([seg.length for seg in mesh.interface_segments], dtype=float),
-    )
+    return JumpOperator(matrix=_jump_rows(mesh, GAUSS_2PT), length=mesh.seg_length)
 
 
 def assemble_interface(
@@ -180,18 +176,22 @@ def assemble_interface(
 class DofMap:
     """Partition of the global dofs into free and prescribed sets.
 
-    prescribed_values(t) returns the driven displacements in prescribed
-    order; expand scatters a free vector into a full one with the
-    prescribed entries filled in at time t.
+    The prescribed nodes move at constant velocity: driven has one entry
+    per prescribed node, true on the driven body 0 (every node on a rigid
+    foundation; the lower body's clamped edge stays at zero), and rate
+    one entry per prescribed dof, the node's velocity component.
+    prescribed_values(t) = rate * t in prescribed order; expand scatters
+    a free vector into a full one with those values filled in at time t.
     """
 
     n_dofs: int
     free: np.ndarray
     prescribed: np.ndarray
-    value_fn: Callable[[float], np.ndarray]
+    rate: np.ndarray
+    driven: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.free, self.prescribed):
+        for arr in (self.free, self.prescribed, self.rate, self.driven):
             arr.flags.writeable = False
 
     @property
@@ -199,15 +199,7 @@ class DofMap:
         return len(self.free)
 
     def prescribed_values(self, t: float) -> np.ndarray:
-        n_nodes = len(self.prescribed) // 2
-        vals = np.asarray(self.value_fn(t), dtype=float)
-        if vals.shape == (2,):
-            vals = np.tile(vals, (n_nodes, 1))
-        if vals.shape != (n_nodes, 2):
-            raise ValueError(
-                f"boundary values must have shape (2,) or ({n_nodes}, 2), got {vals.shape}"
-            )
-        return vals.ravel()
+        return self.rate * t
 
     def expand(self, u_free: np.ndarray, t: float) -> np.ndarray:
         return self.scatter(u_free, self.prescribed_values(t))
@@ -220,33 +212,33 @@ class DofMap:
         return u
 
 
-def make_dofmap(
-    mesh: Mesh2D,
-    prescribed_nodes,
-    value_fn: Callable[[float], np.ndarray],
-) -> DofMap:
+def make_dofmap(mesh: Mesh2D, prescribed_nodes, velocity: np.ndarray) -> DofMap:
     """Dof map prescribing both components of the given nodes.
 
-    value_fn(t) must return either one (2,) displacement shared by all
-    prescribed nodes or an (n, 2) array in sorted-node order.
+    The nodes of body 0 move at the (2,) velocity, those of any other
+    body stay at zero.
     """
     nodes = np.array(sorted(int(n) for n in prescribed_nodes), dtype=np.int64)
     prescribed = node_dofs(nodes).ravel()
     mask = np.ones(mesh.n_dofs, dtype=bool)
     mask[prescribed] = False
+    driven = mesh.node_body[nodes] == 0
     return DofMap(
         n_dofs=mesh.n_dofs,
         free=np.nonzero(mask)[0],
         prescribed=prescribed,
-        value_fn=value_fn,
+        # a product, not a select: a clamped node keeps the sign of a
+        # negative velocity component as -0.0
+        rate=(driven[:, None] * np.asarray(velocity, dtype=float)).ravel(),
+        driven=driven,
     )
 
 
-def dirichlet_map(mesh: Mesh2D, u_D: Callable[[float], np.ndarray]) -> DofMap:
-    """Dof map driving the mesh's tagged Dirichlet nodes by u_D(t)."""
+def dirichlet_map(mesh: Mesh2D, velocity: np.ndarray) -> DofMap:
+    """Dof map driving the mesh's tagged Dirichlet nodes at the (2,) velocity."""
     if not mesh.dirichlet_nodes:
         raise ValueError("mesh has no Dirichlet nodes")
-    return make_dofmap(mesh, mesh.dirichlet_nodes, u_D)
+    return make_dofmap(mesh, mesh.dirichlet_nodes, velocity)
 
 
 @dataclass(frozen=True)
@@ -257,14 +249,12 @@ class ConstraintMatrix:
     rows @ u_free + offset(t) >= 0 where offset collects the prescribed
     contributions.  Rows whose dofs are all prescribed cannot enter the
     program; they are kept aside in fixed, and fixed @ prescribed_values(t)
-    must stay nonnegative for the data to be admissible.  node_pairs
-    records the (plus, minus) interface nodes of each row.
+    must stay nonnegative for the data to be admissible.
     """
 
     rows: sp.csr_matrix
     prescribed_part: sp.csr_matrix
     dofmap: DofMap
-    node_pairs: tuple[tuple[int, int], ...]
     fixed: sp.csr_matrix
 
     @property
@@ -287,7 +277,7 @@ def constraint_matrix(mesh: Mesh2D, dofmap: DofMap) -> ConstraintMatrix:
     Each row is the normal jump row at the pair's node, taken from the
     first segment that ends there.
     """
-    ends, first = mesh.interface_ends()
+    _, first = mesh.interface_ends()
     G = _jump_rows(mesh, (0.0, 1.0))[2 * first]
 
     free = G[:, dofmap.free]
@@ -297,7 +287,6 @@ def constraint_matrix(mesh: Mesh2D, dofmap: DofMap) -> ConstraintMatrix:
         rows=free[has_free],
         prescribed_part=presc[has_free],
         dofmap=dofmap,
-        node_pairs=tuple((int(p), int(q)) for p, q in ends[first[has_free]]),
         fixed=presc[~has_free],
     )
 

@@ -35,8 +35,31 @@ from .stepper import InvariantViolation
 MOMENTUM_SLACK_TOL = 1e-6
 
 
+class UsageError(ValueError):
+    """A malformed command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a UsageError, not as exit status 2."""
+
+    def error(self, message: str):
+        raise UsageError(f"{message} (see {self.prog} --help)")
+
+
 def _fail(message: str) -> None:
     print(f"delam2d: {message}", file=sys.stderr)
+
+
+# argparse names these in its message on a bad value: "invalid int_list value".
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -70,7 +93,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_converge(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     out = Path(args.out) if args.out else Path(config.outputs.directory) / "convergence"
-    levels = tuple(int(x) for x in args.levels.split(","))
+    levels = args.levels
     report = run_convergence(config, out, levels=levels, threads=args.threads)
     for pair, d in zip(zip(levels[:-1], levels[1:]), report.aggregate):
         print(f"levels {pair[0]}->{pair[1]}: aggregate energy-curve distance {d:.6e}")
@@ -105,13 +128,13 @@ def cmd_mesh_dump(args: argparse.Namespace) -> int:
     export_csv(mesh, args.out)
     print(
         f"mesh: {mesh.n_nodes} nodes, {len(mesh.triangles)} triangles, "
-        f"{len(mesh.interface_segments)} interface segments, h={mesh.h!r} -> {args.out}"
+        f"{len(mesh.seg_length)} interface segments, h={mesh.h!r} -> {args.out}"
     )
     return 0
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delam2d",
         description="Quasistatic mixed-mode delamination simulator (2D, semi-implicit).",
     )
@@ -122,7 +145,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory (default from config)")
     p_run.add_argument(
         "--seed",
-        type=int,
+        type=nonnegative_int,
         default=None,
         help="seed for momentum spot-check test fields (default from config)",
     )
@@ -132,7 +155,10 @@ def _parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--config", required=True, help="JSON configuration path")
     p_conv.add_argument("--out", default=None, help="output directory")
     p_conv.add_argument(
-        "--levels", default="27,54,81", help="comma-separated interface resolutions"
+        "--levels",
+        type=int_list,
+        default="27,54,81",
+        help="comma-separated interface resolutions",
     )
     p_conv.add_argument(
         "--threads", type=int, default=1, help="parallel level processes (1 = serial)"
@@ -153,13 +179,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.handler(args)
-    except ConfigError as err:
-        _fail(str(err))
-        return 1
-    except HarnessError as err:
+    except (ConfigError, HarnessError, UsageError) as err:
         _fail(str(err))
         return 1
     except QpNonconvergenceError as err:

@@ -323,6 +323,8 @@ def parse_config(doc: dict) -> SimulationConfig:
         bad("solver.qp_max_iter", "must be >= 1 when set")
     if not sol["energy_tol_factor"] > 0:
         bad("solver.energy_tol_factor", "must be positive")
+    if sol["seed"] < 0:
+        bad("solver.seed", "must be nonnegative")
     if outp["snapshot_times"] is not None:
         for i, s in enumerate(outp["snapshot_times"]):
             if s < 0:

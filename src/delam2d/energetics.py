@@ -164,7 +164,7 @@ def semistability_check(
     """
     state = traj.states[index]
     drive, psi = segment_energies(ops, state.u)
-    thresh = ops.adhesive.threshold(psi) * ops.seg_length
+    thresh = ops.adhesive.threshold(psi) * ops.mesh.seg_length
     out: list[tuple[int, bool, float]] = []
     for e in range(len(drive)):
         if state.z[e] == 0.0:
@@ -264,7 +264,7 @@ def mixity_histogram(ops: Operators, traj: Trajectory) -> MixityRecord:
             debond_time[e] = rep.t
             angle[e] = rep.mixity[e]
             density[e] = (
-                rep.threshold[e] / ops.seg_length[e] * z_before[e]
+                rep.threshold[e] / ops.mesh.seg_length[e] * z_before[e]
             )
     ratio = density / ops.adhesive.mode1_toughness
     return MixityRecord(
@@ -312,10 +312,10 @@ def trajectory_norms(ops: Operators, traj: Trajectory) -> dict[str, float]:
 
     z0 = traj.states[0].z
     bond_sup = float(max((s.z.max(initial=0.0) for s in traj.states), default=0.0))
-    variation = float((z0 * ops.seg_length).sum()) if len(z0) else 0.0
+    variation = float((z0 * ops.mesh.seg_length).sum()) if len(z0) else 0.0
     for k in range(1, len(traj.states)):
         dz = np.abs(traj.states[k].z - traj.states[k - 1].z)
-        variation += float((dz * ops.seg_length).sum())
+        variation += float((dz * ops.mesh.seg_length).sum())
     return {
         "displacement_sup_h1": sup_h1,
         "displacement_rate_h1": math.sqrt(rate_sq),

@@ -99,24 +99,9 @@ def build_mesh(config: SimulationConfig) -> Mesh2D:
     return builder(geo.L, geo.H, geo.n_interface, geo.glued_fraction, geo.glued_from)
 
 
-def _dirichlet_motion(mesh: Mesh2D, velocity: np.ndarray):
-    """Boundary motion t -> velocity * t on the driven nodes.
-
-    On a rigid foundation every Dirichlet node is driven.  In the
-    two-body variant only the upper body's edge moves; the lower body's
-    clamped nodes stay at zero.
-    """
-    if mesh.foundation == "rigid":
-        return lambda t: velocity * t
-    nodes = np.array(sorted(mesh.dirichlet_nodes), dtype=np.int64)
-    driven = (mesh.node_body[nodes] == 0).astype(float)[:, None]
-    return lambda t: driven * (velocity * t)
-
-
 def build_simulation(config: SimulationConfig) -> tuple[Mesh2D, Operators]:
     """Mesh and assembled operators for one configuration."""
     mesh = build_mesh(config)
-    velocity = config.loading.speed * np.array(config.loading.unit_direction())
     ops = build_operators(
         mesh,
         IsotropicElasticity(E=config.material.E, nu=config.material.nu),
@@ -128,7 +113,7 @@ def build_simulation(config: SimulationConfig) -> tuple[Mesh2D, Operators]:
             mode_sensitivity=config.adhesive.mode_sensitivity,
             mixity_regularization=config.adhesive.eps_reg,
         ),
-        _dirichlet_motion(mesh, velocity),
+        config.loading.speed * np.array(config.loading.unit_direction()),
     )
     return mesh, ops
 
@@ -171,6 +156,13 @@ def _write_table(out, columns: dict) -> None:
     """Named columns, one row per entry: floats with repr, all else with str."""
     out.write(",".join(columns) + "\n")
     out.writelines(row + "\n" for row in _format_rows(columns))
+
+
+def _write_json(path: Path, obj) -> None:
+    """obj as indented JSON with sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _write_csv(path: Path, digest: str, columns: dict) -> None:
@@ -291,7 +283,7 @@ def _write_run_outputs(
         },
     )
 
-    lengths = ops.seg_length
+    lengths = ops.mesh.seg_length
     reports = traj.reports[1:]  # index 0 is the initial state's None
     _write_csv(
         out / "forces.csv",
@@ -335,9 +327,7 @@ def _write_run_outputs(
         "energy_gap_final": float(ledger.gap[-1]),
         "norms": {k: float(v) for k, v in norms.items()},
     }
-    with open(out / "meta.json", "w", encoding="utf-8", newline="\n") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "meta.json", meta)
 
 
 def _level_config(config: SimulationConfig, n_interface: int) -> SimulationConfig:
@@ -472,9 +462,7 @@ def run_convergence(
         "norm_ratios": norm_ratios,
         "norm_ratio_max": max(norm_ratios.values()),
     }
-    with open(out / "report.json", "w", encoding="utf-8", newline="\n") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "report.json", report)
 
     return ConvergenceReport(
         levels=tuple(levels),
@@ -514,7 +502,5 @@ def run_chi_sweep(config: SimulationConfig, out_dir) -> list[RunResult]:
         )
     if len(chis) > 1:
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sweep.json", "w", encoding="utf-8", newline="\n") as f:
-            json.dump({"config_hash": config_hash(config), "runs": summary}, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(out / "sweep.json", {"config_hash": config_hash(config), "runs": summary})
     return results

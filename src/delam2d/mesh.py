@@ -12,19 +12,18 @@ free.  Two foundation variants exist:
 * ``two_body``: a second, mirrored rectangle below the first, with
   geometrically coincident but distinct node pairs along the seam.
 
-All meshes are plain numpy arrays plus a tuple of segment records, and
-are treated as immutable once built.
+All meshes are plain read-only numpy arrays, the interface included:
+one row per segment in each of its four seg_* arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "InterfaceSegment",
     "Mesh2D",
     "build_benchmark_mesh",
     "build_two_body_mesh",
@@ -34,51 +33,42 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class InterfaceSegment:
-    """One straight adhesive segment, oriented along increasing x.
-
-    node_plus holds the endpoint node ids on the body side; node_minus
-    the ids on the foundation side.  In rigid mode the two coincide and
-    the foundation side is taken as fixed at zero displacement.  The
-    normal points from the body toward the foundation.
-    """
-
-    node_plus: tuple[int, int]
-    node_minus: tuple[int, int]
-    normal: tuple[float, float]
-    length: float
-
-
-@dataclass(frozen=True)
 class Mesh2D:
     """Conforming triangle mesh with boundary tags and interface segments.
 
     nodes: (N, 2) float coordinates.  triangles: (M, 3) int, counter
-    clockwise.  node_body labels which bonded body a node belongs to
-    (all zero for the single-body rigid variant).  h is the generating
-    cell size, reported per level by the refinement ladder.
+    clockwise.  The m interface segments run along increasing x, one row
+    each: seg_plus (m, 2) holds the endpoint node ids on the body side,
+    seg_minus (m, 2) those on the foundation side (the same array on a
+    rigid foundation, whose side is fixed at zero displacement),
+    seg_normal (m, 2) the unit normal from body to foundation and
+    seg_length (m,) the lengths.  node_body labels which bonded body a
+    node belongs to (all zero for the single-body rigid variant).  h is
+    the generating cell size, reported per level by the refinement ladder.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    interface_segments: tuple[InterfaceSegment, ...]
+    seg_plus: np.ndarray
+    seg_minus: np.ndarray
+    seg_normal: np.ndarray
+    seg_length: np.ndarray
     dirichlet_nodes: frozenset[int]
     foundation: str
     h: float
     node_body: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
-        nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
-        tris = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
-        body = self.node_body
-        if body is None:
-            body = np.zeros(len(nodes), dtype=np.int8)
-        body = np.ascontiguousarray(np.asarray(body, dtype=np.int8))
-        for arr in (nodes, tris, body):
+        if self.node_body is None:
+            object.__setattr__(self, "node_body", np.zeros(len(self.nodes), dtype=np.int8))
+        for name, dtype in (
+            ("nodes", float), ("triangles", np.int64), ("seg_plus", np.int64),
+            ("seg_minus", np.int64), ("seg_normal", float), ("seg_length", float),
+            ("node_body", np.int8),
+        ):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "triangles", tris)
-        object.__setattr__(self, "node_body", body)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_nodes(self) -> int:
@@ -88,13 +78,6 @@ class Mesh2D:
     def n_dofs(self) -> int:
         return 2 * len(self.nodes)
 
-    def segment_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(plus, minus) endpoint node ids of every interface segment, each (m, 2)."""
-        segs = self.interface_segments
-        plus = np.array([seg.node_plus for seg in segs], dtype=np.int64).reshape(-1, 2)
-        minus = np.array([seg.node_minus for seg in segs], dtype=np.int64).reshape(-1, 2)
-        return plus, minus
-
     def interface_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Segment endpoints and the first occurrence of each node pair.
 
@@ -102,7 +85,7 @@ class Mesh2D:
         pair at end s of segment e, and first indexes ends at the first
         occurrence of every distinct pair, ordered by increasing x.
         """
-        ends = np.stack(self.segment_nodes(), axis=-1).reshape(-1, 2)
+        ends = np.stack((self.seg_plus, self.seg_minus), axis=-1).reshape(-1, 2)
         first = np.sort(np.unique(ends, axis=0, return_index=True)[1])
         xy = self.nodes[ends[first, 0]]
         return ends, first[np.lexsort((xy[:, 1], xy[:, 0]))]
@@ -147,14 +130,6 @@ def _bottom_cell_counts(n_interface: int, glued_fraction: float) -> tuple[int, i
     return nx, n_glued
 
 
-def _glued_cell_range(nx: int, n_glued: int, glued_from: str) -> range:
-    if glued_from == "left":
-        return range(0, n_glued)
-    if glued_from == "right":
-        return range(nx - n_glued, nx)
-    raise ValueError(f"glued_from must be 'left' or 'right', got {glued_from!r}")
-
-
 def build_benchmark_mesh(
     L: float,
     H: float,
@@ -171,6 +146,8 @@ def build_benchmark_mesh(
     """
     if L <= 0 or H <= 0:
         raise ValueError(f"domain sides must be positive, got L={L}, H={H}")
+    if glued_from not in ("left", "right"):
+        raise ValueError(f"glued_from must be 'left' or 'right', got {glued_from!r}")
     nx, n_glued = _bottom_cell_counts(n_interface, glued_fraction)
     h = L / nx
     ny = max(1, round(H / h))
@@ -179,22 +156,15 @@ def build_benchmark_mesh(
     triangles = _grid_triangles(nx, ny)
     dirichlet = frozenset(int(j * (nx + 1) + nx) for j in range(ny + 1))
 
-    segments = []
-    for i in _glued_cell_range(nx, n_glued, glued_from):
-        a, b = i, i + 1
-        segments.append(
-            InterfaceSegment(
-                node_plus=(a, b),
-                node_minus=(a, b),
-                normal=(0.0, -1.0),
-                length=h,
-            )
-        )
-
+    cells = np.arange(n_glued) + (nx - n_glued if glued_from == "right" else 0)
+    ends = np.column_stack([cells, cells + 1])
     return Mesh2D(
         nodes=nodes,
         triangles=triangles,
-        interface_segments=tuple(segments),
+        seg_plus=ends,
+        seg_minus=ends,
+        seg_normal=np.tile([0.0, -1.0], (len(cells), 1)),
+        seg_length=np.full(len(cells), h),
         dirichlet_nodes=dirichlet,
         foundation="rigid",
         h=h,
@@ -212,24 +182,22 @@ def build_two_body_mesh(
 
     The upper body is the rigid benchmark's bar (driven right edge),
     built by build_benchmark_mesh; the lower body is clamped along its
-    bottom.  Interface segments pair the
-    coincident node duplicates, normal pointing from the upper body into
-    the lower one.
+    bottom.  Interface segments pair the coincident node duplicates,
+    normal pointing from the upper body into the lower one: seg_minus is
+    seg_plus shifted to the lower grid's top row.
     """
     upper = build_benchmark_mesh(L, H, n_interface, glued_fraction, glued_from)
     nx, _ = _bottom_cell_counts(n_interface, glued_fraction)
     offset = upper.n_nodes
     ny = offset // (nx + 1) - 1  # the upper grid has (nx + 1) x (ny + 1) nodes
     lower_nodes = _grid_nodes(L, H, nx, ny, y0=-H)
-    lower_top_row = offset + ny * (nx + 1)
-    segments = tuple(
-        replace(seg, node_minus=tuple(lower_top_row + i for i in seg.node_plus))
-        for seg in upper.interface_segments
-    )
     return Mesh2D(
         nodes=np.vstack([upper.nodes, lower_nodes]),
         triangles=np.vstack([upper.triangles, _grid_triangles(nx, ny, offset=offset)]),
-        interface_segments=segments,
+        seg_plus=upper.seg_plus,
+        seg_minus=upper.seg_plus + (offset + ny * (nx + 1)),  # the lower top row
+        seg_normal=upper.seg_normal,
+        seg_length=upper.seg_length,
         # the upper right edge and the lower bottom edge
         dirichlet_nodes=upper.dirichlet_nodes | frozenset(range(offset, offset + nx + 1)),
         foundation="two_body",
@@ -295,35 +263,30 @@ def validate(mesh: Mesh2D) -> list[str]:
     tol = 1e-12 * max(mesh.h, 1.0)
     prev_end: np.ndarray | None = None
     prev_x = -math.inf
-    for s, seg in enumerate(mesh.interface_segments):
-        n = np.array(seg.normal)
+    segments = zip(mesh.seg_plus, mesh.seg_minus, mesh.seg_normal, mesh.seg_length.tolist())
+    for s, (plus, minus, n, length) in enumerate(segments):
         if abs(float(n @ n) - 1.0) > 1e-12:
             problems.append(f"segment {s}: normal not unit length")
-        if seg.length <= 0:
-            problems.append(f"segment {s}: nonpositive length {seg.length}")
-        pa, pb = mesh.nodes[seg.node_plus[0]], mesh.nodes[seg.node_plus[1]]
-        if abs(float(np.hypot(*(pb - pa))) - seg.length) > 1e-9 * max(seg.length, 1.0):
+        if length <= 0:
+            problems.append(f"segment {s}: nonpositive length {length}")
+        pa, pb = mesh.nodes[plus]
+        if abs(float(np.hypot(*(pb - pa))) - length) > 1e-9 * max(length, 1.0):
             problems.append(f"segment {s}: stored length disagrees with endpoints")
         if mesh.foundation == "rigid":
-            if seg.node_plus != seg.node_minus:
+            if (plus != minus).any():
                 problems.append(f"segment {s}: rigid mode requires node_minus == node_plus")
         else:
-            for plus, minus in zip(seg.node_plus, seg.node_minus):
-                if plus == minus:
+            for p, q in zip(plus.tolist(), minus.tolist()):
+                if p == q:
                     problems.append(
                         f"segment {s}: two-body mode requires distinct duplicated nodes"
                     )
-                elif np.abs(mesh.nodes[plus] - mesh.nodes[minus]).max() > tol:
+                elif np.abs(mesh.nodes[p] - mesh.nodes[q]).max() > tol:
                     problems.append(
-                        f"segment {s}: node pair ({plus},{minus}) not geometrically coincident"
+                        f"segment {s}: node pair ({p},{q}) not geometrically coincident"
                     )
-                if (
-                    mesh.node_body[plus] == mesh.node_body[minus]
-                    and plus != minus
-                ):
-                    problems.append(
-                        f"segment {s}: paired nodes belong to the same body"
-                    )
+                if mesh.node_body[p] == mesh.node_body[q] and p != q:
+                    problems.append(f"segment {s}: paired nodes belong to the same body")
         if pa[0] < prev_x - tol:
             problems.append(f"segment {s}: segments not ordered by increasing x")
         if prev_end is not None and np.abs(pa - prev_end).max() > tol:
@@ -344,12 +307,11 @@ def export_csv(mesh: Mesh2D, path) -> None:
         for i, (a, b, c) in enumerate(mesh.triangles):
             out.write(f"{i},{a},{b},{c}\n")
         out.write("interface\nid,plus_a,plus_b,minus_a,minus_b,nx,ny,length\n")
-        for i, seg in enumerate(mesh.interface_segments):
-            out.write(
-                f"{i},{seg.node_plus[0]},{seg.node_plus[1]},"
-                f"{seg.node_minus[0]},{seg.node_minus[1]},"
-                f"{float(seg.normal[0])!r},{float(seg.normal[1])!r},{float(seg.length)!r}\n"
-            )
+        columns = (mesh.seg_plus, mesh.seg_minus, mesh.seg_normal, mesh.seg_length)
+        for i, ((pa, pb), (ma, mb), (nx, ny), length) in enumerate(
+            zip(*(c.tolist() for c in columns))
+        ):
+            out.write(f"{i},{pa},{pb},{ma},{mb},{nx!r},{ny!r},{length!r}\n")
         out.write("tags\nkind,a,b\n")
         out.write(f"foundation,{mesh.foundation},\n")
         out.write(f"h,{float(mesh.h)!r},\n")

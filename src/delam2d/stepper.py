@@ -124,11 +124,7 @@ class Operators:
 
     @property
     def n_segments(self) -> int:
-        return len(self.mesh.interface_segments)
-
-    @property
-    def seg_length(self) -> np.ndarray:
-        return self.jump.length
+        return len(self.mesh.seg_length)
 
 
 def build_operators(
@@ -136,16 +132,19 @@ def build_operators(
     elasticity: IsotropicElasticity,
     viscosity: ViscosityLaw,
     adhesive: AdhesiveLaw,
-    dirichlet_values: Callable[[float], np.ndarray],
+    velocity: np.ndarray,
 ) -> Operators:
-    """Assemble everything that does not change during the evolution."""
+    """Assemble everything that does not change during the evolution.
+
+    The mesh's Dirichlet nodes on body 0 move at the (2,) velocity; those
+    of the lower body in the two-body variant stay clamped.
+    """
     K = assembly.assemble_stiffness(mesh, elasticity_tensor(elasticity))
     V = assembly.assemble_viscosity(K, viscosity.chi)
-    dofmap = assembly.dirichlet_map(mesh, dirichlet_values)
+    dofmap = assembly.dirichlet_map(mesh, velocity)
     constraint = assembly.constraint_matrix(mesh, dofmap)
 
-    plus, _ = mesh.segment_nodes()
-    x = mesh.nodes[:, 0]
+    x_ends = mesh.nodes[mesh.seg_plus, 0]
     return Operators(
         mesh=mesh,
         elasticity=elasticity,
@@ -155,7 +154,7 @@ def build_operators(
         dofmap=dofmap,
         constraint=constraint,
         jump=assembly.jump_operator(mesh),
-        seg_x_mid=0.5 * (x[plus[:, 0]] + x[plus[:, 1]]),
+        seg_x_mid=0.5 * (x_ends[:, 0] + x_ends[:, 1]),
     )
 
 
@@ -170,7 +169,7 @@ def segment_energies(ops: Operators, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     law = ops.adhesive
     j = ops.jump.values(u)
-    drive = law.energy_density(j[..., 0], j[..., 1]).sum(axis=1) * 0.5 * ops.seg_length
+    drive = law.energy_density(j[..., 0], j[..., 1]).sum(axis=1) * 0.5 * ops.mesh.seg_length
     j_mid = j.mean(axis=1)
     return drive, law.mixity(j_mid[:, 0], j_mid[:, 1])
 
@@ -194,9 +193,6 @@ class _StepOperator:
         H_full = (self.C_hat + ops.V / tau).tocsr()
         self.H = H_full[free][:, free].tocsc()
         self.factor = qp.factorize(self.H)
-        # The device acts on the driven body only; in the two-body variant the
-        # lower body's clamped edge is prescribed too but carries no reaction.
-        self.driven = ops.mesh.node_body[ops.dofmap.prescribed[0::2] // 2] == 0
         # the prescribed rows, the only ones the reaction reads
         presc = ops.dofmap.prescribed
         self.C_presc, self.V_presc = self.C_hat[presc], ops.V[presc]
@@ -233,7 +229,8 @@ class _StepOperator:
         """Driven-edge reaction (N/m) at u_next and the device work of the step."""
         du = u_next - u_prev
         r = self.C_presc @ u_next + self.V_presc @ (du / self.tau)
-        reaction = np.array([r[0::2][self.driven].sum(), r[1::2][self.driven].sum()])
+        driven = self.ops.dofmap.driven  # a clamped lower edge carries no device force
+        reaction = np.array([r[0::2][driven].sum(), r[1::2][driven].sum()])
         return reaction, float(r @ du[self.ops.dofmap.prescribed])
 
 
@@ -299,7 +296,7 @@ def delamination_step(
     the bond.  Returns (z_next, drive, threshold, mixity).
     """
     drive, psi = segment_energies(ops, u_next)
-    threshold = ops.adhesive.threshold(psi) * ops.seg_length
+    threshold = ops.adhesive.threshold(psi) * ops.mesh.seg_length
     release = (z_prev > 0.0) & (drive > threshold)
     z_next = np.where(release, 0.0, z_prev)
     return z_next, drive, threshold, psi

@@ -114,7 +114,7 @@ def test_03_linear_patch_fields_on_every_generator_mesh():
     worst = 0.0
     for name, mesh in generator_meshes():
         K = assemble_stiffness(mesh, UNIT_MATERIAL)
-        dofmap = make_dofmap(mesh, boundary_node_set(mesh), lambda t: np.zeros(2))
+        dofmap = make_dofmap(mesh, boundary_node_set(mesh), np.zeros(2))
         free, presc = dofmap.free, dofmap.prescribed
         lu = spla.splu(K[free][:, free].tocsc())
         for gradient, offset in fields:

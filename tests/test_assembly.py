@@ -73,7 +73,7 @@ class TestPatchTest:
         offset = np.array([0.05, -0.4])
         exact = linear_field(mesh, gradient, offset)
         K = assemble_stiffness(mesh, UNIT_MATERIAL)
-        dofmap = make_dofmap(mesh, boundary_node_set(mesh), lambda t: 0.0 * np.zeros(2))
+        dofmap = make_dofmap(mesh, boundary_node_set(mesh), np.zeros(2))
         free, presc = dofmap.free, dofmap.prescribed
         rhs = -K[free][:, presc] @ exact[presc]
         u = np.zeros(mesh.n_dofs)
@@ -91,10 +91,10 @@ class TestPatchTest:
         exact = linear_field(mesh, gradient, offset)
         K = assemble_stiffness(mesh, UNIT_MATERIAL)
         A = assemble_interface(
-            jump_operator(mesh), GLUE, np.ones(len(mesh.interface_segments))
+            jump_operator(mesh), GLUE, np.ones(len(mesh.seg_length))
         )
         KA = (K + A).tocsr()
-        dofmap = make_dofmap(mesh, boundary_node_set(mesh), lambda t: np.zeros(2))
+        dofmap = make_dofmap(mesh, boundary_node_set(mesh), np.zeros(2))
         free, presc = dofmap.free, dofmap.prescribed
         u = np.zeros(mesh.n_dofs)
         u[presc] = exact[presc]
@@ -163,7 +163,7 @@ def trace(u, nodes, s):
 def jump_vectors(mesh, u):
     """(segment, Gauss point, xy) jump vectors rebuilt from J's n/t components."""
     comp = jump_operator(mesh).values(u)
-    n = np.array([seg.normal for seg in mesh.interface_segments])[:, None, :]
+    n = mesh.seg_normal[:, None, :]
     t = np.stack([-n[..., 1], n[..., 0]], axis=-1)
     return comp[..., :1] * n + comp[..., 1:] * t
 
@@ -174,9 +174,9 @@ class TestJumpRows:
         rng = np.random.default_rng(3)
         u = rng.normal(size=mesh.n_dofs)
         jumps = jump_vectors(mesh, u)
-        for e, seg in enumerate(mesh.interface_segments):
+        for e, plus in enumerate(mesh.seg_plus):
             for g, s in enumerate(GAUSS_2PT):
-                expected = -trace(u, seg.node_plus, s)
+                expected = -trace(u, plus, s)
                 assert np.allclose(jumps[e, g], expected, atol=1e-14)
 
     def test_two_body_jump_is_minus_minus_plus(self):
@@ -184,9 +184,9 @@ class TestJumpRows:
         rng = np.random.default_rng(4)
         u = rng.normal(size=mesh.n_dofs)
         jumps = jump_vectors(mesh, u)
-        for e, seg in enumerate(mesh.interface_segments):
+        for e, (plus, minus) in enumerate(zip(mesh.seg_plus, mesh.seg_minus)):
             for g, s in enumerate(GAUSS_2PT):
-                expected = trace(u, seg.node_minus, s) - trace(u, seg.node_plus, s)
+                expected = trace(u, minus, s) - trace(u, plus, s)
                 assert np.allclose(jumps[e, g], expected, atol=1e-14)
 
 
@@ -196,22 +196,21 @@ class TestInterfaceAssembly:
         mesh = builder(0.25, 0.025, 9, 0.9)
         rng = np.random.default_rng(11)
         u = 1e-4 * rng.normal(size=mesh.n_dofs)
-        z = rng.uniform(0.0, 1.0, size=len(mesh.interface_segments))
+        z = rng.uniform(0.0, 1.0, size=len(mesh.seg_length))
         z[3] = 0.0
         A = assemble_interface(jump_operator(mesh), GLUE, z)
         total = 0.0
-        for e, seg in enumerate(mesh.interface_segments):
-            n = np.array(seg.normal)
+        for e, (plus, minus, n) in enumerate(zip(mesh.seg_plus, mesh.seg_minus, mesh.seg_normal)):
             t = np.array([-n[1], n[0]])
             for s in GAUSS_2PT:
-                jump = -trace(u, seg.node_plus, s)
+                jump = -trace(u, plus, s)
                 if mesh.foundation != "rigid":
-                    jump += trace(u, seg.node_minus, s)
+                    jump += trace(u, minus, s)
                 density = 0.5 * (
                     GLUE.kappa_n * float(jump @ n) ** 2
                     + GLUE.kappa_t * float(jump @ t) ** 2
                 )
-                total += 0.5 * seg.length * z[e] * density
+                total += 0.5 * mesh.seg_length[e] * z[e] * density
         assert 0.5 * float(u @ (A @ u)) == pytest.approx(total, rel=1e-12)
 
     @pytest.mark.parametrize("builder", [build_benchmark_mesh, build_two_body_mesh])
@@ -222,7 +221,7 @@ class TestInterfaceAssembly:
             IsotropicElasticity(E=1.0, nu=0.3),
             ViscosityLaw(chi=1e-3),
             GLUE,
-            lambda t: np.zeros(2),
+            np.zeros(2),
         )
         rng = np.random.default_rng(12)
         u = 1e-4 * rng.normal(size=mesh.n_dofs)
@@ -254,59 +253,76 @@ class TestInterfaceAssembly:
 class TestDofMap:
     def test_expand_roundtrip(self):
         mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        dofmap = dirichlet_map(mesh, lambda t: np.array([0.1 * t, -0.2 * t]))
+        dofmap = dirichlet_map(mesh, np.array([0.1, -0.2]))
         u = dofmap.expand(np.arange(dofmap.n_free, dtype=float), 2.0)
         assert np.allclose(u[dofmap.free], np.arange(dofmap.n_free))
         assert np.allclose(u[dofmap.prescribed][0::2], 0.2)
         assert np.allclose(u[dofmap.prescribed][1::2], -0.4)
 
-    def test_per_node_values(self):
+    def test_rigid_drives_every_node(self):
         mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        nodes = sorted(mesh.dirichlet_nodes)
-        vals = np.arange(2 * len(nodes), dtype=float).reshape(-1, 2)
-        dofmap = dirichlet_map(mesh, lambda t: vals)
-        assert np.allclose(dofmap.prescribed_values(0.0), vals.ravel())
+        dofmap = dirichlet_map(mesh, np.array([0.1, -0.2]))
+        assert dofmap.driven.all() and len(dofmap.driven) == len(mesh.dirichlet_nodes)
+        assert np.array_equal(dofmap.rate, np.tile([0.1, -0.2], len(mesh.dirichlet_nodes)))
 
-    def test_wrong_shape_rejected(self):
-        mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        dofmap = dirichlet_map(mesh, lambda t: np.zeros(3))
-        with pytest.raises(ValueError):
-            dofmap.prescribed_values(0.0)
+    def test_two_body_drives_body_zero_only(self):
+        mesh = build_two_body_mesh(0.25, 0.025, 9, 0.9)
+        dofmap = dirichlet_map(mesh, np.array([0.1, 0.2]))
+        nodes = dofmap.prescribed[0::2] // 2
+        assert np.array_equal(dofmap.driven, mesh.node_body[nodes] == 0)
+        assert 0 < dofmap.driven.sum() < len(nodes)
+        assert not dofmap.rate.reshape(-1, 2)[~dofmap.driven].any()
+        for arr in (dofmap.rate, dofmap.driven):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    def test_clamped_entries_keep_the_sign_of_the_drive(self, t):
+        # the values a per-node callable t -> driven * (velocity * t) gave:
+        # the clamped nodes' y entries are -0.0 under a negative y velocity
+        mesh = build_two_body_mesh(0.25, 0.025, 9, 0.9)
+        velocity = np.array([1e-3, -6e-4])
+        dofmap = make_dofmap(mesh, mesh.dirichlet_nodes, velocity)
+        nodes = np.array(sorted(mesh.dirichlet_nodes))
+        driven = (mesh.node_body[nodes] == 0).astype(float)[:, None]
+        values = dofmap.prescribed_values(t)
+        assert values.tobytes() == (driven * (velocity * t)).ravel().tobytes()
+        clamped_y = values[1::2][~dofmap.driven]
+        assert clamped_y.size and not clamped_y.any() and np.signbit(clamped_y).all()
 
     def test_no_dirichlet_nodes_rejected(self):
         mesh = build_benchmark_mesh(0.25, 0.025, 4, 1.0)
         bare = dataclasses.replace(mesh, dirichlet_nodes=frozenset())
         with pytest.raises(ValueError):
-            dirichlet_map(bare, lambda t: np.zeros(2))
+            dirichlet_map(bare, np.zeros(2))
 
 
 class TestConstraintMatrix:
     def test_rigid_gap_is_vertical_displacement(self):
         mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        dofmap = dirichlet_map(mesh, lambda t: np.zeros(2))
+        dofmap = dirichlet_map(mesh, np.zeros(2))
         con = constraint_matrix(mesh, dofmap)
         rng = np.random.default_rng(5)
         u = rng.normal(size=mesh.n_dofs)
         gaps = con.gaps(u)
-        expected = np.array([u[2 * plus + 1] for plus, _ in con.node_pairs])
+        ends, first = mesh.interface_ends()  # every row has a free dof here
+        expected = np.array([u[2 * plus + 1] for plus, _ in ends[first]])
         assert np.allclose(gaps, expected, atol=1e-14)
 
     def test_two_body_gap_is_relative_normal_jump(self):
         mesh = build_two_body_mesh(0.25, 0.025, 9, 0.9)
-        dofmap = dirichlet_map(mesh, lambda t: np.zeros(2))
+        dofmap = dirichlet_map(mesh, np.zeros(2))
         con = constraint_matrix(mesh, dofmap)
         rng = np.random.default_rng(6)
         u = rng.normal(size=mesh.n_dofs)
         gaps = con.gaps(u)
         # normal (0,-1): jump.n = (u_minus - u_plus).(0,-1) = u_plus_y - u_minus_y
-        expected = np.array(
-            [u[2 * p + 1] - u[2 * m + 1] for p, m in con.node_pairs]
-        )
+        ends, first = mesh.interface_ends()  # every row has a free dof here
+        expected = np.array([u[2 * p + 1] - u[2 * m + 1] for p, m in ends[first]])
         assert np.allclose(gaps, expected, atol=1e-14)
 
     def test_offset_consistent_with_gaps(self):
         mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        dofmap = dirichlet_map(mesh, lambda t: np.array([1e-4 * t, 2e-4 * t]))
+        dofmap = dirichlet_map(mesh, np.array([1e-4, 2e-4]))
         con = constraint_matrix(mesh, dofmap)
         u_free = np.random.default_rng(8).normal(size=dofmap.n_free)
         t = 3.0
@@ -315,7 +331,7 @@ class TestConstraintMatrix:
 
     def test_row_count_matches_interface_nodes(self):
         mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        dofmap = dirichlet_map(mesh, lambda t: np.zeros(2))
+        dofmap = dirichlet_map(mesh, np.zeros(2))
         con = constraint_matrix(mesh, dofmap)
         _, first = mesh.interface_ends()
         assert con.n_rows == len(first)
@@ -328,7 +344,7 @@ class TestConstraintMatrix:
         # fraction of 1 reaches the driven edge, whose prescribed dofs
         # leave two-body rows with one nonzero and drop rigid rows
         mesh = builder(0.25, 0.025, 9, glued_fraction, glued_from=glued_from)
-        con = constraint_matrix(mesh, dirichlet_map(mesh, lambda t: np.zeros(2)))
+        con = constraint_matrix(mesh, dirichlet_map(mesh, np.zeros(2)))
         assert con.n_rows > 0
         assert qp._nodal_rows(con.rows) is con.rows  # already canonical, nothing copied
         assert set(np.diff(con.rows.indptr)) <= {1, 2}

@@ -13,7 +13,7 @@ from delam2d.constitutive import (
     ViscosityLaw,
     elasticity_tensor,
 )
-from delam2d.mesh import InterfaceSegment, Mesh2D
+from delam2d.mesh import Mesh2D
 
 BENCH_ADHESIVE = AdhesiveLaw(
     kappa_n=150e9, kappa_t=75e9, mode1_toughness=187.5, mode_sensitivity=0.333
@@ -129,9 +129,10 @@ class TestModeMixityAngle:
             mesh = Mesh2D(
                 nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 triangles=np.array([[0, 1, 2]]),
-                interface_segments=(
-                    InterfaceSegment((0, 1), (0, 1), tuple(normal.tolist()), 1.0),
-                ),
+                seg_plus=[[0, 1]],
+                seg_minus=[[0, 1]],
+                seg_normal=[normal],
+                seg_length=[1.0],
                 dirichlet_nodes=frozenset(),
                 foundation="rigid",
                 h=1.0,

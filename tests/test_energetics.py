@@ -58,7 +58,7 @@ def toy_ops():
             mode_sensitivity=0.0,
             mixity_regularization=0.0,
         ),
-        lambda t: np.zeros(2),
+        np.zeros(2),
     )
 
 
@@ -82,7 +82,7 @@ class TestStoredEnergy:
 
     def test_penetration_flagged_infinite(self, toy_ops):
         u = np.zeros(toy_ops.mesh.n_dofs)
-        node = toy_ops.mesh.interface_segments[0].node_plus[0]
+        node = toy_ops.mesh.seg_plus[0, 0]
         u[2 * node + 1] = -1e-3
         ok, phi = stored_energy(toy_ops, State(t=0.0, u=u, z=np.ones(toy_ops.n_segments)))
         assert not ok
@@ -97,9 +97,7 @@ class TestStoredEnergy:
 
     def test_interface_term_scales_with_bond(self, toy_ops):
         u = np.zeros(toy_ops.mesh.n_dofs)
-        for seg in toy_ops.mesh.interface_segments:
-            for node in seg.node_plus:
-                u[2 * node + 1] = 0.3
+        u[2 * toy_ops.mesh.seg_plus + 1] = 0.3
         _, phi_full = stored_energy(toy_ops, State(0.0, u, np.ones(toy_ops.n_segments)))
         _, phi_half = stored_energy(toy_ops, State(0.0, u, np.full(toy_ops.n_segments, 0.5)))
         _, phi_none = stored_energy(toy_ops, State(0.0, u, np.zeros(toy_ops.n_segments)))
@@ -147,7 +145,7 @@ class TestLedger:
         total = float(
             np.sum(
                 record.dissipated_density[record.debonded]
-                * small_ops.seg_length[record.debonded]
+                * small_ops.mesh.seg_length[record.debonded]
             )
         )
         assert small_ledger.interface_dissipated[-1] == pytest.approx(total, rel=1e-12)
@@ -194,9 +192,7 @@ class TestSemistability:
 
     def test_constructed_violation_reported(self, toy_ops):
         u = np.zeros(toy_ops.mesh.n_dofs)
-        for seg in toy_ops.mesh.interface_segments:
-            for node in seg.node_plus:
-                u[2 * node + 1] = 50.0
+        u[2 * toy_ops.mesh.seg_plus + 1] = 50.0
         state = State(0.0, u, np.ones(toy_ops.n_segments))
         traj = Trajectory(times=[0.0], states=[state], reports=[None])
         results = semistability_check(toy_ops, traj, 0)
@@ -259,9 +255,8 @@ class TestMixityHistogram:
         record = mixity_histogram(
             small_ops, Trajectory(times=[0.0], states=[init_state(small_ops)], reports=[None])
         )
-        for e, seg in enumerate(small_ops.mesh.interface_segments):
-            pa = small_ops.mesh.nodes[seg.node_plus[0]]
-            pb = small_ops.mesh.nodes[seg.node_plus[1]]
+        for e, (a, b) in enumerate(small_ops.mesh.seg_plus):
+            pa, pb = small_ops.mesh.nodes[a], small_ops.mesh.nodes[b]
             assert record.x_mid[e] == pytest.approx(0.5 * (pa[0] + pb[0]), rel=1e-15)
 
 
@@ -298,7 +293,7 @@ class TestTrajectoryNorms:
     def test_bond_norms_closed_form(self, small_ops, small_traj):
         norms = trajectory_norms(small_ops, small_traj)
         assert norms["bond_sup"] == 1.0
-        glued_length = float(small_ops.seg_length.sum())
+        glued_length = float(small_ops.mesh.seg_length.sum())
         # initial L1 mass plus one full release of every segment
         assert norms["bond_variation_l1"] == pytest.approx(2.0 * glued_length, rel=1e-12)
 

@@ -207,6 +207,12 @@ class TestParseConfig:
         assert config.material.chi == 1e-3
         assert parse_config(make_doc()).chi_sweep is None
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(make_doc(solver={"seed": -1}))
+        assert err.value.problems == ["solver.seed: must be nonnegative"]
+        assert parse_config(make_doc(solver={"seed": 0})).solver.seed == 0
+
     def test_chi_empty_list_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config(make_doc(material={"chi": []}))
@@ -300,7 +306,7 @@ class TestRunSingleOutputs:
         assert len(rows) == traj.n_steps
         data = np.array([[float(v) for v in row] for row in rows])
         assert np.array_equal(data[:, 0], np.array(traj.times[1:]))
-        lengths = small_result.ops.seg_length
+        lengths = small_result.ops.mesh.seg_length
         expected_bl = np.array([float(s.z @ lengths) for s in traj.states[1:]])
         assert np.array_equal(data[:, 3], expected_bl)
         assert data[:, 4].min() >= -1e-8
@@ -345,7 +351,7 @@ class TestRunSingleOutputs:
         mesh = small_result.ops.mesh
         node_rows = lines.index("interface") - lines.index("nodes") - 2
         assert node_rows == mesh.n_nodes
-        assert len(lines) - lines.index("interface") - 2 == len(mesh.interface_segments)
+        assert len(lines) - lines.index("interface") - 2 == len(mesh.seg_length)
 
     def test_snapshot_round_trip(self, small_result):
         # every float of a snapshot parses back to the state's value exactly
@@ -849,6 +855,46 @@ class TestCli:
         text = out.read_text(encoding="utf-8")
         assert text.startswith("nodes\nid,x,y\n")
         assert "\ntriangles\n" in text and "\ninterface\n" in text
+
+    def test_negative_seed_flag_exits_1_before_the_run(self, tmp_path, capsys):
+        path = write_doc(tmp_path, tiny_doc())
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out), "--seed", "-3"]) == 1
+        assert capsys.readouterr().err.startswith("delam2d: argument --seed: invalid ")
+        assert not out.exists()
+
+    def test_negative_config_seed_exits_1(self, tmp_path, capsys):
+        path = write_doc(tmp_path, tiny_doc(solver={"seed": -1}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert "solver.seed: must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_required_option_exits_1(self, capsys):
+        # 2 is the exit status of solver nonconvergence, not of usage errors
+        assert main(["run"]) == 1
+        assert capsys.readouterr().err == (
+            "delam2d: the following arguments are required: --config (see delam2d run --help)\n"
+        )
+
+    def test_unknown_subcommand_exits_1(self, capsys):
+        assert main(["bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("delam2d: argument command: invalid choice: 'bogus'")
+
+    def test_malformed_levels_exit_1(self, tmp_path, capsys):
+        path = write_doc(tmp_path, tiny_doc())
+        out = tmp_path / "c"
+        assert main(["converge", "--config", path, "--out", str(out), "--levels", "27,abc"]) == 1
+        assert capsys.readouterr().err.startswith("delam2d: argument --levels: invalid ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: delam2d")
 
     def test_solver_budget_exhaustion_exits_2(self, tmp_path, capsys):
         # compression activates contact; one active-set iteration is not

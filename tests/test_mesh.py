@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delam2d.mesh import (
-    InterfaceSegment,
-    Mesh2D,
     _bottom_cell_counts,
     build_benchmark_mesh,
     build_two_body_mesh,
@@ -47,7 +46,7 @@ class TestBenchmarkMesh:
         m = build_benchmark_mesh(0.25, 0.025, 81, 0.9)
         assert m.n_nodes == 91 * 10
         assert len(m.triangles) == 90 * 9 * 2
-        assert len(m.interface_segments) == 81
+        assert len(m.seg_length) == 81
         assert m.h == pytest.approx(0.25 / 90, rel=1e-15)
         assert m.foundation == "rigid"
         assert len(m.dirichlet_nodes) == 10  # right edge, ny + 1 nodes
@@ -59,17 +58,16 @@ class TestBenchmarkMesh:
 
     def test_interface_runs_from_left(self):
         m = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
-        xs = [m.nodes[s.node_plus[0], 0] for s in m.interface_segments]
+        xs = m.nodes[m.seg_plus[:, 0], 0]
         assert min(xs) == 0.0
         assert max(xs) == pytest.approx(0.25 - 2 * m.h)
-        for seg in m.interface_segments:
-            assert seg.normal == (0.0, -1.0)
-            assert seg.length == pytest.approx(m.h)
-            assert seg.node_plus == seg.node_minus  # rigid foundation reuses nodes
+        assert (m.seg_normal == (0.0, -1.0)).all()
+        assert m.seg_length == pytest.approx(np.full(9, m.h))
+        assert np.array_equal(m.seg_plus, m.seg_minus)  # rigid foundation reuses nodes
 
     def test_interface_runs_from_right(self):
         m = build_benchmark_mesh(0.25, 0.025, 9, 0.9, glued_from="right")
-        xs = [m.nodes[s.node_plus[1], 0] for s in m.interface_segments]
+        xs = m.nodes[m.seg_plus[:, 1], 0]
         assert max(xs) == pytest.approx(0.25)
         assert validate(m) == []
 
@@ -114,8 +112,8 @@ class TestTwoBodyMesh:
 
     def test_seam_nodes_coincide_but_differ(self):
         m = build_two_body_mesh(0.25, 0.025, 9, 0.9)
-        for seg in m.interface_segments:
-            for p, q in zip(seg.node_plus, seg.node_minus):
+        for plus, minus in zip(m.seg_plus, m.seg_minus):
+            for p, q in zip(plus, minus):
                 assert p != q
                 assert np.allclose(m.nodes[p], m.nodes[q])
                 assert m.node_body[p] == 0 and m.node_body[q] == 1
@@ -140,9 +138,7 @@ class TestTwoBodyMesh:
         assert np.array_equal(m.triangles[:t], rigid.triangles)
         assert m.triangles[t:].min() >= k
         assert {i for i in m.dirichlet_nodes if i < k} == rigid.dirichlet_nodes
-        assert [s.node_plus for s in m.interface_segments] == [
-            s.node_plus for s in rigid.interface_segments
-        ]
+        assert np.array_equal(m.seg_plus, rigid.seg_plus)
         assert m.h == rigid.h
 
     def test_dirichlet_spans_both_bodies(self):
@@ -161,31 +157,17 @@ class TestValidateCatchesCorruption:
 
     def test_non_unit_normal(self):
         m = build_benchmark_mesh(0.25, 0.025, 4, 1.0)
-        seg = m.interface_segments[0]
-        broken = InterfaceSegment(
-            node_plus=seg.node_plus,
-            node_minus=seg.node_minus,
-            normal=(0.0, -2.0),
-            length=seg.length,
-        )
-        bad = dataclasses.replace(
-            m, interface_segments=(broken,) + m.interface_segments[1:]
-        )
-        assert any("normal" in p for p in validate(bad))
+        normal = m.seg_normal.copy()
+        normal[0] = (0.0, -2.0)
+        bad = dataclasses.replace(m, seg_normal=normal)
+        assert validate(bad) == ["segment 0: normal not unit length"]
 
     def test_wrong_length(self):
         m = build_benchmark_mesh(0.25, 0.025, 4, 1.0)
-        seg = m.interface_segments[0]
-        broken = InterfaceSegment(
-            node_plus=seg.node_plus,
-            node_minus=seg.node_minus,
-            normal=seg.normal,
-            length=seg.length * 3.0,
-        )
-        bad = dataclasses.replace(
-            m, interface_segments=(broken,) + m.interface_segments[1:]
-        )
-        assert any("length" in p for p in validate(bad))
+        length = m.seg_length.copy()
+        length[0] *= 3.0
+        bad = dataclasses.replace(m, seg_length=length)
+        assert validate(bad) == ["segment 0: stored length disagrees with endpoints"]
 
     def test_nonfinite_node(self):
         m = build_benchmark_mesh(0.25, 0.025, 4, 1.0)
@@ -210,9 +192,39 @@ class TestExport:
         tri_at = text.index("triangles")
         assert tri_at - node_header - 1 == m.n_nodes
 
+    # sha256 of export_csv output before the interface was stored as arrays
+    @pytest.mark.parametrize(
+        "builder,args,digest",
+        [
+            (build_benchmark_mesh, (1.0, 0.25, 4, 0.8, "left"),
+             "cb551325735f1921d4ebd483abd40e8c8bdc5d82c9eb491a0b3d0dd0e82acd12"),
+            (build_benchmark_mesh, (1.0, 0.25, 3, 0.75, "right"),
+             "72f6d92b1cf5c5fb0e661eea7c4b5f217fd83957d3f02811008f3764f5e15261"),
+            (build_two_body_mesh, (1.0, 0.25, 4, 0.8, "left"),
+             "9d713ffaaf05786c16d2ee888d27727167f43c7aa770cc52adda5eae30bbbe69"),
+            (build_two_body_mesh, (1.0, 0.25, 3, 0.75, "right"),
+             "745f221064883fe11b215253ba22d1e01def09b7ae9af6b283d92653aca48695"),
+        ],
+        ids=["rigid_left", "rigid_right", "two_body_left", "two_body_right"],
+    )
+    def test_bytes_pinned(self, tmp_path, builder, args, digest):
+        path = tmp_path / "mesh.csv"
+        export_csv(builder(*args), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_arrays_read_only(self):
         m = build_benchmark_mesh(0.25, 0.025, 4, 1.0)
         with pytest.raises(ValueError):
             m.nodes[0, 0] = 1.0
         with pytest.raises(ValueError):
             m.triangles[0, 0] = 5
+
+    @pytest.mark.parametrize("builder", [build_benchmark_mesh, build_two_body_mesh])
+    def test_interface_arrays_read_only_with_stated_shapes(self, builder):
+        m = builder(0.25, 0.025, 4, 0.8)
+        for name in ("seg_plus", "seg_minus", "seg_normal", "seg_length"):
+            arr = getattr(m, name)
+            assert arr.shape == ((4,) if name == "seg_length" else (4, 2)), name
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = 0

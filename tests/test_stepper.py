@@ -57,16 +57,14 @@ def toy_ops():
         IsotropicElasticity(E=1.0, nu=0.3),
         ViscosityLaw(chi=1e-3),
         toy_adhesive(),
-        lambda t: np.zeros(2),
+        np.zeros(2),
     )
 
 
 def opening_field(ops, j):
     """Uniform normal opening of size j of every interface plus node."""
     u = np.zeros(ops.mesh.n_dofs)
-    for seg in ops.mesh.interface_segments:
-        for node in seg.node_plus:
-            u[2 * node + 1] = j
+    u[2 * ops.mesh.seg_plus + 1] = j
     return u
 
 
@@ -96,7 +94,7 @@ class TestInitState:
 
     def test_penetrating_start_rejected(self, small_ops):
         u = np.zeros(small_ops.mesh.n_dofs)
-        node = small_ops.mesh.interface_segments[0].node_plus[0]
+        node = small_ops.mesh.seg_plus[0, 0]
         u[2 * node + 1] = -1e-3
         with pytest.raises(ValueError, match="penetrat"):
             init_state(small_ops, u0=u)
@@ -159,7 +157,7 @@ class TestDisplacementStep:
             IsotropicElasticity(E=1.0, nu=0.3),
             ViscosityLaw(chi=1e-3),
             toy_adhesive(),
-            lambda t: t * np.array([0.0, -1.0]),
+            np.array([0.0, -1.0]),
         )
         state = init_state(ops)
         with pytest.raises(InvariantViolation, match="penetrate"):
@@ -187,7 +185,7 @@ class TestDelaminationStep:
         assert np.all(z_next == 0.0)
         assert np.all(drive > threshold)
         assert np.allclose(psi, 0.0)
-        assert np.allclose(drive, 2.0 * toy_ops.seg_length, rtol=1e-12)
+        assert np.allclose(drive, 2.0 * toy_ops.mesh.seg_length, rtol=1e-12)
 
     def test_exact_tie_keeps_bond(self, toy_ops):
         # j = 1 makes the density (1/2)*2*1 exactly the toughness a_I = 1
@@ -209,17 +207,15 @@ class TestDelaminationStep:
     def test_sliding_pays_mode2_price(self, toy_ops):
         # pure sliding: psi = pi/2, threshold doubles at sensitivity 1/2
         u = np.zeros(toy_ops.mesh.n_dofs)
-        for seg in toy_ops.mesh.interface_segments:
-            for node in seg.node_plus:
-                u[2 * node] = 1.9
+        u[2 * toy_ops.mesh.seg_plus] = 1.9
         z = np.ones(toy_ops.n_segments)
         z_next, drive, threshold, psi = delamination_step(toy_ops, u, z)
         assert np.allclose(psi, np.pi / 2)
-        assert np.allclose(threshold, 2.0 * toy_ops.seg_length, rtol=1e-12)
+        assert np.allclose(threshold, 2.0 * toy_ops.mesh.seg_length, rtol=1e-12)
         # density (1/2) kappa_t 1.9^2 = 1.805 < 2: survives where the same
         # energy in opening mode (threshold 1) would have released
         assert np.all(z_next == 1.0)
-        assert np.all(drive > toy_ops.seg_length)
+        assert np.all(drive > toy_ops.mesh.seg_length)
 
     def test_broken_segments_stay_broken(self, toy_ops):
         z = np.ones(toy_ops.n_segments)
