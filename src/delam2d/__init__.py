@@ -45,7 +45,6 @@ from .energetics import (
     trajectory_norms,
 )
 from .harness import (
-    ConvergenceReport,
     HarnessError,
     RunResult,
     build_simulation,
@@ -79,7 +78,6 @@ __all__ = [
     "AdhesiveConfig",
     "AdhesiveLaw",
     "ConfigError",
-    "ConvergenceReport",
     "EnergyLedger",
     "GeometryConfig",
     "HarnessError",

@@ -95,12 +95,11 @@ def cmd_converge(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else Path(config.outputs.directory) / "convergence"
     levels = args.levels
     report = run_convergence(config, out, levels=levels, threads=args.threads)
-    for pair, d in zip(zip(levels[:-1], levels[1:]), report.aggregate):
-        print(f"levels {pair[0]}->{pair[1]}: aggregate energy-curve distance {d:.6e}")
-    decreasing = all(x > y for x, y in zip(report.aggregate[:-1], report.aggregate[1:]))
-    print(f"distances decrease: {decreasing}")
-    print(f"norm ratio max/min: {max(report.norm_ratios.values()):.4f}")
-    print(f"report: {report.out_dir / 'report.json'}")
+    for a, b, d in zip(levels[:-1], levels[1:], report["aggregate"]):
+        print(f"levels {a}->{b}: aggregate energy-curve distance {d:.6e}")
+    print(f"distances decrease: {report['distances_decrease']}")
+    print(f"norm ratio max/min: {report['norm_ratio_max']:.4f}")
+    print(f"report: {out / 'report.json'}")
     return 0
 
 
@@ -125,7 +124,11 @@ def cmd_mesh_dump(args: argparse.Namespace) -> int:
         for p in problems:
             _fail(f"mesh invariant violated: {p}")
         raise InvariantViolation(f"{len(problems)} mesh invariant(s) violated")
-    export_csv(mesh, args.out)
+    try:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        export_csv(mesh, args.out)
+    except OSError as err:
+        raise HarnessError(f"{args.out}: cannot write the mesh CSV ({err.strerror})") from err
     print(
         f"mesh: {mesh.n_nodes} nodes, {len(mesh.triangles)} triangles, "
         f"{len(mesh.seg_length)} interface segments, h={mesh.h!r} -> {args.out}"

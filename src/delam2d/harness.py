@@ -8,8 +8,9 @@ meta.json echoing the canonical configuration.  Every CSV carries a
 different configuration is refused rather than silently mixed.
 
 run_convergence repeats the run over a ladder of interface resolutions
-at fixed time-step-to-cell-size ratio and reports pairwise distances
-between the energy curves plus a table of trajectory norms.
+at fixed time-step-to-cell-size ratio and returns the report it writes:
+pairwise distances between the energy curves plus a table of trajectory
+norms.
 run_chi_sweep repeats the run over a list of viscosity scales; each
 member is the configuration with that scale as its material chi, so it
 keeps the sweep's canonical form and hash.
@@ -41,7 +42,6 @@ from .stepper import InvariantViolation, Operators, Trajectory, build_operators,
 __all__ = [
     "HarnessError",
     "RunResult",
-    "ConvergenceReport",
     "build_mesh",
     "build_simulation",
     "run_single",
@@ -79,16 +79,6 @@ class RunResult:
     out_dir: Path
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    levels: tuple[int, ...]
-    distances: dict[str, list[float]]  # curve -> consecutive-pair distances
-    aggregate: list[float]
-    norms: dict[int, dict[str, float]]
-    norm_ratios: dict[str, float]
-    out_dir: Path
-
-
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -116,6 +106,16 @@ def build_simulation(config: SimulationConfig) -> tuple[Mesh2D, Operators]:
         config.loading.speed * np.array(config.loading.unit_direction()),
     )
     return mesh, ops
+
+
+def _output_dir(path) -> Path:
+    """path as a Path, made with its parents; HarnessError when it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise HarnessError(f"{out}: cannot make the output directory ({err.strerror})") from err
+    return out
 
 
 def _check_provenance(out: Path, digest: str) -> None:
@@ -212,11 +212,9 @@ def run_single(config: SimulationConfig, out_dir) -> RunResult:
     tau = config.time.tau
     started = time.perf_counter()
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     _check_provenance(out, digest)
-    snap_dir = out / "snapshots"
-    snap_dir.mkdir(exist_ok=True)
+    snap_dir = _output_dir(out / "snapshots")
     planned = _snapshot_steps(config)
     written: set[int] = set()
     write_snapshot = _snapshot_writer(digest, ops)
@@ -251,12 +249,10 @@ def run_single(config: SimulationConfig, out_dir) -> RunResult:
             on_step=on_step,
         )
     except (QpNonconvergenceError, InvariantViolation) as err:
-        partial = getattr(err, "trajectory", None)
-        if partial is not None and partial.states:
-            try:
-                emit(partial)
-            except Exception:
-                pass  # partial outputs are best-effort; the solver error wins
+        try:
+            emit(err.trajectory)
+        except Exception:
+            pass  # partial outputs are best-effort; the solver error wins
         raise
     return emit(traj)
 
@@ -389,21 +385,20 @@ def run_convergence(
     out_dir,
     levels: tuple[int, ...] = (27, 54, 81),
     threads: int = 1,
-) -> ConvergenceReport:
+) -> dict:
     """Refinement study over interface resolutions at fixed tau/h.
 
     Each level runs in its own subdirectory level_NNN.  Consecutive
     levels are compared by the discrete L2 distance of each energy
     curve evaluated on the coarsest level's time grid, and the
     trajectory norms are tabulated so boundedness under refinement can
-    be checked.
+    be checked.  Returns the report written as report.json.
     """
     if len(levels) < 2:
         raise HarnessError("a convergence study needs at least two levels")
     if any(a >= b for a, b in zip(levels[:-1], levels[1:])):
         raise HarnessError(f"levels must increase strictly, got {levels}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
 
     configs = [_level_config(config, n) for n in levels]
     jobs = [
@@ -429,10 +424,9 @@ def run_convergence(
             total += d * d
         aggregate.append(float(np.sqrt(total)))
 
-    norms = {p["n_interface"]: p["norms"] for p in payloads}
     norm_ratios = {}
-    for key in next(iter(norms.values())):
-        vals = np.array([norms[n][key] for n in levels])
+    for key in coarse["norms"]:
+        vals = np.array([p["norms"][key] for p in payloads])
         lo = float(vals.min())
         norm_ratios[key] = float(vals.max() / lo) if lo > 0 else float("inf")
 
@@ -458,20 +452,12 @@ def run_convergence(
         "distances": distances,
         "aggregate": aggregate,
         "distances_decrease": all(x > y for x, y in zip(aggregate[:-1], aggregate[1:])),
-        "norms": {str(k): v for k, v in norms.items()},
+        "norms": {str(p["n_interface"]): p["norms"] for p in payloads},
         "norm_ratios": norm_ratios,
         "norm_ratio_max": max(norm_ratios.values()),
     }
     _write_json(out / "report.json", report)
-
-    return ConvergenceReport(
-        levels=tuple(levels),
-        distances=distances,
-        aggregate=aggregate,
-        norms=norms,
-        norm_ratios=norm_ratios,
-        out_dir=out,
-    )
+    return report
 
 
 def run_chi_sweep(config: SimulationConfig, out_dir) -> list[RunResult]:
@@ -501,6 +487,5 @@ def run_chi_sweep(config: SimulationConfig, out_dir) -> list[RunResult]:
             }
         )
     if len(chis) > 1:
-        out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "sweep.json", {"config_hash": config_hash(config), "runs": summary})
     return results

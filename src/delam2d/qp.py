@@ -21,12 +21,11 @@ iteration visits is solved once: after an accepted warm start, or after a
 step that no row blocks, the iterate sits at the EQP minimizer and the
 next iteration tests that solve's multipliers.
 
-The factor caches, for its life, the columns H^{-1} B_i^T, their max
-norms and their constraint images B H^{-1} B_i^T (row i of an m x m
-array), and a Schur matrix is a slice of cached images.  Calls that pass
-the factor again with the same B object (the time steps of one bond
-field) solve only for rows not seen yet; one B per cache, and a call with
-a different B object clears it.
+A factor is built for one H and one B, and caches, for its life, the
+columns H^{-1} B_i^T, their max norms and their constraint images
+B H^{-1} B_i^T (row i of an m x m array); a Schur matrix is a slice of
+cached images.  Calls that pass the factor again (the time steps of one
+bond field) solve only for rows not seen yet.
 
 One sparse code path: H is used as float CSC and B as canonical float
 CSR of shape (m, n) without stored zeros, converted only when not
@@ -141,26 +140,26 @@ class QpSolution:
 class _Factor:
     """SuperLU factor of H, converted to CSC on entry; each solve refines once.
 
-    B is the checked canonical CSR copy of the B object cols_of.  For the
-    rows i that solve_qp has met, cols[i] is H^{-1} B_i^T, col_max[i] its
-    max norm and img[i] its constraint image B H^{-1} B_i^T; rows not met
-    yet hold zeros.  B_norm, the largest absolute row sum of B, bounds
-    |B v|_inf by B_norm |v|_inf.
+    built_for is the caller's B object and B its checked canonical CSR copy.
+    For the rows i that solve_qp has met, cols[i] is H^{-1} B_i^T,
+    col_max[i] its max norm and img[i] its constraint image B H^{-1} B_i^T;
+    rows not met yet hold zeros.  B_norm, the largest absolute row sum of
+    B, bounds |B v|_inf by B_norm |v|_inf.
     block is the last (rows, column_stack of their columns) that solve_qp
     stacked, or None: consecutive steps often end on one working set.
     """
 
-    def __init__(self, H):
+    def __init__(self, H, B):
         if not (sp.issparse(H) and H.format == "csc" and H.dtype == np.float64):
             H = sp.csc_matrix(H, dtype=float)
         self.H = H
         self._lu = spla.splu(self.H)
-        self.cols_of = self.B = None
+        self.built_for, self.B = B, _nodal_rows(B)
         self.cols: dict[int, np.ndarray] = {}
         self.block: tuple[tuple[int, ...], np.ndarray] | None = None
-        self.col_max = np.zeros(0)
-        self.img = np.zeros((0, 0))
-        self.B_norm = 0.0
+        m = self.B.shape[0]
+        self.col_max, self.img = np.zeros(m), np.zeros((m, m))
+        self.B_norm = float(np.asarray(abs(self.B).sum(axis=1)).max(initial=0.0))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._lu.solve(rhs)
@@ -169,9 +168,9 @@ class _Factor:
         return y
 
 
-def factorize(H) -> _Factor:
-    """Factor a symmetric positive definite matrix for repeated solves."""
-    return _Factor(H)
+def factorize(H, B) -> _Factor:
+    """Factor a symmetric positive definite H for repeated solve_qp calls with the rows B."""
+    return _Factor(H, B)
 
 
 def _scale(v: np.ndarray, w: np.ndarray) -> float:
@@ -290,23 +289,16 @@ def solve_qp(
     they never entered the working set.
 
     max_iter caps the active-set iterations (default 3(m + 1) + 30).
-    factor, when given, must be a factorization of problem.H, whose CSC
-    copy factor.H the solve uses.  The rows of B must be nonzero with
-    disjoint supports (ValueError otherwise), which makes every Schur
-    matrix positive definite.  B is checked and converted to canonical
-    CSR once per B object: the factor keeps that copy and the cached
-    columns while problem.B is the same object, which must not change in
-    place.
+    The rows of B must be nonzero with disjoint supports (ValueError
+    otherwise), which makes every Schur matrix positive definite.
+    factor, when given, must be factorize(problem.H, problem.B) of this
+    very B object, unchanged in place (ValueError for another object).
     """
-    caller_B = problem.B  # the caller's object tags the cached columns
     if factor is None:
-        factor = factorize(problem.H)
+        factor = factorize(problem.H, problem.B)
+    elif factor.built_for is not problem.B:
+        raise ValueError("the factor was built for other constraint rows")
     m = len(problem.c)
-    if factor.cols_of is not caller_B:
-        B = _nodal_rows(caller_B)
-        factor.cols_of, factor.B, factor.cols, factor.block = caller_B, B, {}, None
-        factor.col_max, factor.img = np.zeros(m), np.zeros((m, m))
-        factor.B_norm = float(np.asarray(abs(B).sum(axis=1)).max(initial=0.0))
     H, B = factor.H, factor.B
     problem = QpProblem(H=H, g=problem.g, B=B, c=problem.c)
     g, c = problem.g, problem.c

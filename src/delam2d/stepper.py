@@ -53,12 +53,10 @@ ENERGY_TOL_FACTOR = 1e-8  # of the running energy scale, per step
 class InvariantViolation(RuntimeError):
     """A structural inequality of the scheme failed beyond tolerance.
 
-    Carries the partial trajectory computed so far for post-mortem work.
+    run prefixes "step k (t=...)" to every InvariantViolation and
+    QpNonconvergenceError that escapes it and sets its .trajectory, the
+    partial trajectory for post-mortem work.
     """
-
-    def __init__(self, message: str, trajectory: "Trajectory | None" = None):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,7 @@ class _StepOperator:
         free = ops.dofmap.free
         H_full = (self.C_hat + ops.V / tau).tocsr()
         self.H = H_full[free][:, free].tocsc()
-        self.factor = qp.factorize(self.H)
+        self.factor = qp.factorize(self.H, ops.constraint.rows)
         # the prescribed rows, the only ones the reaction reads
         presc = ops.dofmap.prescribed
         self.C_presc, self.V_presc = self.C_hat[presc], ops.V[presc]
@@ -302,10 +300,8 @@ def delamination_step(
     return z_next, drive, threshold, psi
 
 
-def _stored_split(ops: Operators, u: np.ndarray, z: np.ndarray, drive: np.ndarray | None = None) -> tuple[float, float]:
+def _stored_split(ops: Operators, u: np.ndarray, z: np.ndarray, drive: np.ndarray) -> tuple[float, float]:
     bulk = 0.5 * float(u @ (ops.K @ u))
-    if drive is None:
-        drive, _ = segment_energies(ops, u)
     interface = float(z @ drive) if len(drive) else 0.0
     return bulk, interface
 
@@ -324,10 +320,10 @@ def run(
     """March the coupled evolution from 0 to t_end in steps of tau.
 
     Runtime invariants (feasibility, bond monotonicity, the per-step
-    energy inequality, semistability) are asserted each step; a
-    violation aborts with the partial trajectory attached to the raised
-    error.  stop_after_full_debond, when set, ends the run that many
-    seconds after the bond field hits zero everywhere.
+    energy inequality, semistability) are asserted each step; a failed
+    solve or check aborts as InvariantViolation describes, the failing
+    step kept when its check failed.  stop_after_full_debond, when set,
+    ends the run that many seconds after the bond field hits zero everywhere.
     """
     if t_end < 0:
         raise ValueError(f"final time must be nonnegative, got {t_end}")
@@ -355,54 +351,54 @@ def run(
             u_next, sol = displacement_step(
                 ops, state, tau, t_k, qp_tol, qp_max_iter, warm, step_op
             )
+            z_next, drive, threshold, psi = delamination_step(ops, u_next, state.z)
+            debonded = tuple(int(e) for e in np.nonzero(z_next < state.z)[0])
+
+            du = u_next - state.u
+            viscous_inc = float(du @ (ops.V @ du)) / tau
+            debond_inc = float(
+                ((state.z - z_next) * threshold)[list(debonded)].sum()
+            ) if debonded else 0.0
+            reaction, device_inc = step_op.boundary_work(state.u, u_next)
+
+            bulk, interface = _stored_split(ops, u_next, z_next, drive)
+            stored_inc = (bulk + interface) - (bulk_prev + interface_prev)
+            residual = device_inc - stored_inc - debond_inc - viscous_inc
+
+            # sol.slacks are constraint.gaps(u_next): rows @ x + prescribed_part @ values
+            min_gap = float(sol.slacks.min()) if sol.slacks.size else 0.0
+
+            energy = StepEnergy(
+                debond_increment=debond_inc,
+                device_work_increment=device_inc,
+                inequality_residual=residual,
+            )
+            report = StepReport(
+                t=t_k,
+                debonded=debonded,
+                drive=drive,
+                threshold=threshold,
+                mixity=psi,
+                reaction=reaction,
+                min_gap=min_gap,
+                energy=energy,
+            )
+            new_state = State(t=t_k, u=u_next, z=z_next)
+            traj.times.append(t_k)
+            traj.states.append(new_state)
+            traj.reports.append(report)
+
+            dissipated_total += viscous_inc + debond_inc
+            work_total += device_inc
+            # Tolerance is relative to the energies the run has moved so far,
+            # not to the current increments, which vanish once the evolution
+            # settles while roundoff in the residual does not.
+            energy_scale = max(bulk + interface, dissipated_total, abs(work_total), 1e-30)
+            _check_step(state, new_state, report, energy_tol_factor * energy_scale)
         except (qp.QpNonconvergenceError, InvariantViolation) as err:
             err.args = (f"step {k} (t={t_k:.6g}): {err.args[0]}",)
-            err.trajectory = traj  # completed steps, for post-mortem output
+            err.trajectory = traj  # for post-mortem output
             raise
-        z_next, drive, threshold, psi = delamination_step(ops, u_next, state.z)
-        debonded = tuple(int(e) for e in np.nonzero(z_next < state.z)[0])
-
-        du = u_next - state.u
-        viscous_inc = float(du @ (ops.V @ du)) / tau
-        debond_inc = float(
-            ((state.z - z_next) * threshold)[list(debonded)].sum()
-        ) if debonded else 0.0
-        reaction, device_inc = step_op.boundary_work(state.u, u_next)
-
-        bulk, interface = _stored_split(ops, u_next, z_next, drive)
-        stored_inc = (bulk + interface) - (bulk_prev + interface_prev)
-        residual = device_inc - stored_inc - debond_inc - viscous_inc
-
-        # sol.slacks are constraint.gaps(u_next): rows @ x + prescribed_part @ values
-        min_gap = float(sol.slacks.min()) if sol.slacks.size else 0.0
-
-        energy = StepEnergy(
-            debond_increment=debond_inc,
-            device_work_increment=device_inc,
-            inequality_residual=residual,
-        )
-        report = StepReport(
-            t=t_k,
-            debonded=debonded,
-            drive=drive,
-            threshold=threshold,
-            mixity=psi,
-            reaction=reaction,
-            min_gap=min_gap,
-            energy=energy,
-        )
-        new_state = State(t=t_k, u=u_next, z=z_next)
-        traj.times.append(t_k)
-        traj.states.append(new_state)
-        traj.reports.append(report)
-
-        dissipated_total += viscous_inc + debond_inc
-        work_total += device_inc
-        # Tolerance is relative to the energies the run has moved so far,
-        # not to the current increments, which vanish once the evolution
-        # settles while roundoff in the residual does not.
-        energy_scale = max(bulk + interface, dissipated_total, abs(work_total), 1e-30)
-        _check_step(ops, traj, state, new_state, report, energy_tol_factor, energy_scale)
 
         if on_step is not None:
             on_step(new_state, report)
@@ -426,40 +422,24 @@ def run(
     return traj
 
 
-def _check_step(
-    ops: Operators,
-    traj: Trajectory,
-    old: State,
-    new: State,
-    report: StepReport,
-    energy_tol_factor: float,
-    energy_scale: float,
-) -> None:
-    t = report.t
+def _check_step(old: State, new: State, report: StepReport, energy_tol: float) -> None:
     if report.min_gap < -FEASIBILITY_TOL:
-        raise InvariantViolation(
-            f"t={t:.6g}: interface penetration {-report.min_gap:.3e} m", traj
-        )
+        raise InvariantViolation(f"interface penetration {-report.min_gap:.3e} m")
     if len(new.z) and float((new.z - old.z).max(initial=0.0)) > 0.0:
-        raise InvariantViolation(f"t={t:.6g}: bond fraction increased somewhere", traj)
+        raise InvariantViolation("bond fraction increased somewhere")
     if len(new.z) and (new.z.min() < 0.0 or new.z.max() > 1.0):
-        raise InvariantViolation(f"t={t:.6g}: bond fraction left [0, 1]", traj)
+        raise InvariantViolation("bond fraction left [0, 1]")
 
-    e = report.energy
-    if e.inequality_residual < -energy_tol_factor * energy_scale:
+    residual = report.energy.inequality_residual
+    if residual < -energy_tol:
         raise InvariantViolation(
-            f"t={t:.6g}: per-step energy inequality violated by "
-            f"{-e.inequality_residual:.3e} (scale {energy_scale:.3e})",
-            traj,
+            f"per-step energy inequality violated by {-residual:.3e} "
+            f"(tolerance {energy_tol:.3e})"
         )
 
     # semistability, disintegrated per segment: z * (2 * drive) <= 2 * threshold
-    if len(new.z):
-        lhs = new.z * 2.0 * report.drive
-        rhs = 2.0 * report.threshold
-        bad = (new.z > 0.0) & (lhs > rhs + 1e-9 * np.maximum(rhs, 1e-30))
-        if bad.any():
-            raise InvariantViolation(
-                f"t={t:.6g}: semistability violated on segments {np.nonzero(bad)[0].tolist()}",
-                traj,
-            )
+    lhs = new.z * 2.0 * report.drive
+    rhs = 2.0 * report.threshold
+    bad = (new.z > 0.0) & (lhs > rhs + 1e-9 * np.maximum(rhs, 1e-30))
+    if bad.any():
+        raise InvariantViolation(f"semistability violated on segments {np.nonzero(bad)[0].tolist()}")

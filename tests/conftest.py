@@ -2,9 +2,10 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from delam2d import load_config, parse_config, run_single
+from delam2d import load_config, parse_config, run_single, stepper
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,6 +26,23 @@ def make_doc(**section_overrides) -> dict:
     for section, fields in section_overrides.items():
         doc.setdefault(section, {}).update(fields)
     return doc
+
+
+def force_bond_increase(monkeypatch, step: int) -> None:
+    """Make the bond update of the given step raise segment 0's bond by one
+    ulp, so that step's check fails: "bond fraction increased somewhere"."""
+    release = stepper.delamination_step
+    calls = []
+
+    def raised(ops, u_next, z_prev):
+        z_next, *rest = release(ops, u_next, z_prev)
+        calls.append(None)
+        if len(calls) == step:
+            z_next = z_next.copy()
+            z_next[0] = np.nextafter(z_prev[0], np.inf)
+        return (z_next, *rest)
+
+    monkeypatch.setattr(stepper, "delamination_step", raised)
 
 
 @pytest.fixture(scope="session")

@@ -240,12 +240,11 @@ def test_08c_mode_mix_shifts_from_opening_to_shear(benchmark_result):
 
 def test_09_energy_curves_cauchy_and_norms_bounded(ladder):
     _, report = ladder
-    decreasing = all(a > b for a, b in zip(report.aggregate[:-1], report.aggregate[1:]))
-    ratio_max = max(report.norm_ratios.values())
+    decreasing, ratio_max = report["distances_decrease"], report["norm_ratio_max"]
     verdict(
         "refinement ladder 27/54/81",
         decreasing and ratio_max < 2.0,
-        f"aggregate energy-curve distances {[f'{d:.4f}' for d in report.aggregate]} "
+        f"aggregate energy-curve distances {[f'{d:.4f}' for d in report['aggregate']]} "
         f"decreasing: {decreasing}; trajectory-norm max/min ratio {ratio_max:.4f} (< 2)",
     )
 

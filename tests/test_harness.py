@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT, make_doc
+from conftest import REPO_ROOT, force_bond_increase, make_doc
 
 import delam2d
 from delam2d import (
@@ -694,7 +694,7 @@ class TestRunConvergence:
         assert {row[1] for row in rows} == {"009_018"}
         by_curve = {row[0]: float(row[2]) for row in rows}
         assert set(by_curve) == set(CURVE_SET) | {"aggregate"}
-        assert by_curve["aggregate"] == report.aggregate[0]
+        assert by_curve["aggregate"] == report["aggregate"][0]
 
     def test_report_json(self, ladder, small_config):
         out, report = ladder
@@ -719,20 +719,20 @@ class TestRunConvergence:
             "n_steps",
             "t_full_debond",
         }
-        assert doc["aggregate"] == report.aggregate
+        assert doc == json.loads(json.dumps(report))  # the returned report is the file
         assert set(doc["norms"]) == {"9", "18"}
         assert doc["norm_ratio_max"] == max(doc["norm_ratios"].values())
 
     def test_aggregate_combines_per_curve_distances(self, ladder):
         _, report = ladder
-        total = sum(report.distances[name][0] ** 2 for name in CURVE_SET)
-        assert report.aggregate[0] == pytest.approx(math.sqrt(total), rel=1e-15)
-        assert report.aggregate[0] > 0.0
+        total = sum(report["distances"][name][0] ** 2 for name in CURVE_SET)
+        assert report["aggregate"][0] == pytest.approx(math.sqrt(total), rel=1e-15)
+        assert report["aggregate"][0] > 0.0
 
     def test_norm_ratios_are_bounded(self, ladder):
         _, report = ladder
         # refinement must not blow the trajectory norms up
-        for key, ratio in report.norm_ratios.items():
+        for key, ratio in report["norm_ratios"].items():
             assert 1.0 <= ratio < 2.0, key
 
     def test_parallel_levels_match_serial(self, ladder, small_config, tmp_path):
@@ -817,12 +817,15 @@ class TestCli:
         out = tmp_path / "conv"
         rc = main(["converge", "--config", path, "--out", str(out), "--levels", "9,18"])
         assert rc == 0
-        stdout = capsys.readouterr().out
-        assert re.search(r"levels 9->18: aggregate energy-curve distance \d\.\d{6}e[+-]\d+", stdout)
-        assert "distances decrease: True" in stdout
-        assert "norm ratio max/min: " in stdout
-        assert f"report: {out / 'report.json'}" in stdout
-        assert (out / "report.json").exists()
+        # every printed value is the report's, formatted
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert capsys.readouterr().out.splitlines() == [
+            f"levels 9->18: aggregate energy-curve distance {report['aggregate'][0]:.6e}",
+            f"distances decrease: {report['distances_decrease']}",
+            f"norm ratio max/min: {report['norm_ratio_max']:.4f}",
+            f"report: {out / 'report.json'}",
+        ]
+        assert report["distances_decrease"] is True
 
     def test_converge_rejects_single_level(self, tmp_path, capsys):
         path = write_doc(tmp_path, tiny_doc())
@@ -855,6 +858,24 @@ class TestCli:
         text = out.read_text(encoding="utf-8")
         assert text.startswith("nodes\nid,x,y\n")
         assert "\ntriangles\n" in text and "\ninterface\n" in text
+
+    def test_mesh_dump_makes_missing_directories(self, tmp_path, capsys):
+        path = write_doc(tmp_path, tiny_doc())
+        out = tmp_path / "missing" / "x" / "mesh.csv"
+        assert main(["mesh-dump", "--config", path, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").startswith("nodes\nid,x,y\n")
+
+    @pytest.mark.parametrize("command", ["run", "converge", "mesh-dump"])
+    def test_unusable_output_path_exits_1_with_one_line(self, command, tmp_path, capsys):
+        # an existing file where the output directory should go
+        path = write_doc(tmp_path, tiny_doc())
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "mesh.csv" if command == "mesh-dump" else blocker
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"delam2d: {out}: cannot ") and err.count("\n") == 1
+        assert blocker.read_text(encoding="utf-8") == ""
 
     def test_negative_seed_flag_exits_1_before_the_run(self, tmp_path, capsys):
         path = write_doc(tmp_path, tiny_doc())
@@ -945,3 +966,24 @@ class TestCli:
         meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
         assert meta["config_hash"] == digest
         assert meta["n_steps"] == 0
+
+    def test_step_check_failure_leaves_outputs(self, tmp_path, capsys, monkeypatch):
+        # the bond update of step 3 raises a bond: the step's check fails
+        # after the step is recorded, and its outputs land with the others
+        force_bond_increase(monkeypatch, 3)
+        path = write_doc(tmp_path, tiny_doc())
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "delam2d: invariant violation: step 3 (t=0.15): bond fraction increased somewhere\n"
+        )
+        digest = config_hash(parse_config(tiny_doc()))
+        energies = read_csv(out / "energies.csv")
+        assert energies[0] == digest
+        assert [float(row[0]) for row in energies[2]] == [k * 0.05 for k in range(4)]
+        forces = read_csv(out / "forces.csv")
+        assert [float(row[0]) for row in forces[2]] == [k * 0.05 for k in range(1, 4)]
+        _, cols, rows = read_csv(out / "mixity.csv")
+        assert rows and all(len(row) == len(cols) for row in rows)
+        meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+        assert meta["config_hash"] == digest and meta["n_steps"] == 3

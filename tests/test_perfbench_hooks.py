@@ -34,7 +34,7 @@ def test_every_patch_point_resolves():
 
 
 def test_factorize_returns_an_object_with_solve():
-    factor = qp.factorize(sp.csc_matrix(2.0 * np.eye(3)))
+    factor = qp.factorize(sp.csc_matrix(2.0 * np.eye(3)), np.zeros((0, 3)))
     assert callable(factor.solve)
     assert np.allclose(factor.solve(np.ones(3)), 0.5)
 
@@ -48,7 +48,7 @@ def test_cached_columns_leave_one_wrapped_solve_per_repeat():
     problem = qp.QpProblem(
         H=sp.csc_matrix(2.0 * np.eye(3)), g=-np.ones(3), B=-np.eye(3), c=np.full(3, 0.25)
     )
-    factor = qp.factorize(problem.H)
+    factor = qp.factorize(problem.H, problem.B)
     factor.solve = probe.span("qp.linear_solve", factor.solve)
     first = qp.solve_qp(problem, factor=factor)
     assert len(first.active_set) == 3 and len(probe.spans) == 4

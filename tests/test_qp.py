@@ -214,7 +214,7 @@ class TestFactorColumnCache:
         rng = np.random.default_rng(13)
         for k in range(40):
             base = random_instance(rng, max_dofs=10, max_cons=6)
-            factor = factorize(base.H)
+            factor = factorize(base.H, base.B)
             warm_reused = warm_fresh = None
             for step in range(4):
                 x0 = rng.normal(size=base.n)
@@ -227,26 +227,26 @@ class TestFactorColumnCache:
                 assert_same_solution(reused, fresh, f"instance {k}, step {step}")
                 warm_reused, warm_fresh = reused.active_set, fresh.active_set
 
-    def test_another_B_object_clears_the_cache(self):
-        # Same shape, other rows: columns cached by row index alone would
-        # belong to the first B and give a wrong minimizer.
+    def test_a_factor_refuses_other_rows(self):
+        # Same shape, other rows (even equal ones in a new object): columns
+        # cached by row index belong to the factor's own B, so the solve
+        # refuses before making any linear solve.
         rng = np.random.default_rng(14)
-        cached = 0
-        for k in range(40):
+        for k in range(20):
             first = random_instance(rng, max_dofs=6, max_cons=4)
-            x0 = rng.normal(size=first.n)
-            B = nodal_rows(rng, first.m, first.n)
-            second = QpProblem(H=first.H, g=first.g, B=B, c=-B @ x0)
-            factor = factorize(first.H)
+            factor = factorize(first.H, first.B)
             solve_qp(first, factor=factor)
-            cached += bool(factor.cols)
-            assert_same_solution(
-                solve_qp(second, factor=factor), solve_qp(second), f"instance {k}"
-            )
-        assert cached >= 10  # enough first solves left columns to go stale
+            solves = []
+            factor.solve = lambda rhs: solves.append(rhs)
+            for B in (nodal_rows(rng, first.m, first.n), first.B.copy()):
+                other = dataclasses.replace(first, B=B)
+                with pytest.raises(ValueError, match="other constraint rows"):
+                    solve_qp(other, factor=factor)
+            assert solves == [], f"instance {k}"
 
-    def test_rows_checked_once_per_B_object(self, monkeypatch):
-        # Steady solves with one factor and one B object check B once
+    def test_rows_checked_once_per_factor(self, monkeypatch):
+        # factorize checks and converts B; steady solves with the factor
+        # check nothing more
         checks = []
         nodal_rows = qp._nodal_rows
 
@@ -256,11 +256,11 @@ class TestFactorColumnCache:
 
         monkeypatch.setattr(qp, "_nodal_rows", spy)
         problem = QpProblem(H=np.eye(2), g=-np.ones(2), B=np.eye(2), c=np.zeros(2))
-        factor = factorize(problem.H)
+        factor = factorize(problem.H, problem.B)
+        assert len(checks) == 1
         for _ in range(3):
             solve_qp(problem, factor=factor)
-        solve_qp(dataclasses.replace(problem, B=np.eye(2)), factor=factor)
-        assert len(checks) == 2
+        assert len(checks) == 1
 
 
 def perturbed(problem, rng, size=1e-3):
@@ -285,7 +285,7 @@ class TestConvertedOperands:
         while base.m < 3:
             base = converted(random_instance(rng, max_dofs=12, max_cons=6))
         problems = [base, perturbed(base, rng)]
-        factor = factorize(base.H)
+        factor = factorize(base.H, base.B)
 
         def refuse(*args, **kwargs):
             raise AssertionError("solve_qp built a sparse matrix")
@@ -357,7 +357,7 @@ class TestConvertedOperands:
         reused = 0
         for k in range(40):
             first = converted(random_instance(rng, max_dofs=10, max_cons=6))
-            factor = factorize(first.H)
+            factor = factorize(first.H, first.B)
             sol = solve_qp(first, factor=factor)
             if factor.block is None:
                 continue

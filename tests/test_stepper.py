@@ -20,7 +20,7 @@ from delam2d.stepper import (
     segment_energies,
 )
 
-from conftest import make_doc
+from conftest import force_bond_increase, make_doc
 
 from delam2d import parse_config
 
@@ -300,6 +300,31 @@ class TestRun:
         ops = build_simulation(config)[1]
         with pytest.raises(QpNonconvergenceError, match=r"step 1 \(t="):
             run(ops, tau=0.02, t_end=0.2, qp_max_iter=0)
+
+    @pytest.mark.parametrize("source", ["qp_budget", "prescribed_penetration", "step_check"])
+    def test_escaping_errors_carry_the_trajectory(self, source, monkeypatch):
+        # Every error that escapes run names its step and carries the states
+        # so far: the completed steps, plus the failing one when its check failed.
+        error, doc, qp_max_iter, step, n_states = {
+            "qp_budget": (
+                QpNonconvergenceError, make_doc(loading={"direction": [-1.0, -0.6]}), 0, 1, 1
+            ),
+            "prescribed_penetration": (
+                InvariantViolation,
+                make_doc(geometry={"glued_fraction": 1.0}, loading={"direction": [1.0, -0.6]}),
+                None, 1, 1,
+            ),
+            "step_check": (InvariantViolation, make_doc(), None, 3, 4),
+        }[source]
+        if source == "step_check":
+            force_bond_increase(monkeypatch, step)
+        ops = build_simulation(parse_config(doc))[1]
+        with pytest.raises(error) as info:
+            run(ops, tau=0.02, t_end=0.2, qp_max_iter=qp_max_iter)
+        assert str(info.value).startswith(f"step {step} (t={step * 0.02:.6g}): ")
+        traj = info.value.trajectory
+        assert len(traj.states) == len(traj.times) == len(traj.reports) == n_states
+        assert traj.times == [k * 0.02 for k in range(n_states)]
 
     @pytest.mark.parametrize("foundation", ["rigid", "two_body"])
     def test_reaction_is_the_driven_edge_force(self, foundation):
