@@ -21,11 +21,18 @@ iteration visits is solved once: after an accepted warm start, or after a
 step that no row blocks, the iterate sits at the EQP minimizer and the
 next iteration tests that solve's multipliers.
 
-A factor is built for one H and one B, and caches, for its life, the
-columns H^{-1} B_i^T, their max norms and their constraint images
-B H^{-1} B_i^T (row i of an m x m array); a Schur matrix is a slice of
-cached images.  Calls that pass the factor again (the time steps of one
-bond field) solve only for rows not seen yet.
+A factor is built for one H_b and one B, and caches, for its life, the
+columns H_b^{-1} B_i^T; a Schur matrix is a slice of the cached
+constraint images B H^{-1} B_i^T (row i of an m x m array).  Calls that
+pass the factor again solve only for rows not seen yet.  A factor can be
+lowered to H = H_b - E_D^T Delta E_D, a dense symmetric Delta on a few
+dofs D (Hager, SIAM Review 31, 1989): with Z = H_b^{-1} E_D^T and
+R = Z[D], a solve is y + Z M y[D] for y = H_b^{-1} b and
+M = Delta (I - R Delta)^{-1}.  The columns of Z are solved once per dof
+for the factor's life, so the lowered columns are never stored: they are
+corrected where they are combined, and only the images and the max-norm
+bounds are redone per Delta.  A lowering that would make Z hold more
+entries than the sparse factor itself is refused; the caller refactors.
 
 One sparse code path: H is used as float CSC and B as canonical float
 CSR of shape (m, n) without stored zeros, converted only when not
@@ -78,10 +85,10 @@ class QpNonconvergenceError(RuntimeError):
 class QpProblem:
     """min 0.5 x.Hx + g.x  s.t.  B x + c >= 0.
 
-    H must be symmetric positive definite (sparse or dense).  B, sparse
-    or dense, has one row per constraint and may have none
-    (unconstrained); each row must be nonzero and no two rows may share a
-    column, as for nodal non-penetration rows.
+    H must be symmetric positive definite (sparse, dense, or the H of a
+    lowered factor).  B, sparse or dense, has one row per constraint and
+    may have none (unconstrained); each row must be nonzero and no two
+    rows may share a column, as for nodal non-penetration rows.
     """
 
     H: object
@@ -137,35 +144,128 @@ class QpSolution:
         return self.problem.objective(self.x)
 
 
-class _Factor:
-    """SuperLU factor of H, converted to CSC on entry; each solve refines once.
+@dataclass(frozen=True)
+class _Lowered:
+    """base - E_D^T delta E_D as an operator: the H of a lowered factor."""
 
+    base: sp.csc_matrix
+    dofs: np.ndarray
+    delta: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.base.shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.base @ x
+        y[self.dofs] -= self.delta @ x[self.dofs]
+        return y
+
+
+class _Factor:
+    """SuperLU factor of H_b, converted to CSC on entry; each solve refines once.
+
+    solve(rhs) is H_b^{-1} rhs and correct(y) turns it into H^{-1} rhs;
+    H is base (H_b) until lower() makes it a _Lowered operator.
     built_for is the caller's B object and B its checked canonical CSR copy.
-    For the rows i that solve_qp has met, cols[i] is H^{-1} B_i^T,
-    col_max[i] its max norm and img[i] its constraint image B H^{-1} B_i^T;
-    rows not met yet hold zeros.  B_norm, the largest absolute row sum of
-    B, bounds |B v|_inf by B_norm |v|_inf.
-    block is the last (rows, column_stack of their columns) that solve_qp
+    For the rows i that solve_qp has met, cols[i] is H_b^{-1} B_i^T,
+    col_max[i] bounds the max norm of H^{-1} B_i^T and img[i] is its
+    constraint image B H^{-1} B_i^T; rows not met yet hold zeros.  B_norm,
+    the largest absolute row sum of B, bounds |B v|_inf by B_norm |v|_inf.
+    block is the last (rows, column_stack of their cols) that solve_qp
     stacked, or None: consecutive steps often end on one working set.
+    dofs holds D in the order Z's columns were solved; max_rank, the
+    factor's stored entries over n, caps their number.
     """
 
     def __init__(self, H, B):
         if not (sp.issparse(H) and H.format == "csc" and H.dtype == np.float64):
             H = sp.csc_matrix(H, dtype=float)
-        self.H = H
-        self._lu = spla.splu(self.H)
+        self.H = self.base = H
+        self._lu = spla.splu(H)
         self.built_for, self.B = B, _nodal_rows(B)
         self.cols: dict[int, np.ndarray] = {}
         self.block: tuple[tuple[int, ...], np.ndarray] | None = None
-        m = self.B.shape[0]
-        self.col_max, self.img = np.zeros(m), np.zeros((m, m))
+        n, m = H.shape[0], self.B.shape[0]
+        # of H_b's columns; col_max and img are these very arrays until lowered
+        self._base_max, self._base_img = np.zeros(m), np.zeros((m, m))
+        self.col_max, self.img = self._base_max, self._base_img
         self.B_norm = float(np.asarray(abs(self.B).sum(axis=1)).max(initial=0.0))
+        self.max_rank = self._lu.nnz // max(n, 1)
+        self.dofs = np.zeros(0, dtype=np.intp)
+        self._Zt = self._BZt = None  # rows: the columns of Z and of B Z, in dofs order
+        self._z_max = 0.0  # max |Z|, so |Z v|_inf <= _z_max |v|_1
+        self._M: np.ndarray | None = None  # None until lowered
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._lu.solve(rhs)
         # one step of iterative refinement keeps residuals near machine level
-        y += self._lu.solve(rhs - self.H @ y)
+        y += self._lu.solve(rhs - self.base @ y)
         return y
+
+    def correct(self, y: np.ndarray) -> np.ndarray:
+        """H^{-1} b from y = H_b^{-1} b: y itself until lowered."""
+        if self._M is None:
+            return y
+        return y + self._Zt[: len(self.dofs)].T @ (self._M @ y[self.dofs])
+
+    def cache(self, rows) -> None:
+        """Solve for the columns of the rows not met yet."""
+        new = [i for i in rows if i not in self.cols]
+        for i in new:
+            rhs = np.zeros(self.base.shape[0])
+            lo, hi = self.B.indptr[i], self.B.indptr[i + 1]
+            rhs[self.B.indices[lo:hi]] = self.B.data[lo:hi]
+            v = self.cols[i] = self.solve(rhs)
+            self._base_max[i], self._base_img[i] = np.abs(v).max(initial=0.0), self.B @ v
+        if new and self._M is not None:
+            self._lower_rows(new)
+
+    def _lower_rows(self, rows) -> None:
+        """img and col_max of cached rows under M: only m- and d-vectors."""
+        rows = np.asarray(rows, dtype=np.intp)
+        d = len(self.dofs)
+        W = np.array([self.cols[i][self.dofs] for i in rows]) @ self._M.T
+        self.img[rows] = self._base_img[rows] + W @ self._BZt[:d]
+        self.col_max[rows] = self._base_max[rows] + self._z_max * np.abs(W).sum(axis=1)
+
+    def lower(self, dofs: np.ndarray, delta: np.ndarray) -> bool:
+        """Make this the factor of H_b - E_D^T delta E_D; False past max_rank.
+
+        dofs (D) are distinct indices and delta a dense symmetric matrix on
+        them, such that the lowered H stays positive definite.  Z's columns
+        are solved once per dof met, with one multi-column solve; a D that
+        would bring their number past max_rank leaves the factor unchanged.
+        """
+        new = np.setdiff1d(dofs, self.dofs)
+        d0, d = len(self.dofs), len(self.dofs) + len(new)
+        if d > self.max_rank:
+            return False
+        n, m = self.base.shape[0], self.B.shape[0]
+        if self._Zt is None:
+            # pages are touched only as columns arrive
+            self._Zt, self._BZt = np.empty((self.max_rank, n)), np.empty((self.max_rank, m))
+        if new.size:
+            E = np.zeros((n, new.size))
+            E[new, np.arange(new.size)] = 1.0
+            Z = self.solve(E)
+            self._Zt[d0:d], self._BZt[d0:d] = Z.T, (self.B @ Z).T
+            self._z_max = max(self._z_max, float(np.abs(Z).max()))
+            self.dofs = np.concatenate([self.dofs, new])
+        # delta in the order of dofs; dofs met before and not passed now get zeros
+        slot = np.empty(n, dtype=np.intp)
+        slot[self.dofs] = np.arange(d)
+        at = slot[np.asarray(dofs, dtype=np.intp)]
+        Delta = np.zeros((d, d))
+        Delta[np.ix_(at, at)] = delta
+        # M = Delta (I - R Delta)^{-1} = (I - Delta R)^{-1} Delta, R = Z[D]
+        R = self._Zt[:d][:, self.dofs]
+        self._M = np.linalg.solve(np.eye(d) - Delta @ R, Delta)
+        self.H = _Lowered(self.base, self.dofs, Delta)
+        self.col_max, self.img = self._base_max.copy(), self._base_img.copy()
+        if self.cols:
+            self._lower_rows(list(self.cols))
+        return True
 
 
 def factorize(H, B) -> _Factor:
@@ -292,7 +392,8 @@ def solve_qp(
     The rows of B must be nonzero with disjoint supports (ValueError
     otherwise), which makes every Schur matrix positive definite.
     factor, when given, must be factorize(problem.H, problem.B) of this
-    very B object, unchanged in place (ValueError for another object).
+    very B object, unchanged in place (ValueError for another object), or
+    that factor lowered, whose H is then the one solved for.
     """
     if factor is None:
         factor = factorize(problem.H, problem.B)
@@ -306,7 +407,7 @@ def solve_qp(
     if max_iter is None:
         max_iter = 3 * (m + 1) + 30
 
-    x_unc = factor.solve(-g)
+    x_unc = factor.correct(factor.solve(-g))
     if m == 0:
         return _build_solution(problem, x_unc, np.zeros(0), 0, tol)
 
@@ -316,15 +417,6 @@ def solve_qp(
     slacks_unc = Bx_unc + c
     unc_size = float(np.abs(x_unc).max(initial=0.0))
 
-    def cache(working: list[int]) -> None:
-        for i in working:
-            if i not in cols:
-                rhs = np.zeros(problem.n)
-                lo, hi = B.indptr[i], B.indptr[i + 1]
-                rhs[B.indices[lo:hi]] = B.data[lo:hi]
-                v = factor.solve(rhs)
-                cols[i], col_max[i], img[i] = v, np.abs(v).max(initial=0.0), B @ v
-
     def combine(base: np.ndarray, rows, weights: np.ndarray) -> np.ndarray:
         """base + sum_k weights[k] H^{-1} B_{rows[k]}^T, an n-vector."""
         if len(rows) == 0:
@@ -332,13 +424,13 @@ def solve_qp(
         key = tuple(map(int, rows))
         if factor.block is None or factor.block[0] != key:
             factor.block = key, np.column_stack([cols[i] for i in key])
-        return base + factor.block[1] @ weights
+        return base + factor.correct(factor.block[1] @ weights)
 
     def eqp(working: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Multipliers and target slacks with the working rows as equalities."""
         if not working:
             return np.zeros(0), slacks_unc
-        cache(working)
+        factor.cache(working)
         images = img[working]
         # S[a, b] = B_a H^{-1} B_b^T, entry a of working row b's image:
         # the products and summation order of B[working] @ M, so its bits;

@@ -15,6 +15,7 @@ carry enough to audit the scheme's inequalities without re-solving.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,6 +49,11 @@ __all__ = [
 
 FEASIBILITY_TOL = 1e-10  # meters of admissible interpenetration
 ENERGY_TOL_FACTOR = 1e-8  # of the running energy scale, per step
+
+try:  # glibc's malloc_trim, which returns the heap's free pages to the OS
+    _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+except (OSError, TypeError):
+    _malloc_trim = None
 
 
 class InvariantViolation(RuntimeError):
@@ -173,27 +179,55 @@ def segment_energies(ops: Operators, u: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 class _StepOperator:
-    """The one owner of the step solve, built once per bond field z and step tau.
+    """The one owner of the step solve, for step tau and the current bond field z.
 
-    It factors the free-dof Hessian of C_hat + V/tau, C_hat = K + A(z), and
-    the factor caches solve_qp's columns H^{-1} B_i^T of the run's fixed
-    constraint rows.  solve gives a step's displacement, boundary_work its
-    driven-edge reaction and device work.  Drop it when the bond field changes.
+    An era starts at a bond field z_b: it builds C_hat = K + A(z_b), factors
+    the free-dof Hessian H(z_b) of C_hat + V/tau, and the factor caches
+    solve_qp's columns of the run's fixed constraint rows.  A is linear in
+    z, so a later bond field z of the era differs by the glue decrement
+    dA = A(z_b - z): set_bonds lowers the factor by dA's free block on the
+    dofs it touches, and C_hat - dA stands in for C_hat(z).  The factor
+    refuses a lowering whose dense block would outgrow it, and a new era
+    starts at z.  solve gives a step's displacement, boundary_work its
+    driven-edge reaction and device work.
     """
 
     def __init__(self, ops: Operators, z: np.ndarray, tau: float):
         self.ops = ops
-        self.z = z.copy()
         self.tau = tau
+        self._start_era(z)
+
+    def _start_era(self, z: np.ndarray) -> None:
+        ops = self.ops
+        self.z = self.z_base = z.copy()
+        self.dA = self.dA_presc = None  # no decrement at the era's own bond field
         A = assembly.assemble_interface(ops.jump, ops.adhesive, z)
         self.C_hat = (ops.K + A).tocsr()
         free = ops.dofmap.free
-        H_full = (self.C_hat + ops.V / tau).tocsr()
-        self.H = H_full[free][:, free].tocsc()
-        self.factor = qp.factorize(self.H, ops.constraint.rows)
+        H_full = (self.C_hat + ops.V / self.tau).tocsr()
+        self.factor = qp.factorize(H_full[free][:, free].tocsc(), ops.constraint.rows)
         # the prescribed rows, the only ones the reaction reads
         presc = ops.dofmap.prescribed
         self.C_presc, self.V_presc = self.C_hat[presc], ops.V[presc]
+
+    def set_bonds(self, z: np.ndarray) -> None:
+        """Move to a bond field z <= z_base: lower the era's factor, or start a new era."""
+        ops, free = self.ops, self.ops.dofmap.free
+        dA = assembly.assemble_interface(ops.jump, ops.adhesive, self.z_base - z)
+        dA_free = dA[free][:, free]
+        dofs = np.unique(dA_free.indices)
+        if not self.factor.lower(dofs, dA_free[dofs][:, dofs].toarray()):
+            # The old era's factor, dense block and columns leave holes between
+            # allocations that live on (the trajectory); the heap keeps them
+            # resident and the new factor does not fit them, so RSS would step
+            # up at every new era.  Drop them and trim before refactoring.
+            self.factor = self.C_hat = self.C_presc = None
+            if _malloc_trim is not None:
+                _malloc_trim(0)
+            self._start_era(z)
+            return
+        self.z = z.copy()
+        self.dA, self.dA_presc = dA, dA[ops.dofmap.prescribed]
 
     def solve(
         self,
@@ -213,9 +247,12 @@ class _StepOperator:
                 f"interface node (worst gap {fixed.min():.3e})"
             )
         u_ext = dofmap.scatter(np.zeros(dofmap.n_free), values)
-        g_full = self.C_hat @ u_ext + ops.V @ ((u_ext - u_prev) / self.tau)
+        C_u = self.C_hat @ u_ext
+        if self.dA is not None:
+            C_u -= self.dA @ u_ext
+        g_full = C_u + ops.V @ ((u_ext - u_prev) / self.tau)
         problem = qp.QpProblem(
-            H=self.H, g=g_full[dofmap.free], B=constraint.rows,
+            H=self.factor.H, g=g_full[dofmap.free], B=constraint.rows,
             c=constraint.prescribed_part @ values,
         )
         sol = qp.solve_qp(
@@ -226,7 +263,10 @@ class _StepOperator:
     def boundary_work(self, u_prev: np.ndarray, u_next: np.ndarray) -> tuple[np.ndarray, float]:
         """Driven-edge reaction (N/m) at u_next and the device work of the step."""
         du = u_next - u_prev
-        r = self.C_presc @ u_next + self.V_presc @ (du / self.tau)
+        C_u = self.C_presc @ u_next
+        if self.dA is not None:
+            C_u -= self.dA_presc @ u_next
+        r = C_u + self.V_presc @ (du / self.tau)
         driven = self.ops.dofmap.driven  # a clamped lower edge carries no device force
         reaction = np.array([r[0::2][driven].sum(), r[1::2][driven].sum()])
         return reaction, float(r @ du[self.ops.dofmap.prescribed])
@@ -413,8 +453,7 @@ def run(
             break
 
         if not np.array_equal(z_next, state.z):
-            step_op = None  # drop the old operator first: one column cache at a time
-            step_op = _StepOperator(ops, z_next, tau)
+            step_op.set_bonds(z_next)
         state = new_state
         bulk_prev, interface_prev = bulk, interface
         warm = sol.active_set

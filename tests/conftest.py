@@ -45,6 +45,21 @@ def force_bond_increase(monkeypatch, step: int) -> None:
     monkeypatch.setattr(stepper, "delamination_step", raised)
 
 
+def force_qp_budget(monkeypatch, step: int) -> None:
+    """Give the QP of the given step a budget of zero iterations, so that
+    step's solve raises QpNonconvergenceError."""
+    solve = stepper.qp.solve_qp
+    calls = []
+
+    def budgeted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == step:
+            kwargs["max_iter"] = 0
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(stepper.qp, "solve_qp", budgeted)
+
+
 @pytest.fixture(scope="session")
 def small_config():
     return parse_config(make_doc())

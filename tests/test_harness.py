@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT, force_bond_increase, make_doc
+from conftest import REPO_ROOT, force_bond_increase, force_qp_budget, make_doc
 
 import delam2d
 from delam2d import (
@@ -966,6 +966,28 @@ class TestCli:
         meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
         assert meta["config_hash"] == digest
         assert meta["n_steps"] == 0
+
+    def test_qp_budget_exhausted_after_step_1_leaves_outputs(self, tmp_path, capsys, monkeypatch):
+        # the QP of step 3 gets no iterations: the run dies after two
+        # completed steps, which land on disk with the initial state
+        force_qp_budget(monkeypatch, 3)
+        path = write_doc(tmp_path, tiny_doc())
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "delam2d: solver failed: step 3 (t=0.15): "
+            "active-set method did not converge within 0 iterations\n"
+        )
+        digest = config_hash(parse_config(tiny_doc()))
+        energies = read_csv(out / "energies.csv")
+        assert energies[0] == digest
+        assert [float(row[0]) for row in energies[2]] == [k * 0.05 for k in range(3)]
+        forces = read_csv(out / "forces.csv")
+        assert [float(row[0]) for row in forces[2]] == [k * 0.05 for k in range(1, 3)]
+        _, cols, rows = read_csv(out / "mixity.csv")
+        assert rows and all(len(row) == len(cols) for row in rows)
+        meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+        assert meta["config_hash"] == digest and meta["n_steps"] == 2
 
     def test_step_check_failure_leaves_outputs(self, tmp_path, capsys, monkeypatch):
         # the bond update of step 3 raises a bond: the step's check fails

@@ -13,7 +13,10 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from delam2d import qp
+from delam2d import load_config, qp, stepper
+from delam2d.harness import _level_config, build_simulation
+
+from conftest import REPO_ROOT
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -56,3 +59,36 @@ def test_cached_columns_leave_one_wrapped_solve_per_repeat():
     second = qp.solve_qp(problem, factor=factor)
     assert len(probe.spans) == 1
     assert np.array_equal(first.x, second.x)
+
+
+def test_every_superlu_solve_goes_through_a_wrapped_solve(monkeypatch):
+    # The era factors' column solves, their Z columns and the corrected
+    # step solves all call SuperLU through `solve` of an object that
+    # `qp.factorize` returned, two calls per wrapped solve (one refinement
+    # step), so perfbench's qp.linear_solves counts them all.
+    probe = _spans_module().Probe(tracing=True)
+    monkeypatch.setattr(
+        qp, "factorize", probe.span("qp.factorize", qp.factorize, probe._factorize_value)
+    )
+    superlu_calls = []
+    splu = qp.spla.splu
+
+    class Spy:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, rhs):
+            superlu_calls.append(rhs.shape)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(qp.spla, "splu", lambda A: Spy(splu(A)))
+    config = _level_config(load_config(REPO_ROOT / "benchmark.json"), 27)
+    ops = build_simulation(config)[1]
+    traj = stepper.run(ops, tau=config.time.tau, t_end=config.time.T)
+    changes = sum(
+        not np.array_equal(a.z, b.z) for a, b in zip(traj.states[:-1], traj.states[1:])
+    )
+    names = [span[0] for span in probe.spans]
+    assert 2 <= names.count("qp.factorize") < changes  # eras, most releases lowered
+    assert any(len(shape) == 2 for shape in superlu_calls)  # Z's multi-column solves
+    assert len(superlu_calls) == 2 * names.count("qp.linear_solve")

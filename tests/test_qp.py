@@ -374,6 +374,65 @@ class TestConvertedOperands:
         assert len(stacks) < reused  # most repeats stacked nothing
 
 
+class TestLoweredFactor:
+    def test_lowered_factor_matches_a_fresh_factor(self):
+        # H_b = H0 + sum_e a_e a_e^T over "segments" e with supports of two
+        # or three dofs.  Releasing segments, a few more at each lowering,
+        # lowers the factor of H_b to H = H_b - E_D^T Delta E_D, Delta the
+        # released terms on the dofs D they touch; solve_qp with it must
+        # match a fresh factor of H: x within 1e-12 of its size, the same
+        # active set, and KKT residuals at solver level.
+        rng = np.random.default_rng(31)
+        worst, lowered = 0.0, 0
+        for k in range(60):
+            problem = random_instance(rng, max_dofs=16, max_cons=6, scale_spread=0.5)
+            n = problem.n
+            terms = []
+            for _ in range(n):
+                size = min(n, int(rng.integers(2, 4)))
+                a = np.zeros(n)
+                a[rng.choice(n, size=size, replace=False)] = rng.normal(size=size)
+                terms.append(a)
+            H_b = problem.H + sum(np.outer(a, a) for a in terms)
+            factor = factorize(H_b, problem.B)
+            released: list[int] = []
+            for _ in range(3):
+                released += list(rng.choice(n, size=min(2, n), replace=False))
+                drop = sum(np.outer(terms[e], terms[e]) for e in set(released))
+                dofs = np.flatnonzero(np.abs(drop).sum(axis=0))
+                if not factor.lower(dofs, drop[np.ix_(dofs, dofs)]):
+                    break
+                H = H_b - drop
+                lowered += 1
+                target = QpProblem(H=H, g=problem.g, B=problem.B, c=problem.c)
+                sol = solve_qp(target, factor=factor)
+                ref = solve_qp(target)
+                worst = max(worst, np.abs(sol.x - ref.x).max() / max(1.0, np.abs(ref.x).max()))
+                assert sol.active_set == ref.active_set, f"instance {k}"
+                assert sol.kkt.worst() <= 1e-8, f"instance {k}"
+                v = rng.normal(size=n)
+                assert np.allclose(factor.H @ v, H @ v, rtol=1e-13, atol=1e-13 * np.abs(H).max())
+        assert lowered >= 100
+        assert worst <= 1e-12
+
+    def test_a_lowering_past_the_factor_size_is_refused(self):
+        # Z may hold at most as many entries as the sparse factor: a lowering
+        # that needs more columns leaves the factor as it was.
+        H, B = sp.diags(np.full(8, 4.0)).tocsc(), np.zeros((0, 8))
+        factor = factorize(H, B)
+        assert factor.max_rank == 2  # SuperLU stores 16 entries: the diagonals of L and U
+        assert not factor.lower(np.array([0, 1, 2]), np.eye(3))
+        assert factor.H is factor.base and len(factor.dofs) == 0
+        problem = QpProblem(H=H, g=-np.ones(8), B=B, c=np.zeros(0))
+        assert factor.lower(np.array([3]), np.ones((1, 1)))
+        assert factor.lower(np.array([3, 5]), np.diag([1.0, 2.0]))
+        lowered = factor.H
+        assert not factor.lower(np.array([3, 5, 6]), np.eye(3))
+        assert factor.H is lowered
+        x = solve_qp(problem, factor=factor).x
+        assert np.allclose(x, [0.25] * 3 + [1.0 / 3.0, 0.25, 0.5, 0.25, 0.25], rtol=1e-15)
+
+
 class TestSolutionQuality:
     def test_kkt_residuals_small(self):
         rng = np.random.default_rng(4)

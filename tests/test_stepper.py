@@ -1,12 +1,13 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from delam2d import stepper
+from delam2d import assembly, load_config, qp, stepper
 from delam2d.constitutive import AdhesiveLaw, IsotropicElasticity, ViscosityLaw
-from delam2d.harness import build_simulation
+from delam2d.harness import _level_config, build_simulation
 from delam2d.mesh import build_benchmark_mesh
 from delam2d.qp import QpNonconvergenceError
 from delam2d.stepper import (
@@ -20,7 +21,7 @@ from delam2d.stepper import (
     segment_energies,
 )
 
-from conftest import force_bond_increase, make_doc
+from conftest import REPO_ROOT, force_bond_increase, force_qp_budget, make_doc
 
 from delam2d import parse_config
 
@@ -301,7 +302,9 @@ class TestRun:
         with pytest.raises(QpNonconvergenceError, match=r"step 1 \(t="):
             run(ops, tau=0.02, t_end=0.2, qp_max_iter=0)
 
-    @pytest.mark.parametrize("source", ["qp_budget", "prescribed_penetration", "step_check"])
+    @pytest.mark.parametrize(
+        "source", ["qp_budget", "qp_budget_step_3", "prescribed_penetration", "step_check"]
+    )
     def test_escaping_errors_carry_the_trajectory(self, source, monkeypatch):
         # Every error that escapes run names its step and carries the states
         # so far: the completed steps, plus the failing one when its check failed.
@@ -309,6 +312,7 @@ class TestRun:
             "qp_budget": (
                 QpNonconvergenceError, make_doc(loading={"direction": [-1.0, -0.6]}), 0, 1, 1
             ),
+            "qp_budget_step_3": (QpNonconvergenceError, make_doc(), None, 3, 3),
             "prescribed_penetration": (
                 InvariantViolation,
                 make_doc(geometry={"glued_fraction": 1.0}, loading={"direction": [1.0, -0.6]}),
@@ -318,6 +322,8 @@ class TestRun:
         }[source]
         if source == "step_check":
             force_bond_increase(monkeypatch, step)
+        if source == "qp_budget_step_3":
+            force_qp_budget(monkeypatch, step)
         ops = build_simulation(parse_config(doc))[1]
         with pytest.raises(error) as info:
             run(ops, tau=0.02, t_end=0.2, qp_max_iter=qp_max_iter)
@@ -368,6 +374,114 @@ class TestRun:
             assert np.array_equal(sol.slacks, gaps)
             assert report.min_gap == float(gaps.min())
             assert np.array_equal(u, ops.dofmap.expand(sol.x, t))
+
+
+@pytest.fixture(scope="module", params=["rigid", "two_body"])
+def level27(request):
+    """The benchmark physics at level 27 on either foundation, and a full run of it."""
+    config = _level_config(load_config(REPO_ROOT / "benchmark.json"), 27)
+    doc = json.loads(json.dumps(config.canonical))
+    doc["geometry"]["foundation"] = request.param
+    config = parse_config(doc)
+    ops = build_simulation(config)[1]
+    tau = config.time.tau
+    return ops, tau, run(ops, tau=tau, t_end=config.time.T)
+
+
+class TestEraFactor:
+    """One factor per era: a release lowers the era's factor of H(z_b)."""
+
+    def test_lowered_solves_match_a_fresh_factor(self, level27):
+        # Random release sets, grown one draw at a time from the intact bond
+        # field: every solve of the lowered factor must match a fresh
+        # factor of H(z) within 1e-12 of the solution's size, with the same
+        # active set, reaction and device work.
+        ops, tau, traj = level27
+        rng = np.random.default_rng(27)
+        m = ops.n_segments
+        compared = active = 0
+        for k in (60, 110, 130):
+            state = traj.states[k]
+            z = np.ones(m)
+            op = stepper._StepOperator(ops, z, tau)
+            for _ in range(3):
+                z = z.copy()
+                z[rng.choice(np.flatnonzero(z))] = 0.0
+                op.set_bonds(z)
+                if op.dA is None:
+                    break  # a new era: pinned bitwise below
+                fresh = stepper._StepOperator(ops, z, tau)
+                t_next = state.t + tau
+                u, sol = op.solve(state.u, t_next, None, 1e-10, None)
+                u_ref, ref = fresh.solve(state.u, t_next, None, 1e-10, None)
+                scale = np.abs(u_ref).max()
+                assert np.abs(u - u_ref).max() <= 1e-12 * scale, (k, z)
+                assert sol.active_set == ref.active_set, (k, z)
+                r, w = op.boundary_work(state.u, u)
+                r_ref, w_ref = fresh.boundary_work(state.u, u_ref)
+                assert np.abs(r - r_ref).max() <= 1e-12 * np.abs(r_ref).max()
+                assert w == pytest.approx(w_ref, rel=1e-11)
+                compared += 1
+                active += bool(sol.active_set)
+        assert compared >= 4 and active >= 1
+
+    def test_an_eras_own_bond_field_solves_with_the_plain_factor(self, level27):
+        # At z == z_b the operator holds the factor of H(z) built as
+        # (K + A(z) + V/tau) on the free dofs, unlowered, so x has the bits
+        # of solve_qp with a plain factor; a new era begun by set_bonds has
+        # the bits of an operator built afresh at its bond field.
+        ops, tau, traj = level27
+        state = traj.states[100]
+        free = ops.dofmap.free
+        z = np.ones(ops.n_segments)
+        op = stepper._StepOperator(ops, z, tau)
+        eras = 0
+        while True:
+            assert op.dA is None and op.factor.H is op.factor.base
+            A = assembly.assemble_interface(ops.jump, ops.adhesive, z)
+            H = ((ops.K + A).tocsr() + ops.V / tau).tocsr()[free][:, free].tocsc()
+            assert (op.factor.H != H).nnz == 0
+            u, sol = op.solve(state.u, state.t + tau, None, 1e-10, None)
+            plain = qp.QpProblem(H=H, g=sol.problem.g, B=ops.constraint.rows, c=sol.problem.c)
+            assert np.array_equal(sol.x, qp.solve_qp(plain, factor=qp.factorize(H, plain.B)).x)
+            u_new, _ = stepper._StepOperator(ops, z, tau).solve(
+                state.u, state.t + tau, None, 1e-10, None
+            )
+            assert np.array_equal(u, u_new)
+            eras += 1
+            while z.any():  # release segments, left first, until a new era starts
+                z = z.copy()
+                z[np.flatnonzero(z)[0]] = 0.0
+                op.set_bonds(z)
+                if op.dA is None:
+                    break
+            else:
+                break
+        assert eras >= 2
+
+    def test_releases_start_new_eras_within_the_factor_size(self, level27, monkeypatch):
+        # Each bond change of a full run lowers the era's factor until its
+        # dense block Z, one n-vector per dof touched by a release since the
+        # era began, would hold more entries than the sparse factor; then a
+        # new era starts.
+        ops, tau, traj = level27
+        seen = []
+        set_bonds = stepper._StepOperator.set_bonds
+
+        def spy(self, z):
+            set_bonds(self, z)
+            lu = self.factor._lu
+            seen.append((self.factor, len(self.factor.dofs) * lu.shape[0], lu.nnz))
+
+        monkeypatch.setattr(stepper._StepOperator, "set_bonds", spy)
+        run(ops, tau=tau, t_end=traj.times[-1])
+        changes = sum(
+            not np.array_equal(a.z, b.z) for a, b in zip(traj.states[:-1], traj.states[1:])
+        )
+        assert len(seen) == changes
+        eras = len(set(id(factor) for factor, _, _ in seen))  # all kept alive: ids differ
+        assert 2 <= eras < changes
+        assert all(entries <= nnz for _, entries, nnz in seen)
 
 
 def test_state_records_are_consistent(small_traj):
