@@ -33,6 +33,7 @@ __all__ = [
     "JumpOperator",
     "jump_operator",
     "assemble_interface",
+    "glue_block",
     "make_dofmap",
     "dirichlet_map",
     "constraint_matrix",
@@ -101,57 +102,66 @@ class JumpOperator:
     ordered (segment, Gauss point, component), where component 0 is the
     normal jump j . n and component 1 the tangential jump j . t, with t
     the normal turned by +90 degrees.  length holds the segment lengths;
-    each Gauss point carries quadrature weight length / 2.
+    each Gauss point carries quadrature weight length / 2.  The read-only
+    seg_rows[e] holds segment e's four rows, dense on its own dofs
+    seg_dofs[e] (four on a rigid foundation, eight across two bodies).
     """
 
     matrix: sp.csr_matrix
     length: np.ndarray
+    seg_rows: np.ndarray
+    seg_dofs: np.ndarray
 
     def values(self, u: np.ndarray) -> np.ndarray:
         """(segment, Gauss point, component) array of the jump of u."""
         return (self.matrix @ u).reshape(-1, len(GAUSS_2PT), 2)
 
 
-def _jump_rows(mesh: Mesh2D, positions) -> sp.csr_matrix:
+def _jump_rows(mesh: Mesh2D, positions) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Jump rows of every segment at barycentric positions s in [0, 1].
 
     Rows are ordered (segment, position, component) as in JumpOperator.
     Row (e, s, c) holds the frame vector c of segment e times the P1
     shape weights (1 - s, s) of its endpoints: negated on the body
     side, positive on the foundation side, which is absent in rigid mode.
+    Returns them sparse, and dense per segment as JumpOperator's seg_*.
     """
     n = mesh.seg_normal
     frame = np.stack([n, np.column_stack([-n[:, 1], n[:, 0]])], axis=1)  # (e, c, xy)
     shape = np.array([[1.0 - s, s] for s in positions])  # (p, endpoint)
     m, p = len(n), len(shape)
-    row = (np.arange(m)[:, None, None] * p + np.arange(p)[:, None]) * 2 + np.arange(2)
     sides = [(mesh.seg_plus, -1.0)]
     if mesh.foundation != "rigid":
         sides.append((mesh.seg_minus, 1.0))
-    rows, cols, vals = [], [], []
-    for nodes, sign in sides:
-        # (e, p, c, endpoint, xy)
-        v = sign * shape[None, :, None, :, None] * frame[:, None, :, None, :]
-        col = 2 * nodes[:, None, None, :, None] + np.arange(2)
-        rows.append(np.broadcast_to(row[..., None, None], v.shape).ravel())
-        cols.append(np.broadcast_to(col, v.shape).ravel())
-        vals.append(v.ravel())
+    # (e, p, c, endpoint, xy) per side, flattened to (e, p c, side endpoint xy)
+    vals = [sign * shape[None, :, None, :, None] * frame[:, None, :, None, :] for _, sign in sides]
+    rows = np.concatenate([v.reshape(m, 2 * p, 4) for v in vals], axis=2)
+    dofs = np.concatenate([node_dofs(nodes).reshape(m, 4) for nodes, _ in sides], axis=1)
+    cols = np.broadcast_to(dofs[:, None, :], rows.shape).ravel()
     J = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (rows.ravel(), (np.arange(cols.size) // dofs.shape[1], cols)),
         shape=(2 * p * m, mesh.n_dofs),
     ).tocsr()
     J.eliminate_zeros()
-    return J
+    rows.flags.writeable = dofs.flags.writeable = False
+    return J, rows, dofs
 
 
 def jump_operator(mesh: Mesh2D) -> JumpOperator:
     """The interface jump at the Gauss points, built once per mesh."""
-    return JumpOperator(matrix=_jump_rows(mesh, GAUSS_2PT), length=mesh.seg_length)
+    J, rows, dofs = _jump_rows(mesh, GAUSS_2PT)
+    return JumpOperator(matrix=J, length=mesh.seg_length, seg_rows=rows, seg_dofs=dofs)
 
 
-def assemble_interface(
-    jump: JumpOperator, law: AdhesiveLaw, z: np.ndarray
-) -> sp.csr_matrix:
+def _glue_weights(jump: JumpOperator, law: AdhesiveLaw, z: np.ndarray) -> np.ndarray:
+    """(segment, row) quadrature weights (length z / 2) kappa of the glue at bond field z."""
+    z = np.asarray(z, dtype=float)
+    if len(z) != len(jump.length):
+        raise ValueError(f"bond vector has {len(z)} entries for {len(jump.length)} segments")
+    return 0.5 * (jump.length * z)[:, None] * np.tile([law.kappa_n, law.kappa_t], len(GAUSS_2PT))
+
+
+def assemble_interface(jump: JumpOperator, law: AdhesiveLaw, z: np.ndarray) -> sp.csr_matrix:
     """Glue stiffness J^T W J weighted by the per-segment bond fraction z.
 
     The quadratic form 0.5 u . A u equals the integral over the interface
@@ -159,17 +169,26 @@ def assemble_interface(
     Fully debonded segments contribute nothing; the matrix is positive
     semidefinite.
     """
-    z = np.asarray(z, dtype=float)
-    if len(z) != len(jump.length):
-        raise ValueError(
-            f"bond vector has {len(z)} entries for {len(jump.length)} segments"
-        )
-    w = 0.5 * np.repeat(jump.length * z, 2 * len(GAUSS_2PT)) * np.tile(
-        [law.kappa_n, law.kappa_t], len(GAUSS_2PT) * len(z)
-    )
+    w = _glue_weights(jump, law, z).ravel()
     keep = w != 0.0
     Jk = jump.matrix[keep]
     return (Jk.T @ sp.diags(w[keep]) @ Jk).tocsr()
+
+
+def glue_block(jump: JumpOperator, law: AdhesiveLaw, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """assemble_interface(jump, law, dz) as (D, a dense block on D).
+
+    D, sorted, holds the dofs of the segments where dz is nonzero; the
+    block sums those segments' J_e^T W_e J_e, each only on its own dofs.
+    """
+    w = _glue_weights(jump, law, dz)
+    seg = np.flatnonzero(dz)
+    rows, dofs = jump.seg_rows[seg], jump.seg_dofs[seg]
+    D = np.unique(dofs)
+    at, block = np.searchsorted(D, dofs), np.zeros((len(D), len(D)))
+    np.add.at(block, (at[:, :, None], at[:, None, :]),
+              np.einsum("eri,er,erj->eij", rows, w[seg], rows))
+    return D, block
 
 
 @dataclass(frozen=True)
@@ -278,7 +297,7 @@ def constraint_matrix(mesh: Mesh2D, dofmap: DofMap) -> ConstraintMatrix:
     first segment that ends there.
     """
     _, first = mesh.interface_ends()
-    G = _jump_rows(mesh, (0.0, 1.0))[2 * first]
+    G = _jump_rows(mesh, (0.0, 1.0))[0][2 * first]
 
     free = G[:, dofmap.free]
     has_free = free.getnnz(axis=1) > 0

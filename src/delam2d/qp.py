@@ -411,7 +411,7 @@ def solve_qp(
     if m == 0:
         return _build_solution(problem, x_unc, np.zeros(0), 0, tol)
 
-    g_scale = _scale(g, H @ x_unc)
+    g_scale = _scale(g, g)  # H x_unc is -g up to the refinement residual
     Bx_unc = B @ x_unc
     feas_tol = tol * _scale(c, Bx_unc)
     slacks_unc = Bx_unc + c

@@ -183,10 +183,12 @@ class _StepOperator:
 
     An era starts at a bond field z_b: it builds C_hat = K + A(z_b), factors
     the free-dof Hessian H(z_b) of C_hat + V/tau, and the factor caches
-    solve_qp's columns of the run's fixed constraint rows.  A is linear in
+    solve_qp's columns of the run's fixed constraint rows; g reads C_hat's
+    prescribed columns, the reaction its prescribed rows.  A is linear in
     z, so a later bond field z of the era differs by the glue decrement
-    dA = A(z_b - z): set_bonds lowers the factor by dA's free block on the
-    dofs it touches, and C_hat - dA stands in for C_hat(z).  The factor
+    A(z_b - z), a dense block on the dofs D of the segments released since
+    z_b: set_bonds lowers the factor by its free block, and its prescribed
+    columns and rows correct g and the reaction on D alone.  The factor
     refuses a lowering whose dense block would outgrow it, and a new era
     starts at z.  solve gives a step's displacement, boundary_work its
     driven-edge reaction and device work.
@@ -198,36 +200,34 @@ class _StepOperator:
         self._start_era(z)
 
     def _start_era(self, z: np.ndarray) -> None:
-        ops = self.ops
+        ops, free, presc = self.ops, self.ops.dofmap.free, self.ops.dofmap.prescribed
         self.z = self.z_base = z.copy()
-        self.dA = self.dA_presc = None  # no decrement at the era's own bond field
-        A = assembly.assemble_interface(ops.jump, ops.adhesive, z)
-        self.C_hat = (ops.K + A).tocsr()
-        free = ops.dofmap.free
-        H_full = (self.C_hat + ops.V / self.tau).tocsr()
+        self.glue = None  # no decrement at the era's own bond field
+        C_hat = (ops.K + assembly.assemble_interface(ops.jump, ops.adhesive, z)).tocsr()
+        H_full = (C_hat + ops.V / self.tau).tocsr()
         self.factor = qp.factorize(H_full[free][:, free].tocsc(), ops.constraint.rows)
-        # the prescribed rows, the only ones the reaction reads
-        presc = ops.dofmap.prescribed
-        self.C_presc, self.V_presc = self.C_hat[presc], ops.V[presc]
+        self.C_fp = C_hat[free][:, presc]
+        self.C_presc, self.V_presc = C_hat[presc], ops.V[presc]
 
     def set_bonds(self, z: np.ndarray) -> None:
         """Move to a bond field z <= z_base: lower the era's factor, or start a new era."""
-        ops, free = self.ops, self.ops.dofmap.free
-        dA = assembly.assemble_interface(ops.jump, ops.adhesive, self.z_base - z)
-        dA_free = dA[free][:, free]
-        dofs = np.unique(dA_free.indices)
-        if not self.factor.lower(dofs, dA_free[dofs][:, dofs].toarray()):
+        dofmap = self.ops.dofmap
+        D, block = assembly.glue_block(self.ops.jump, self.ops.adhesive, self.z_base - z)
+        at = np.searchsorted(dofmap.free, D)
+        p = dofmap.free.take(at, mode="clip") != D  # D's prescribed dofs
+        if not self.factor.lower(at[~p], block[~p][:, ~p]):
             # The old era's factor, dense block and columns leave holes between
             # allocations that live on (the trajectory); the heap keeps them
             # resident and the new factor does not fit them, so RSS would step
             # up at every new era.  Drop them and trim before refactoring.
-            self.factor = self.C_hat = self.C_presc = None
+            self.factor = self.C_fp = self.C_presc = None
             if _malloc_trim is not None:
                 _malloc_trim(0)
             self._start_era(z)
             return
         self.z = z.copy()
-        self.dA, self.dA_presc = dA, dA[ops.dofmap.prescribed]
+        # D's free positions and prescribed columns for g, prescribed ones and rows for r
+        self.glue = at[~p], block[~p][:, p], np.searchsorted(dofmap.prescribed, D[p]), block[p], D
 
     def solve(
         self,
@@ -247,13 +247,13 @@ class _StepOperator:
                 f"interface node (worst gap {fixed.min():.3e})"
             )
         u_ext = dofmap.scatter(np.zeros(dofmap.n_free), values)
-        C_u = self.C_hat @ u_ext
-        if self.dA is not None:
-            C_u -= self.dA @ u_ext
-        g_full = C_u + ops.V @ ((u_ext - u_prev) / self.tau)
+        C_u = self.C_fp @ values
+        if self.glue is not None:
+            at, cols, p_at = self.glue[:3]
+            C_u[at] -= cols @ values[p_at]
+        g = C_u + (ops.V @ ((u_ext - u_prev) / self.tau))[dofmap.free]
         problem = qp.QpProblem(
-            H=self.factor.H, g=g_full[dofmap.free], B=constraint.rows,
-            c=constraint.prescribed_part @ values,
+            H=self.factor.H, g=g, B=constraint.rows, c=constraint.prescribed_part @ values
         )
         sol = qp.solve_qp(
             problem, tol=qp_tol, max_iter=qp_max_iter, warm_start=warm, factor=self.factor
@@ -264,8 +264,9 @@ class _StepOperator:
         """Driven-edge reaction (N/m) at u_next and the device work of the step."""
         du = u_next - u_prev
         C_u = self.C_presc @ u_next
-        if self.dA is not None:
-            C_u -= self.dA_presc @ u_next
+        if self.glue is not None:
+            p_at, rows, D = self.glue[2:]
+            C_u[p_at] -= rows @ u_next[D]
         r = C_u + self.V_presc @ (du / self.tau)
         driven = self.ops.dofmap.driven  # a clamped lower edge carries no device force
         reaction = np.array([r[0::2][driven].sum(), r[1::2][driven].sum()])
@@ -396,9 +397,8 @@ def run(
 
             du = u_next - state.u
             viscous_inc = float(du @ (ops.V @ du)) / tau
-            debond_inc = float(
-                ((state.z - z_next) * threshold)[list(debonded)].sum()
-            ) if debonded else 0.0
+            released = list(debonded)  # an intact segment's threshold may be inf (lambda = 0)
+            debond_inc = float(((state.z - z_next)[released] * threshold[released]).sum())
             reaction, device_inc = step_op.boundary_work(state.u, u_next)
 
             bulk, interface = _stored_split(ops, u_next, z_next, drive)

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delam2d import qp
 from delam2d.assembly import (
@@ -12,6 +14,7 @@ from delam2d.assembly import (
     assemble_viscosity,
     constraint_matrix,
     dirichlet_map,
+    glue_block,
     jump_operator,
     make_dofmap,
     node_dofs,
@@ -248,6 +251,60 @@ class TestInterfaceAssembly:
         mesh = build_benchmark_mesh(0.25, 0.025, 9, 0.9)
         with pytest.raises(ValueError):
             assemble_interface(jump_operator(mesh), GLUE, np.ones(5))
+
+
+GLUE_BLOCK_MESHES = {
+    "rigid": build_benchmark_mesh(0.25, 0.025, 9, 0.9),
+    "rigid_right": build_benchmark_mesh(0.25, 0.025, 9, 0.9, glued_from="right"),
+    "two_body": build_two_body_mesh(0.25, 0.025, 9, 0.9),
+}
+
+
+class TestGlueBlock:
+    @pytest.mark.parametrize("name", sorted(GLUE_BLOCK_MESHES))
+    def test_segment_rows_are_the_jump_matrix(self, name):
+        # seg_rows[e] is rows 4e..4e+3 of the jump matrix on seg_dofs[e],
+        # which hold every nonzero of those rows; neither array is writable.
+        jump = jump_operator(GLUE_BLOCK_MESHES[name])
+        J = jump.matrix.toarray()
+        for e, (rows, dofs) in enumerate(zip(jump.seg_rows, jump.seg_dofs)):
+            block = J[4 * e : 4 * e + 4]
+            assert np.array_equal(block[:, dofs], rows)
+            assert np.count_nonzero(block) == np.count_nonzero(rows)
+        for arr in (jump.seg_rows, jump.seg_dofs):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @given(
+        name=st.sampled_from(sorted(GLUE_BLOCK_MESHES)),
+        released=st.sets(st.integers(0, 8), min_size=1),
+        partial=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_block_is_the_sparse_decrement_on_the_released_dofs(
+        self, name, released, partial, seed
+    ):
+        # Full (dz = 1) or partial (dz in (0, 1]) decrements on a released
+        # set: D holds exactly the dofs of the released segments' nodes, on
+        # both sides across two bodies, and the block scattered onto D is
+        # assemble_interface of dz to within 1e-15 of its largest entry.
+        mesh = GLUE_BLOCK_MESHES[name]
+        jump = jump_operator(mesh)
+        seg = sorted(released)
+        dz = np.zeros(len(mesh.seg_length))
+        dz[seg] = np.random.default_rng(seed).uniform(1e-3, 1.0, len(seg)) if partial else 1.0
+        D, block = glue_block(jump, GLUE, dz)
+        nodes = [mesh.seg_plus[seg]] + ([mesh.seg_minus[seg]] if name == "two_body" else [])
+        assert np.array_equal(D, np.unique(node_dofs(np.concatenate(nodes))))
+        A = assemble_interface(jump, GLUE, dz).toarray()
+        scattered = np.zeros_like(A)
+        scattered[np.ix_(D, D)] = block
+        assert np.abs(scattered - A).max() <= 1e-15 * np.abs(A).max()
+
+    def test_wrong_decrement_length_rejected(self):
+        with pytest.raises(ValueError):
+            glue_block(jump_operator(GLUE_BLOCK_MESHES["rigid"]), GLUE, np.ones(5))
 
 
 class TestDofMap:

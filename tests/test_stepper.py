@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import functools
 import json
 import warnings
 
@@ -376,27 +378,47 @@ class TestRun:
             assert np.array_equal(u, ops.dofmap.expand(sol.x, t))
 
 
-@pytest.fixture(scope="module", params=["rigid", "two_body"])
-def level27(request):
-    """The benchmark physics at level 27 on either foundation, and a full run of it."""
+# The benchmark physics at level 27 with these overrides, across the
+# configuration space the schema accepts.
+LEVEL27_CASES = {
+    "rigid": {},
+    "two_body": {"geometry": {"foundation": "two_body"}},
+    "right_glued": {"geometry": {"glued_from": "right"}},
+    "lambda_0": {"adhesive": {"lambda": 0.0}},
+    "eps_reg": {"adhesive": {"eps_reg": 1e-3}},
+    "two_body_right_glued": {"geometry": {"foundation": "two_body", "glued_from": "right"}},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def level27_case(name):
+    """The operators, step and full run of one of LEVEL27_CASES."""
     config = _level_config(load_config(REPO_ROOT / "benchmark.json"), 27)
     doc = json.loads(json.dumps(config.canonical))
-    doc["geometry"]["foundation"] = request.param
+    for section, fields in LEVEL27_CASES[name].items():
+        doc[section].update(fields)
     config = parse_config(doc)
     ops = build_simulation(config)[1]
     tau = config.time.tau
     return ops, tau, run(ops, tau=tau, t_end=config.time.T)
 
 
+@pytest.fixture(scope="module", params=["rigid", "two_body"])
+def level27(request):
+    """The benchmark physics at level 27 on either foundation, and a full run of it."""
+    return level27_case(request.param)
+
+
 class TestEraFactor:
     """One factor per era: a release lowers the era's factor of H(z_b)."""
 
-    def test_lowered_solves_match_a_fresh_factor(self, level27):
+    @pytest.mark.parametrize("case", list(LEVEL27_CASES))
+    def test_lowered_solves_match_a_fresh_factor(self, case):
         # Random release sets, grown one draw at a time from the intact bond
         # field: every solve of the lowered factor must match a fresh
         # factor of H(z) within 1e-12 of the solution's size, with the same
         # active set, reaction and device work.
-        ops, tau, traj = level27
+        ops, tau, traj = level27_case(case)
         rng = np.random.default_rng(27)
         m = ops.n_segments
         compared = active = 0
@@ -408,7 +430,7 @@ class TestEraFactor:
                 z = z.copy()
                 z[rng.choice(np.flatnonzero(z))] = 0.0
                 op.set_bonds(z)
-                if op.dA is None:
+                if op.glue is None:
                     break  # a new era: pinned bitwise below
                 fresh = stepper._StepOperator(ops, z, tau)
                 t_next = state.t + tau
@@ -437,7 +459,7 @@ class TestEraFactor:
         op = stepper._StepOperator(ops, z, tau)
         eras = 0
         while True:
-            assert op.dA is None and op.factor.H is op.factor.base
+            assert op.glue is None and op.factor.H is op.factor.base
             A = assembly.assemble_interface(ops.jump, ops.adhesive, z)
             H = ((ops.K + A).tocsr() + ops.V / tau).tocsr()[free][:, free].tocsc()
             assert (op.factor.H != H).nnz == 0
@@ -453,7 +475,7 @@ class TestEraFactor:
                 z = z.copy()
                 z[np.flatnonzero(z)[0]] = 0.0
                 op.set_bonds(z)
-                if op.dA is None:
+                if op.glue is None:
                     break
             else:
                 break
@@ -482,6 +504,34 @@ class TestEraFactor:
         eras = len(set(id(factor) for factor, _, _ in seen))  # all kept alive: ids differ
         assert 2 <= eras < changes
         assert all(entries <= nnz for _, entries, nnz in seen)
+
+
+    def test_a_release_assembles_only_its_own_block(self, monkeypatch):
+        # Over a full level-27 rigid run, each era assembles the interface
+        # once, for its factorization, and each bond change builds one dense
+        # glue block instead; a run that changes no bond builds none.
+        ops, tau, traj = level27_case("rigid")
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in ((assembly, "assemble_interface"), (assembly, "glue_block"),
+                             (qp, "factorize")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        run(ops, tau=tau, t_end=traj.times[-1])
+        changed = [not np.array_equal(a.z, b.z) for a, b in zip(traj.states[:-1], traj.states[1:])]
+        assert calls["glue_block"] == sum(changed)
+        assert calls["assemble_interface"] == calls["factorize"]
+        assert 2 <= calls["factorize"] < sum(changed)
+
+        calls.clear()
+        run(ops, tau=tau, t_end=traj.times[changed.index(True)])  # ends before the first change
+        assert calls == {"assemble_interface": 1, "factorize": 1}
 
 
 def test_state_records_are_consistent(small_traj):
