@@ -11,7 +11,8 @@ inequalities behind the scheme can be verified step by step.
 
 Modules: mesh (structured triangulations), constitutive (material and
 adhesive laws), assembly (sparse operators), qp (active-set solver),
-stepper (semi-implicit evolution), energetics (ledgers and checks),
+stepper (semi-implicit evolution), energetics (ledger, norms and the
+momentum audit),
 config/harness/cli (configured runs and their outputs).
 """
 
@@ -38,10 +39,8 @@ from .constitutive import (
 from .energetics import (
     EnergyLedger,
     build_ledger,
-    energy_inequality_residual,
     mixity_histogram,
     momentum_residual,
-    semistability_check,
     trajectory_norms,
 )
 from .harness import (
@@ -105,7 +104,6 @@ __all__ = [
     "build_two_body_mesh",
     "config_hash",
     "elasticity_tensor",
-    "energy_inequality_residual",
     "load_config",
     "mixity_histogram",
     "momentum_residual",
@@ -114,7 +112,6 @@ __all__ = [
     "run_chi_sweep",
     "run_convergence",
     "run_single",
-    "semistability_check",
     "solve_qp",
     "trajectory_norms",
     "__version__",

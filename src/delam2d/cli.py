@@ -77,11 +77,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"run: {result.out_dir}  steps={traj.n_steps}"
             f"  t_end={traj.times[-1]:g}  t_full_debond={traj.t_full_debond}"
         )
-        if traj.n_steps >= 1:
-            for idx in sorted({max(1, traj.n_steps // 2), traj.n_steps}):
-                worst = min(
-                    worst, momentum_residual(result.ops, traj, idx, n_fields=16, seed=seed)
-                )
+        for prev, state in result.momentum_pairs:
+            worst = min(
+                worst, momentum_residual(result.ops, prev, state, n_fields=16, seed=seed)
+            )
     print(f"momentum spot check: worst normalized slack {worst:.3e}")
     if worst < -MOMENTUM_SLACK_TOL:
         raise InvariantViolation(

@@ -1,13 +1,13 @@
-"""Energy accounting and solution-quality audits.
+"""Energy ledger, mixity record, trajectory norms and the momentum audit.
 
-Everything here recomputes its quantities from states and assembled
-operators rather than trusting the stepper's running sums, so the tests
-can play the two implementations against each other.  The central
-object is the energy ledger: stored energy, cumulative viscous and
-debonding dissipation, cumulative external work, and their difference,
-the work-energy gap.  For this scheme the gap is nonnegative and
-nondecreasing up to solver tolerance; a strictly positive gap is a
-property of the limit model, not a bug.
+The stepper computes every term of each step's energy inequality for its
+own check and puts them in the step's report; the ledger here is their
+running sum, so it needs no operator product per state.  The norms are
+summed the same way, state by state as the run hands them out.  The
+recomputations from stored states (ledger, norms, stored energy,
+semistability) live in the tests, where they audit these sums.  The gap
+of the ledger is nonnegative and nondecreasing up to solver tolerance; a
+strictly positive gap is a property of the limit model, not a bug.
 """
 
 from __future__ import annotations
@@ -19,39 +19,17 @@ import numpy as np
 
 from . import assembly
 from .qp import project_feasible
-from .stepper import FEASIBILITY_TOL, Operators, State, Trajectory, segment_energies
+from .stepper import Operators, State, Trajectory, _stored_split, segment_energies
 
 __all__ = [
     "EnergyLedger",
     "MixityRecord",
-    "stored_energy",
+    "NormSums",
     "build_ledger",
-    "energy_inequality_residual",
-    "semistability_check",
     "momentum_residual",
     "mixity_histogram",
     "trajectory_norms",
 ]
-
-
-def stored_energy(ops: Operators, state: State) -> tuple[bool, float]:
-    """Total stored energy of a state, with its admissibility flag.
-
-    Inadmissible states (interface penetration beyond tolerance, bond
-    fraction outside [0, 1]) carry infinite energy; the flag reports
-    which branch applied.  Admissible states return the bulk elastic
-    energy plus the bond-weighted glue energy.
-    """
-    gaps = ops.constraint.gaps(state.u)
-    if gaps.size and float(gaps.min()) < -FEASIBILITY_TOL:
-        return False, math.inf
-    z = np.asarray(state.z, dtype=float)
-    if z.size and (z.min() < -1e-12 or z.max() > 1.0 + 1e-12):
-        return False, math.inf
-    bulk = 0.5 * float(state.u @ (ops.K @ state.u))
-    drive, _ = segment_energies(ops, state.u)
-    interface = float(z @ drive) if drive.size else 0.0
-    return True, bulk + interface
 
 
 @dataclass(frozen=True)
@@ -95,33 +73,28 @@ class EnergyLedger:
 
 
 def build_ledger(ops: Operators, traj: Trajectory) -> EnergyLedger:
-    """Recompute the ledger from states, using reports only for work terms.
+    """The ledger as running sums of the step reports' energy terms.
 
-    Stored energies come from the states directly; viscous dissipation
-    from displacement increments against V; debonding dissipation from
-    the per-step thresholds recorded when each segment released.
+    Only the first state's stored energy is evaluated here; every later
+    entry is the stepper's own number for its step.
     """
-    n = len(traj.states)
-    bulk = np.zeros(n)
-    interface = np.zeros(n)
-    viscous = np.zeros(n)
-    debond = np.zeros(n)
-    work = np.zeros(n)
-    for k, state in enumerate(traj.states):
-        drive, _ = segment_energies(ops, state.u)
-        bulk[k] = 0.5 * float(state.u @ (ops.K @ state.u))
-        interface[k] = float(state.z @ drive) if drive.size else 0.0
-        if k == 0:
-            continue
-        prev = traj.states[k - 1]
-        du = state.u - prev.u
-        dt = state.t - prev.t
-        viscous[k] = viscous[k - 1] + float(du @ (ops.V @ du)) / dt
-        rep = traj.reports[k]
-        debond[k] = debond[k - 1] + rep.energy.debond_increment
-        work[k] = work[k - 1] + rep.energy.device_work_increment
-    stored0 = bulk[0] + interface[0]
-    gap = work - ((bulk + interface) - stored0) - viscous - debond
+    first = traj.first
+    drive, _ = segment_energies(ops, first.u)
+    bulk0, interface0 = _stored_split(ops, first.u, first.z, drive)
+    steps = [rep.energy for rep in traj.reports[1:]]
+
+    def series(start: float, name: str) -> np.ndarray:
+        return np.array([start] + [getattr(e, name) for e in steps], dtype=float)
+
+    def running_sum(name: str) -> np.ndarray:
+        return np.cumsum(series(0.0, name))  # sequential: each entry adds one step
+
+    bulk = series(bulk0, "bulk_elastic")
+    interface = series(interface0, "interface_elastic")
+    viscous = running_sum("viscous_increment")
+    debond = running_sum("debond_increment")
+    work = running_sum("device_work_increment")
+    gap = work - ((bulk + interface) - (bulk0 + interface0)) - viscous - debond
     return EnergyLedger(
         t=np.array(traj.times),
         bulk_elastic=bulk,
@@ -133,69 +106,23 @@ def build_ledger(ops: Operators, traj: Trajectory) -> EnergyLedger:
     )
 
 
-def energy_inequality_residual(
-    ops: Operators, traj: Trajectory, t1: float, t2: float
-) -> float:
-    """Slack of the two-time energy inequality over (t1, t2].
-
-    Work done on the interval minus the stored-energy increase minus the
-    dissipation, summed from the per-step records; nonnegative up to
-    solver tolerance for every admissible pair t1 <= t2.
-    """
-    if t2 < t1:
-        raise ValueError(f"need t1 <= t2, got {t1} > {t2}")
-    total = 0.0
-    for k in range(1, len(traj.states)):
-        t_k = traj.times[k]
-        if t1 < t_k <= t2 + 1e-12 * max(1.0, abs(t2)):
-            total += traj.reports[k].energy.inequality_residual
-    return total
-
-
-def semistability_check(
-    ops: Operators, traj: Trajectory, index: int, rel_tol: float = 1e-9
-) -> list[tuple[int, bool, float]]:
-    """Disintegrated semistability of state index against every segment.
-
-    For a surviving bond the glue energy density integral, doubled, must
-    not exceed twice the mixity threshold times the length; fully
-    debonded segments pass vacuously.  Returns (segment, ok, margin)
-    with margin = rhs - lhs (clamped to +inf for unbounded thresholds).
-    """
-    state = traj.states[index]
-    drive, psi = segment_energies(ops, state.u)
-    thresh = ops.adhesive.threshold(psi) * ops.mesh.seg_length
-    out: list[tuple[int, bool, float]] = []
-    for e in range(len(drive)):
-        if state.z[e] == 0.0:
-            out.append((e, True, math.inf))
-            continue
-        lhs = 2.0 * state.z[e] * drive[e]
-        rhs = 2.0 * thresh[e]
-        ok = lhs <= rhs + rel_tol * max(rhs, 1e-30)
-        out.append((e, bool(ok), rhs - lhs))
-    return out
-
-
 def momentum_residual(
     ops: Operators,
-    traj: Trajectory,
-    index: int,
+    prev: State,
+    state: State,
     n_fields: int = 32,
     seed: int = 0,
 ) -> float:
     """Worst violation of the variational momentum inequality at a step.
 
-    Tests the discrete residual of step `index` against random admissible
+    Tests the discrete residual of the step from prev to state against random admissible
     variations: fields matching the driven boundary values and keeping
     every interface gap nonnegative.  At a KKT point the directional
     slack is nonnegative for all of them; the returned value is the
     most negative normalized slack seen (>= -tolerance when healthy).
     """
-    if index < 1:
-        raise ValueError("momentum residual is defined for step indices >= 1")
-    state = traj.states[index]
-    prev = traj.states[index - 1]
+    if not prev.t < state.t:
+        raise ValueError(f"momentum residual needs a step, prev.t < state.t ({prev.t}, {state.t})")
     tau = state.t - prev.t
     z_prev = prev.z
     A = assembly.assemble_interface(ops.jump, ops.adhesive, z_prev)
@@ -254,9 +181,8 @@ def mixity_histogram(ops: Operators, traj: Trajectory) -> MixityRecord:
     debond_time = np.full(m, np.nan)
     angle = np.full(m, np.nan)
     density = np.full(m, np.nan)
-    for k in range(1, len(traj.states)):
-        rep = traj.reports[k]
-        z_before = traj.states[k - 1].z
+    z_before = traj.first.z
+    for rep in traj.reports[1:]:
         for e in rep.debonded:
             if debonded[e]:
                 continue
@@ -266,6 +192,7 @@ def mixity_histogram(ops: Operators, traj: Trajectory) -> MixityRecord:
             density[e] = (
                 rep.threshold[e] / ops.mesh.seg_length[e] * z_before[e]
             )
+        z_before = rep.z
     ratio = density / ops.adhesive.mode1_toughness
     return MixityRecord(
         segment=np.arange(m),
@@ -278,15 +205,54 @@ def mixity_histogram(ops: Operators, traj: Trajectory) -> MixityRecord:
     )
 
 
-def trajectory_norms(ops: Operators, traj: Trajectory) -> dict[str, float]:
-    """Discrete analogues of the a priori norm bounds.
+class NormSums:
+    """The sums behind trajectory_norms, taken one state at a time.
 
-    displacement_sup_h1: max over steps of the full H1 norm.
+    add(state) takes the run's next state, and prev is the last state
+    taken; values() gives the norms of the states so far.  Each state
+    costs two products with the H1 Gram operator, one for the state and
+    one for its rate.
+    """
+
+    def __init__(self, S, m: np.ndarray, lengths: np.ndarray, first: State):
+        self._S, self._m, self._lengths = S, m, lengths
+        self.prev = first
+        h1_sq = self._h1_sq(first.u)
+        self._sup_h1 = max(0.0, math.sqrt(h1_sq))
+        self._rate_sq = h1_sq
+        self._bond_sup = float(first.z.max(initial=0.0))
+        self._variation = float((first.z * lengths).sum()) if len(first.z) else 0.0
+
+    def _h1_sq(self, u: np.ndarray) -> float:
+        return float(u @ (self._S @ u) + self._m @ (u * u))
+
+    def add(self, state: State) -> None:
+        prev, self.prev = self.prev, state
+        dt = state.t - prev.t
+        self._sup_h1 = max(self._sup_h1, math.sqrt(self._h1_sq(state.u)))
+        self._rate_sq += dt * self._h1_sq((state.u - prev.u) / dt)
+        self._bond_sup = max(self._bond_sup, state.z.max(initial=0.0))
+        self._variation += float((np.abs(state.z - prev.z) * self._lengths).sum())
+
+    def values(self) -> dict[str, float]:
+        return {
+            "displacement_sup_h1": self._sup_h1,
+            "displacement_rate_h1": math.sqrt(self._rate_sq),
+            "bond_sup": float(self._bond_sup),
+            "bond_variation_l1": self._variation,
+        }
+
+
+def trajectory_norms(ops: Operators, first: State) -> NormSums:
+    """Discrete analogues of the a priori norm bounds, summed from the state first.
+
+    displacement_sup_h1: max over states of the full H1 norm.
     displacement_rate_h1: H1-in-time norm built from increment rates.
     bond_sup: largest bond fraction over space-time.
     bond_variation_l1: initial L1 mass plus total variation in time of
     the bond field, integrated over the interface.
-    All stay bounded under simultaneous mesh and time refinement.
+    All stay bounded under simultaneous mesh and time refinement.  The
+    H1 Gram operator is assembled here, once per run.
     """
     # u . (S u) is the sum of area * |B u|^2 over triangles (C = I), and
     # the lumped mass m (area / 3 per triangle node, both dofs) the L2 part.
@@ -296,29 +262,4 @@ def trajectory_norms(ops: Operators, traj: Trajectory) -> dict[str, float]:
     node_mass = np.bincount(
         mesh.triangles.ravel(), np.repeat(area / 3.0, 3), minlength=mesh.n_nodes
     )
-    m = np.repeat(node_mass, 2)
-
-    def h1_sq(u: np.ndarray) -> float:
-        return float(u @ (S @ u) + m @ (u * u))
-
-    sup_h1 = 0.0
-    rate_sq = h1_sq(traj.states[0].u)
-    for k, state in enumerate(traj.states):
-        sup_h1 = max(sup_h1, math.sqrt(h1_sq(state.u)))
-        if k:
-            dt = traj.times[k] - traj.times[k - 1]
-            du = (state.u - traj.states[k - 1].u) / dt
-            rate_sq += dt * h1_sq(du)
-
-    z0 = traj.states[0].z
-    bond_sup = float(max((s.z.max(initial=0.0) for s in traj.states), default=0.0))
-    variation = float((z0 * ops.mesh.seg_length).sum()) if len(z0) else 0.0
-    for k in range(1, len(traj.states)):
-        dz = np.abs(traj.states[k].z - traj.states[k - 1].z)
-        variation += float((dz * ops.mesh.seg_length).sum())
-    return {
-        "displacement_sup_h1": sup_h1,
-        "displacement_rate_h1": math.sqrt(rate_sq),
-        "bond_sup": bond_sup,
-        "bond_variation_l1": variation,
-    }
+    return NormSums(S, np.repeat(node_mass, 2), mesh.seg_length, first)

@@ -37,7 +37,16 @@ from .energetics import (
 )
 from .mesh import Mesh2D, _bottom_cell_counts, build_benchmark_mesh, build_two_body_mesh
 from .qp import QpNonconvergenceError
-from .stepper import InvariantViolation, Operators, Trajectory, build_operators, run
+from .stepper import (
+    InvariantViolation,
+    Operators,
+    State,
+    Trajectory,
+    build_operators,
+    init_state,
+    planned_steps,
+    run,
+)
 
 __all__ = [
     "HarnessError",
@@ -77,6 +86,9 @@ class RunResult:
     ledger: EnergyLedger
     norms: dict[str, float]
     out_dir: Path
+    # (prev, state) of the step at the planned grid's midpoint, when the run
+    # reached it, and of the last step: the CLI's momentum spot check
+    momentum_pairs: tuple[tuple[State, State], ...]
 
 
 def _fmt(x) -> str:
@@ -205,7 +217,9 @@ def run_single(config: SimulationConfig, out_dir) -> RunResult:
     inspected mid-flight; the remaining files land at the end, along with
     one snapshot of the last state for instants the run never reached.
     When the stepper aborts, the outputs for the completed steps are
-    still written before the error propagates.
+    still written before the error propagates.  The norms are summed as
+    the states pass, and no state is kept but the trajectory's first and
+    last and the momentum_pairs.
     """
     _, ops = build_simulation(config)
     digest = config_hash(config)
@@ -218,23 +232,39 @@ def run_single(config: SimulationConfig, out_dir) -> RunResult:
     planned = _snapshot_steps(config)
     written: set[int] = set()
     write_snapshot = _snapshot_writer(digest, ops)
+    norms = trajectory_norms(ops, init_state(ops))  # run starts from init_state(ops)
+    mid = max(1, planned_steps(tau, config.time.T) // 2)
+    pairs: dict[int, tuple[State, State]] = {}  # step -> (prev, state), for momentum_pairs
 
     def on_step(state, report):
         k = round(state.t / tau)
         if k in planned:
             write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", state)
             written.add(k)
+        if k - 1 != mid:
+            pairs.pop(k - 1, None)
+        pairs[k] = (norms.prev, state)
+        norms.add(state)
 
     def emit(traj) -> RunResult:
         ledger = build_ledger(ops, traj)
-        norms = trajectory_norms(ops, traj)
+        if traj.last.t > norms.prev.t:  # a failed step check keeps its state
+            norms.add(traj.last)
         runtime = time.perf_counter() - started
-        _write_run_outputs(config, ops, traj, ledger, norms, out, digest, runtime)
-        last = len(traj.states) - 1
-        for k in sorted({min(last, k) for k in planned} - written):
-            write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", traj.states[k])
+        values = norms.values()
+        _write_run_outputs(config, ops, traj, ledger, values, out, digest, runtime)
+        last = traj.n_steps
+        for k in sorted({min(last, k) for k in planned} - written):  # only 0 and last remain
+            state = traj.last if k == last else traj.first
+            write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", state)
         return RunResult(
-            config=config, ops=ops, trajectory=traj, ledger=ledger, norms=norms, out_dir=out
+            config=config,
+            ops=ops,
+            trajectory=traj,
+            ledger=ledger,
+            norms=values,
+            out_dir=out,
+            momentum_pairs=tuple(pairs[k] for k in sorted(pairs)),
         )
 
     try:
@@ -288,7 +318,7 @@ def _write_run_outputs(
             "t": [rep.t for rep in reports],
             "reaction_x": [rep.reaction[0] for rep in reports],
             "reaction_y": [rep.reaction[1] for rep in reports],
-            "bonded_length": [float(state.z @ lengths) for state in traj.states[1:]],
+            "bonded_length": [float(rep.z @ lengths) for rep in reports],
             "min_gap": [rep.min_gap for rep in reports],
         },
     )
@@ -302,7 +332,7 @@ def _write_run_outputs(
 
     from . import __version__
 
-    final = traj.states[-1]
+    final = traj.last
     meta = {
         "package": "delam2d",
         "versions": {
@@ -461,7 +491,12 @@ def run_convergence(
 
 
 def run_chi_sweep(config: SimulationConfig, out_dir) -> list[RunResult]:
-    """Run the configuration once per viscosity scale in its chi list."""
+    """Run the configuration once per viscosity scale in its chi list.
+
+    Each member's RunResult holds its trajectory's reports and its first
+    and last states, not every state: a sweep holds a fixed number of
+    displacement vectors per member, whatever the step count.
+    """
     chis = config.chi_sweep if config.chi_sweep is not None else (config.material.chi,)
     names = [f"chi_{chi:g}" for chi in chis]
     if len(set(names)) < len(names):

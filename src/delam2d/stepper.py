@@ -10,7 +10,9 @@ threshold and debonds, irreversibly, when the energy wins.
 
 Conventions: dofs interleave as (2*node, 2*node + 1); time grid t_k =
 k*tau; energies are per unit out-of-plane thickness.  Per-step records
-carry enough to audit the scheme's inequalities without re-solving.
+carry every term of the step's energy inequality, so the run's energy
+ledger is their running sum; a run hands each state to its caller and
+keeps only the first and the last.
 """
 
 from __future__ import annotations
@@ -44,14 +46,17 @@ __all__ = [
     "displacement_step",
     "delamination_step",
     "segment_energies",
+    "planned_steps",
     "run",
 ]
 
 FEASIBILITY_TOL = 1e-10  # meters of admissible interpenetration
 ENERGY_TOL_FACTOR = 1e-8  # of the running energy scale, per step
 
-try:  # glibc's malloc_trim, which returns the heap's free pages to the OS
+try:  # glibc's malloc_trim(size_t pad) -> int, which returns the heap's free pages to the OS
     _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if _malloc_trim is not None:
+        _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
 except (OSError, TypeError):
     _malloc_trim = None
 
@@ -78,11 +83,16 @@ class State:
 class StepEnergy:
     """Energy bookkeeping of one step, all per unit thickness (J/m).
 
+    bulk_elastic and interface_elastic are the energies stored at the
+    step's end; viscous_increment is du.V du / (t_k - t_{k-1}).
     inequality_residual is device work minus stored increment minus
     dissipation; the scheme guarantees it nonnegative up to solver
     tolerance, and its running sum is the work-energy gap.
     """
 
+    bulk_elastic: float
+    interface_elastic: float
+    viscous_increment: float
     debond_increment: float
     device_work_increment: float
     inequality_residual: float
@@ -95,6 +105,7 @@ class StepReport:
     drive: np.ndarray  # per-segment glue energy integral (J/m)
     threshold: np.ndarray  # per-segment dissipation bound (J/m)
     mixity: np.ndarray  # per-segment midpoint mixity angle (rad)
+    z: np.ndarray  # bond field at the step's end
     reaction: np.ndarray  # device force resultant (N/m)
     min_gap: float
     energy: StepEnergy
@@ -102,14 +113,17 @@ class StepReport:
 
 @dataclass
 class Trajectory:
+    """A run's time grid and step reports, and its first and last states only."""
+
     times: list[float]
-    states: list[State]
     reports: list[StepReport | None]  # index 0 is None
+    first: State
+    last: State
     t_full_debond: float | None = None
 
     @property
     def n_steps(self) -> int:
-        return len(self.states) - 1
+        return len(self.times) - 1
 
 
 @dataclass(frozen=True)
@@ -200,6 +214,14 @@ class _StepOperator:
         self._start_era(z)
 
     def _start_era(self, z: np.ndarray) -> None:
+        # What was freed before (the old era's factor, dense block and columns,
+        # or the set-up's assembly temporaries) leaves holes between allocations
+        # that live on (the step reports); the heap keeps them resident and the
+        # new factor does not fit them, so RSS would step up at every era.  Drop
+        # the old era and trim before factoring.
+        self.factor = self.C_fp = self.C_presc = None
+        if _malloc_trim is not None:
+            _malloc_trim(0)
         ops, free, presc = self.ops, self.ops.dofmap.free, self.ops.dofmap.prescribed
         self.z = self.z_base = z.copy()
         self.glue = None  # no decrement at the era's own bond field
@@ -216,13 +238,6 @@ class _StepOperator:
         at = np.searchsorted(dofmap.free, D)
         p = dofmap.free.take(at, mode="clip") != D  # D's prescribed dofs
         if not self.factor.lower(at[~p], block[~p][:, ~p]):
-            # The old era's factor, dense block and columns leave holes between
-            # allocations that live on (the trajectory); the heap keeps them
-            # resident and the new factor does not fit them, so RSS would step
-            # up at every new era.  Drop them and trim before refactoring.
-            self.factor = self.C_fp = self.C_presc = None
-            if _malloc_trim is not None:
-                _malloc_trim(0)
             self._start_era(z)
             return
         self.z = z.copy()
@@ -347,6 +362,14 @@ def _stored_split(ops: Operators, u: np.ndarray, z: np.ndarray, drive: np.ndarra
     return bulk, interface
 
 
+def planned_steps(tau: float, t_end: float) -> int:
+    """Steps of the grid k*tau that run marches to reach t_end."""
+    n_steps = max(0, round(t_end / tau))
+    if n_steps * tau < t_end - 1e-9 * max(tau, t_end):
+        n_steps += 1
+    return n_steps
+
+
 def run(
     ops: Operators,
     tau: float,
@@ -365,19 +388,17 @@ def run(
     solve or check aborts as InvariantViolation describes, the failing
     step kept when its check failed.  stop_after_full_debond, when set,
     ends the run that many seconds after the bond field hits zero everywhere.
+    Each completed step's state goes to on_step; the trajectory keeps
+    only the first and the last.
     """
     if t_end < 0:
         raise ValueError(f"final time must be nonnegative, got {t_end}")
     if tau <= 0:
         raise ValueError(f"time step must be positive, got {tau}")
     state = init_state(ops, z0=z0)
-    traj = Trajectory(times=[0.0], states=[state], reports=[None])
+    traj = Trajectory(times=[0.0], reports=[None], first=state, last=state)
     if len(state.z) and state.z.max() == 0.0:
         traj.t_full_debond = 0.0
-
-    n_steps = max(0, round(t_end / tau))
-    if n_steps * tau < t_end - 1e-9 * max(tau, t_end):
-        n_steps += 1
 
     drive_prev, _ = segment_energies(ops, state.u)
     bulk_prev, interface_prev = _stored_split(ops, state.u, state.z, drive_prev)
@@ -386,7 +407,7 @@ def run(
     dissipated_total = 0.0
     work_total = 0.0
 
-    for k in range(1, n_steps + 1):
+    for k in range(1, planned_steps(tau, t_end) + 1):
         t_k = k * tau
         try:
             u_next, sol = displacement_step(
@@ -396,7 +417,7 @@ def run(
             debonded = tuple(int(e) for e in np.nonzero(z_next < state.z)[0])
 
             du = u_next - state.u
-            viscous_inc = float(du @ (ops.V @ du)) / tau
+            viscous_inc = float(du @ (ops.V @ du)) / (t_k - state.t)
             released = list(debonded)  # an intact segment's threshold may be inf (lambda = 0)
             debond_inc = float(((state.z - z_next)[released] * threshold[released]).sum())
             reaction, device_inc = step_op.boundary_work(state.u, u_next)
@@ -409,6 +430,9 @@ def run(
             min_gap = float(sol.slacks.min()) if sol.slacks.size else 0.0
 
             energy = StepEnergy(
+                bulk_elastic=bulk,
+                interface_elastic=interface,
+                viscous_increment=viscous_inc,
                 debond_increment=debond_inc,
                 device_work_increment=device_inc,
                 inequality_residual=residual,
@@ -419,14 +443,15 @@ def run(
                 drive=drive,
                 threshold=threshold,
                 mixity=psi,
+                z=z_next,
                 reaction=reaction,
                 min_gap=min_gap,
                 energy=energy,
             )
             new_state = State(t=t_k, u=u_next, z=z_next)
             traj.times.append(t_k)
-            traj.states.append(new_state)
             traj.reports.append(report)
+            traj.last = new_state
 
             dissipated_total += viscous_inc + debond_inc
             work_total += device_inc

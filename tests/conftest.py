@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delam2d import load_config, parse_config, run_single, stepper
+from delam2d import harness, load_config, parse_config, run_single, stepper
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,18 +60,61 @@ def force_qp_budget(monkeypatch, step: int) -> None:
     monkeypatch.setattr(stepper.qp, "solve_qp", budgeted)
 
 
+def tap_states(run, states: list):
+    """run, also appending every state it hands to on_step to states."""
+
+    def tapped(*args, on_step=None, **kwargs):
+        def record(state, report):
+            states.append(state)
+            if on_step is not None:
+                on_step(state, report)
+
+        return run(*args, on_step=record, **kwargs)
+
+    return tapped
+
+
+def run_with_states(ops, **kwargs):
+    """stepper.run(ops, **kwargs) and the list of its states, the first one first.
+
+    A run keeps only its first and last states; tests that read the others
+    collect them here, through on_step."""
+    states = []
+    traj = tap_states(stepper.run, states)(ops, **kwargs)
+    return traj, [traj.first, *states]
+
+
+def run_single_with_states(config, out_dir):
+    """run_single(config, out_dir) and the list of its run's states, the first one first."""
+    states = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "run", tap_states(harness.run, states))
+        result = run_single(config, out_dir)
+    return result, [result.trajectory.first, *states]
+
+
 @pytest.fixture(scope="session")
 def small_config():
     return parse_config(make_doc())
 
 
 @pytest.fixture(scope="session")
-def small_result(small_config, tmp_path_factory):
-    """One completed small run with full debonding, shared read-only."""
+def small_run(small_config, tmp_path_factory):
+    """One completed small run with full debonding and its states, shared read-only."""
     out = tmp_path_factory.mktemp("small_run")
-    result = run_single(small_config, out)
+    result, states = run_single_with_states(small_config, out)
     assert result.trajectory.t_full_debond is not None
-    return result
+    return result, states
+
+
+@pytest.fixture(scope="session")
+def small_result(small_run):
+    return small_run[0]
+
+
+@pytest.fixture(scope="session")
+def small_states(small_run):
+    return small_run[1]
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +123,17 @@ def benchmark_config():
 
 
 @pytest.fixture(scope="session")
-def benchmark_result(benchmark_config, tmp_path_factory):
-    """The full 81-segment benchmark run; shared by the acceptance tests."""
+def benchmark_run(benchmark_config, tmp_path_factory):
+    """The full 81-segment benchmark run and its states; shared by the acceptance tests."""
     out = tmp_path_factory.mktemp("benchmark_run")
-    return run_single(benchmark_config, out)
+    return run_single_with_states(benchmark_config, out)
+
+
+@pytest.fixture(scope="session")
+def benchmark_result(benchmark_run):
+    return benchmark_run[0]
+
+
+@pytest.fixture(scope="session")
+def benchmark_states(benchmark_run):
+    return benchmark_run[1]

@@ -26,7 +26,6 @@ from delam2d import (
     mixity_histogram,
     run_convergence,
     run_single,
-    semistability_check,
 )
 from delam2d.constitutive import AdhesiveLaw
 from delam2d.harness import CURVE_SET, _level_config
@@ -36,6 +35,7 @@ from test_assembly import (
     generator_meshes,
     linear_field,
 )
+from references import semistability_check
 from test_qp import assert_matches_oracle, random_instance
 
 import scipy.sparse.linalg as spla
@@ -146,16 +146,16 @@ def test_04_per_step_energy_inequality(benchmark_result):
     )
 
 
-def test_05_semistability_zero_violations(benchmark_result):
-    traj, ops = benchmark_result.trajectory, benchmark_result.ops
+def test_05_semistability_zero_violations(benchmark_result, benchmark_states):
+    ops = benchmark_result.ops
     violations = 0
     worst = math.inf
-    for k in range(len(traj.states)):
-        for _, ok, margin in semistability_check(ops, traj, k):
+    for state in benchmark_states:
+        for _, ok, margin in semistability_check(ops, state):
             violations += 0 if ok else 1
             if math.isfinite(margin):
                 worst = min(worst, margin)
-    n_checks = len(traj.states) * ops.n_segments
+    n_checks = len(benchmark_states) * ops.n_segments
     verdict(
         "semistability",
         violations == 0,
@@ -164,12 +164,10 @@ def test_05_semistability_zero_violations(benchmark_result):
     )
 
 
-def test_06_bond_monotone_and_no_penetration(benchmark_result):
-    traj, ops = benchmark_result.trajectory, benchmark_result.ops
-    monotone = all(
-        np.all(b.z <= a.z) for a, b in zip(traj.states[:-1], traj.states[1:])
-    )
-    min_gap = min(float(ops.constraint.gaps(s.u).min()) for s in traj.states)
+def test_06_bond_monotone_and_no_penetration(benchmark_result, benchmark_states):
+    ops, states = benchmark_result.ops, benchmark_states
+    monotone = all(np.all(b.z <= a.z) for a, b in zip(states[:-1], states[1:]))
+    min_gap = min(float(ops.constraint.gaps(s.u).min()) for s in states)
     verdict(
         "unidirectionality and feasibility",
         monotone and min_gap >= -1e-10,
@@ -196,12 +194,12 @@ def test_07_energy_gap_nonnegative_and_nondecreasing(benchmark_result):
 def test_08a_complete_delamination(benchmark_result):
     traj = benchmark_result.trajectory
     t_full = traj.t_full_debond
-    fully = t_full is not None and not traj.states[-1].z.any()
+    fully = t_full is not None and not traj.last.z.any()
     verdict(
         "complete delamination",
         fully,
         f"t_full_debond = {t_full}, final bonded fraction "
-        f"{float(traj.states[-1].z.mean()):.3f}",
+        f"{float(traj.last.z.mean()):.3f}",
     )
 
 

@@ -12,18 +12,23 @@ from delam2d.constitutive import (
 )
 from delam2d.energetics import (
     build_ledger,
-    energy_inequality_residual,
     mixity_histogram,
     momentum_residual,
-    semistability_check,
-    stored_energy,
     trajectory_norms,
 )
 from delam2d.harness import build_simulation
 from delam2d.mesh import build_benchmark_mesh
 from delam2d.stepper import State, Trajectory, build_operators, init_state, run
 
-from conftest import make_doc
+from conftest import make_doc, run_single_with_states, run_with_states
+from references import (
+    energy_inequality_residual,
+    ledger_from_states,
+    norms_from_states,
+    semistability_check,
+    stored_energy,
+)
+from test_stepper import level27_config
 
 # toughness ratio a(pi/2)/a_I of the benchmark law (lambda = 0.333)
 MODE2_RATIO = 4.007266178288704
@@ -35,8 +40,31 @@ def small_ops():
 
 
 @pytest.fixture(scope="module")
-def small_traj(small_ops):
-    return run(small_ops, tau=0.02, t_end=1.2)
+def small_run(small_ops):
+    return run_with_states(small_ops, tau=0.02, t_end=1.2)
+
+
+@pytest.fixture(scope="module")
+def small_traj(small_run):
+    return small_run[0]
+
+
+@pytest.fixture(scope="module")
+def small_states(small_run):
+    return small_run[1]
+
+
+def rest_trajectory(state):
+    """The trajectory of a run that took no step from state."""
+    return Trajectory(times=[state.t], reports=[None], first=state, last=state)
+
+
+def summed_norms(ops, states):
+    """trajectory_norms summed over states, as run_single sums them."""
+    norms = trajectory_norms(ops, states[0])
+    for state in states[1:]:
+        norms.add(state)
+    return norms.values()
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +155,9 @@ class TestLedger:
         scale = small_ledger.scale()[1:]
         assert np.all(np.abs(dgap - recorded) <= 1e-10 * scale)
 
-    def test_stored_matches_states(self, small_ops, small_traj, small_ledger):
-        for k in (0, len(small_traj.states) // 2, -1):
-            _, phi = stored_energy(small_ops, small_traj.states[k])
+    def test_stored_matches_states(self, small_ops, small_states, small_ledger):
+        for k in (0, len(small_states) // 2, -1):
+            _, phi = stored_energy(small_ops, small_states[k])
             assert small_ledger.total_stored()[k] == pytest.approx(phi, rel=1e-12, abs=1e-30)
 
     def test_debond_dissipation_settles_after_full_release(self, small_traj, small_ledger):
@@ -153,10 +181,10 @@ class TestLedger:
 
 class TestEnergyInequality:
     def test_degenerate_interval_is_zero(self, small_ops, small_traj):
-        assert energy_inequality_residual(small_ops, small_traj, 0.4, 0.4) == 0.0
+        assert energy_inequality_residual(small_traj, 0.4, 0.4) == 0.0
 
     def test_full_interval_equals_final_gap(self, small_ops, small_traj, small_ledger):
-        res = energy_inequality_residual(small_ops, small_traj, 0.0, small_traj.times[-1])
+        res = energy_inequality_residual(small_traj, 0.0, small_traj.times[-1])
         scale = float(small_ledger.scale()[-1])
         assert abs(res - small_ledger.gap[-1]) <= 1e-10 * scale
 
@@ -165,60 +193,58 @@ class TestEnergyInequality:
         tol = 1e-8 * float(small_ledger.scale()[-1])
         for i in range(0, len(times), 3):
             for j in range(i, len(times), 3):
-                assert energy_inequality_residual(
-                    small_ops, small_traj, times[i], times[j]
-                ) >= -tol
+                assert energy_inequality_residual(small_traj, times[i], times[j]) >= -tol
 
     def test_reversed_interval_rejected(self, small_ops, small_traj):
         with pytest.raises(ValueError, match="t1 <= t2"):
-            energy_inequality_residual(small_ops, small_traj, 0.5, 0.2)
+            energy_inequality_residual(small_traj, 0.5, 0.2)
 
 
 class TestSemistability:
     def test_rest_state_passes(self, toy_ops):
-        traj = Trajectory(times=[0.0], states=[init_state(toy_ops)], reports=[None])
-        results = semistability_check(toy_ops, traj, 0)
+        results = semistability_check(toy_ops, init_state(toy_ops))
         assert all(ok for _, ok, _ in results)
 
-    def test_every_step_of_a_run_passes(self, small_ops, small_traj):
-        for k in range(len(small_traj.states)):
-            results = semistability_check(small_ops, small_traj, k)
+    def test_every_step_of_a_run_passes(self, small_ops, small_states):
+        for k, state in enumerate(small_states):
+            results = semistability_check(small_ops, state)
             assert all(ok for _, ok, _ in results), f"failure at index {k}"
 
-    def test_debonded_segment_passes_vacuously(self, small_ops, small_traj):
+    def test_debonded_segment_passes_vacuously(self, small_ops, small_traj, small_states):
         k = small_traj.times.index(small_traj.t_full_debond)
-        results = semistability_check(small_ops, small_traj, k)
+        results = semistability_check(small_ops, small_states[k])
         assert all(ok and margin == math.inf for _, ok, margin in results)
 
     def test_constructed_violation_reported(self, toy_ops):
         u = np.zeros(toy_ops.mesh.n_dofs)
         u[2 * toy_ops.mesh.seg_plus + 1] = 50.0
-        state = State(0.0, u, np.ones(toy_ops.n_segments))
-        traj = Trajectory(times=[0.0], states=[state], reports=[None])
-        results = semistability_check(toy_ops, traj, 0)
+        results = semistability_check(toy_ops, State(0.0, u, np.ones(toy_ops.n_segments)))
         assert all(not ok for _, ok, _ in results)
         assert all(margin < 0 for _, ok, margin in results)
 
 
 class TestMomentumResidual:
-    def test_nonnegative_along_the_run(self, small_ops, small_traj):
-        n = len(small_traj.states) - 1
+    def test_nonnegative_along_the_run(self, small_ops, small_states):
+        n = len(small_states) - 1
         for index in (1, n // 3, 2 * n // 3, n):
-            worst = momentum_residual(small_ops, small_traj, index, n_fields=16)
+            prev, state = small_states[index - 1 : index + 1]
+            worst = momentum_residual(small_ops, prev, state, n_fields=16)
             assert worst >= -1e-6, f"index {index}: worst slack {worst:.3e}"
 
-    def test_deterministic_in_the_seed(self, small_ops, small_traj):
-        a = momentum_residual(small_ops, small_traj, 5, n_fields=8, seed=42)
-        b = momentum_residual(small_ops, small_traj, 5, n_fields=8, seed=42)
+    def test_deterministic_in_the_seed(self, small_ops, small_states):
+        a = momentum_residual(small_ops, *small_states[4:6], n_fields=8, seed=42)
+        b = momentum_residual(small_ops, *small_states[4:6], n_fields=8, seed=42)
         assert a == b
 
-    def test_other_seeds_also_healthy(self, small_ops, small_traj):
+    def test_other_seeds_also_healthy(self, small_ops, small_states):
         for seed in (1, 2, 3):
-            assert momentum_residual(small_ops, small_traj, 10, n_fields=8, seed=seed) >= -1e-6
+            slack = momentum_residual(small_ops, *small_states[9:11], n_fields=8, seed=seed)
+            assert slack >= -1e-6
 
-    def test_initial_index_rejected(self, small_ops, small_traj):
-        with pytest.raises(ValueError, match=">= 1"):
-            momentum_residual(small_ops, small_traj, 0)
+    def test_initial_index_rejected(self, small_ops, small_states):
+        # the initial state paired with itself is no step
+        with pytest.raises(ValueError, match="needs a step"):
+            momentum_residual(small_ops, small_states[0], small_states[0])
 
 
 class TestMixityHistogram:
@@ -234,8 +260,7 @@ class TestMixityHistogram:
 
     def test_times_match_reports(self, small_ops, small_traj):
         record = mixity_histogram(small_ops, small_traj)
-        for k in range(1, len(small_traj.states)):
-            rep = small_traj.reports[k]
+        for rep in small_traj.reports[1:]:
             for e in rep.debonded:
                 assert record.debond_time[e] == rep.t
                 assert record.mixity_angle[e] == rep.mixity[e]
@@ -252,9 +277,7 @@ class TestMixityHistogram:
         assert np.all(np.isfinite(record.ratio[released]))
 
     def test_x_mid_matches_mesh(self, small_ops):
-        record = mixity_histogram(
-            small_ops, Trajectory(times=[0.0], states=[init_state(small_ops)], reports=[None])
-        )
+        record = mixity_histogram(small_ops, rest_trajectory(init_state(small_ops)))
         for e, (a, b) in enumerate(small_ops.mesh.seg_plus):
             pa, pb = small_ops.mesh.nodes[a], small_ops.mesh.nodes[b]
             assert record.x_mid[e] == pytest.approx(0.5 * (pa[0] + pb[0]), rel=1e-15)
@@ -279,8 +302,8 @@ class TestScalingSanity:
 
 
 class TestTrajectoryNorms:
-    def test_norms_finite_positive(self, small_ops, small_traj):
-        norms = trajectory_norms(small_ops, small_traj)
+    def test_norms_finite_positive(self, small_ops, small_states):
+        norms = summed_norms(small_ops, small_states)
         assert set(norms) == {
             "displacement_sup_h1",
             "displacement_rate_h1",
@@ -290,14 +313,14 @@ class TestTrajectoryNorms:
         for name, value in norms.items():
             assert np.isfinite(value) and value > 0.0, name
 
-    def test_bond_norms_closed_form(self, small_ops, small_traj):
-        norms = trajectory_norms(small_ops, small_traj)
+    def test_bond_norms_closed_form(self, small_ops, small_states):
+        norms = summed_norms(small_ops, small_states)
         assert norms["bond_sup"] == 1.0
         glued_length = float(small_ops.mesh.seg_length.sum())
         # initial L1 mass plus one full release of every segment
         assert norms["bond_variation_l1"] == pytest.approx(2.0 * glued_length, rel=1e-12)
 
-    def test_h1_norms_match_per_triangle_quadrature(self, small_ops, small_traj):
+    def test_h1_norms_match_per_triangle_quadrature(self, small_ops, small_states):
         mesh = small_ops.mesh
 
         def h1_sq(u):
@@ -315,28 +338,39 @@ class TestTrajectoryNorms:
             return total
 
         rng = np.random.default_rng(5)
-        noisy = Trajectory(
-            times=[0.0, 0.5, 1.25],
-            states=[State(t, rng.normal(size=mesh.n_dofs), small_traj.states[0].z)
-                    for t in (0.0, 0.5, 1.25)],
-            reports=[None, None, None],
-        )
-        for traj in (small_traj, noisy):
-            states, times = traj.states, traj.times
+        noisy = [
+            State(t, rng.normal(size=mesh.n_dofs), small_states[0].z) for t in (0.0, 0.5, 1.25)
+        ]
+        for states in (small_states, noisy):
+            times = [s.t for s in states]
             sup = max(math.sqrt(h1_sq(s.u)) for s in states)
             rate_sq = h1_sq(states[0].u) + sum(
                 (times[k] - times[k - 1])
                 * h1_sq((states[k].u - states[k - 1].u) / (times[k] - times[k - 1]))
                 for k in range(1, len(states))
             )
-            norms = trajectory_norms(small_ops, traj)
+            norms = summed_norms(small_ops, states)
             assert norms["displacement_sup_h1"] == pytest.approx(sup, rel=1e-11)
             assert norms["displacement_rate_h1"] == pytest.approx(math.sqrt(rate_sq), rel=1e-11)
 
     def test_rest_trajectory_norms_vanish(self, small_ops):
-        state = init_state(small_ops, z0=0.0)
-        traj = Trajectory(times=[0.0], states=[state], reports=[None])
-        norms = trajectory_norms(small_ops, traj)
+        norms = trajectory_norms(small_ops, init_state(small_ops, z0=0.0)).values()
         assert norms["displacement_sup_h1"] == 0.0
         assert norms["bond_sup"] == 0.0
         assert norms["bond_variation_l1"] == 0.0
+
+
+class TestSumsMatchReferences:
+    @pytest.mark.parametrize("case", ["rigid", "two_body", "right_glued", "lambda_0", "eps_reg"])
+    def test_ledger_and_norms_equal_the_from_states_references(self, case, tmp_path):
+        # run_single sums the ledger from the step reports and the norms as
+        # the states pass; both must carry the bits of the recomputation
+        # from every state of the run.
+        result, states = run_single_with_states(level27_config(case), tmp_path)
+        ops, traj = result.ops, result.trajectory
+        assert len(states) == traj.n_steps + 1
+        assert any(rep.debonded for rep in traj.reports[1:])  # releases are covered
+        reference = ledger_from_states(ops, traj, states)
+        for name in reference.__dataclass_fields__:
+            assert np.array_equal(getattr(result.ledger, name), getattr(reference, name)), name
+        assert result.norms == norms_from_states(ops, states)

@@ -4,6 +4,7 @@ import pkgutil
 import pytest
 
 import delam2d
+import references
 
 MODULES = sorted(
     f"delam2d.{info.name}" for info in pkgutil.iter_modules(delam2d.__path__)
@@ -15,3 +16,14 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize(
+    "name", ["stored_energy", "energy_inequality_residual", "semistability_check"]
+)
+def test_from_states_audits_live_in_the_tests(name):
+    # src sums these from the step reports; the recomputations from every
+    # state are test references (tests/references.py), not package API
+    assert name not in delam2d.__all__
+    assert not hasattr(importlib.import_module("delam2d.energetics"), name)
+    assert callable(getattr(references, name))

@@ -5,6 +5,7 @@ header line, exact column order, repr-formatted floats) so a change in
 the on-disk contract shows up here rather than in downstream scripts.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -19,6 +20,7 @@ import pytest
 from conftest import REPO_ROOT, force_bond_increase, force_qp_budget, make_doc
 
 import delam2d
+from delam2d import cli, stepper
 from delam2d import (
     ConfigError,
     HarnessError,
@@ -39,6 +41,7 @@ from delam2d.harness import (
     _level_config,
     _snapshot_writer,
     _write_table,
+    build_simulation,
 )
 from delam2d.mesh import _bottom_cell_counts
 from delam2d.qp import QpNonconvergenceError
@@ -59,6 +62,17 @@ def write_doc(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def assert_last_state_snapshot(out, k, t):
+    """The only snapshot of a run that died at step k + 1 or at k's check is step k's,
+    written for the instants the run never reached, and it parses."""
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == [f"snapshot_{k:05d}.csv"]
+    lines = (out / "snapshots" / f"snapshot_{k:05d}.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1] == f"# t={t!r}"
+    at = lines.index("interface")
+    for row in lines[4:at] + lines[at + 2 :]:
+        [float(v) for v in row.split(",")]
 
 
 def read_csv(path):
@@ -299,7 +313,7 @@ class TestRunSingleOutputs:
         for j, name in enumerate(cols):
             assert np.array_equal(data[:, j], series[name]), name
 
-    def test_forces_csv(self, small_result):
+    def test_forces_csv(self, small_result, small_states):
         _, cols, rows = read_csv(small_result.out_dir / "forces.csv")
         assert cols == ["t", "reaction_x", "reaction_y", "bonded_length", "min_gap"]
         traj = small_result.trajectory
@@ -307,7 +321,7 @@ class TestRunSingleOutputs:
         data = np.array([[float(v) for v in row] for row in rows])
         assert np.array_equal(data[:, 0], np.array(traj.times[1:]))
         lengths = small_result.ops.mesh.seg_length
-        expected_bl = np.array([float(s.z @ lengths) for s in traj.states[1:]])
+        expected_bl = np.array([float(s.z @ lengths) for s in small_states[1:]])
         assert np.array_equal(data[:, 3], expected_bl)
         assert data[:, 4].min() >= -1e-8
 
@@ -353,12 +367,12 @@ class TestRunSingleOutputs:
         assert node_rows == mesh.n_nodes
         assert len(lines) - lines.index("interface") - 2 == len(mesh.seg_length)
 
-    def test_snapshot_round_trip(self, small_result):
+    def test_snapshot_round_trip(self, small_result, small_states):
         # every float of a snapshot parses back to the state's value exactly
         snaps = sorted((small_result.out_dir / "snapshots").iterdir())
-        traj, ops = small_result.trajectory, small_result.ops
+        ops = small_result.ops
         for path in (snaps[0], snaps[-1]):
-            state = traj.states[int(path.stem.split("_")[1])]
+            state = small_states[int(path.stem.split("_")[1])]
             lines = path.read_text(encoding="utf-8").splitlines()
             assert float(lines[1].removeprefix("# t=")) == state.t
             at = lines.index("interface")
@@ -478,6 +492,51 @@ class TestRunSingleOutputs:
         assert meta["n_steps"] == 0 and meta["t_full_debond"] is None
         names = sorted(p.name for p in (out / "snapshots").iterdir())
         assert names == ["snapshot_00000.csv"]
+
+
+def held_bytes(obj, seen=None) -> int:
+    """Bytes of the numpy arrays reachable from obj through dataclass fields,
+    lists, tuples and dict values, each array counted once."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    elif isinstance(obj, dict):
+        children = obj.values()
+    else:
+        return 0
+    return sum(held_bytes(child, seen) for child in children)
+
+
+class TestBoundedMemory:
+    """A run holds a fixed number of displacement vectors, whatever its step count."""
+
+    @staticmethod
+    def config(n_steps):
+        config = _level_config(load_config(REPO_ROOT / "benchmark.json"), 27)
+        return dataclasses.replace(
+            config, time=dataclasses.replace(config.time, T=n_steps * config.time.tau)
+        )
+
+    def test_run_result_grows_by_less_than_a_displacement_per_step(self, tmp_path):
+        short, long = (run_single(self.config(n), tmp_path / str(n)) for n in (30, 120))
+        assert (short.trajectory.n_steps, long.trajectory.n_steps) == (30, 120)
+        assert any(rep.debonded for rep in long.trajectory.reports[1:])
+        per_step = (held_bytes(long) - held_bytes(short)) / 90
+        assert per_step < 8 * long.ops.mesh.n_dofs, per_step
+
+    def test_trajectory_without_on_step_grows_by_less_than_a_displacement_per_step(self):
+        ops = build_simulation(self.config(120))[1]
+        tau = self.config(120).time.tau
+        short, long = (stepper.run(ops, tau=tau, t_end=n * tau) for n in (30, 120))
+        per_step = (held_bytes(long) - held_bytes(short)) / 90
+        assert per_step < 8 * ops.mesh.n_dofs, per_step
 
 
 class TestProvenance:
@@ -612,8 +671,9 @@ def test_vanishing_viscosity_limit(tmp_path):
     assert np.all(ledger.gap >= -tol)
     assert np.all(np.diff(ledger.gap) >= -tol[1:])
     assert min(rep.min_gap for rep in traj.reports[1:]) >= -1e-10
-    for k in (traj.n_steps // 2, traj.n_steps):
-        assert momentum_residual(limit.ops, traj, k, n_fields=16) >= -1e-6
+    assert [state.t for _, state in limit.momentum_pairs] == [traj.times[75], traj.times[150]]
+    for prev, state in limit.momentum_pairs:
+        assert momentum_residual(limit.ops, prev, state, n_fields=16) >= -1e-6
 
 
 class TestLevelLadder:
@@ -917,6 +977,42 @@ class TestCli:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: delam2d")
 
+    @staticmethod
+    def spy_momentum_checks(monkeypatch):
+        """The (prev.t, state.t) of every pair the CLI's momentum spot check reads."""
+        seen = []
+        check = cli.momentum_residual
+
+        def spy(ops, prev, state, **kwargs):
+            seen.append((prev.t, state.t))
+            return check(ops, prev, state, **kwargs)
+
+        monkeypatch.setattr(cli, "momentum_residual", spy)
+        return seen
+
+    def test_momentum_spot_check_reads_the_midpoint_and_last_steps(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        seen = self.spy_momentum_checks(monkeypatch)
+        path = write_doc(tmp_path, tiny_doc())
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert seen == [(4 * 0.05, 5 * 0.05), (9 * 0.05, 10 * 0.05)]
+        assert "momentum spot check: worst normalized slack" in capsys.readouterr().out
+
+    def test_a_run_stopped_before_its_midpoint_checks_its_last_step_only(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 200 planned steps, midpoint t = 2.0; the bar is free well before
+        seen = self.spy_momentum_checks(monkeypatch)
+        doc = make_doc(time={"T": 4.0, "stop_after_full_debond": 0.0})
+        path = write_doc(tmp_path, doc)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        meta = json.loads((tmp_path / "o" / "meta.json").read_text(encoding="utf-8"))
+        t_end, n = meta["t_end"], meta["n_steps"]
+        assert t_end == meta["t_full_debond"] and n < 100
+        assert seen == [((n - 1) * 0.02, n * 0.02)] and seen[0][1] == t_end
+        assert "momentum spot check: worst normalized slack" in capsys.readouterr().out
+
     def test_solver_budget_exhaustion_exits_2(self, tmp_path, capsys):
         # compression activates contact; one active-set iteration is not
         # enough to settle the working set, so the step must give up
@@ -988,6 +1084,7 @@ class TestCli:
         assert rows and all(len(row) == len(cols) for row in rows)
         meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
         assert meta["config_hash"] == digest and meta["n_steps"] == 2
+        assert_last_state_snapshot(out, 2, 0.1)
 
     def test_step_check_failure_leaves_outputs(self, tmp_path, capsys, monkeypatch):
         # the bond update of step 3 raises a bond: the step's check fails
@@ -1009,3 +1106,4 @@ class TestCli:
         assert rows and all(len(row) == len(cols) for row in rows)
         meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
         assert meta["config_hash"] == digest and meta["n_steps"] == 3
+        assert_last_state_snapshot(out, 3, 0.15000000000000002)

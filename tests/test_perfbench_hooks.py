@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from delam2d import load_config, qp, stepper
+from delam2d import load_config, qp
 from delam2d.harness import _level_config, build_simulation
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, run_with_states
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -84,10 +84,8 @@ def test_every_superlu_solve_goes_through_a_wrapped_solve(monkeypatch):
     monkeypatch.setattr(qp.spla, "splu", lambda A: Spy(splu(A)))
     config = _level_config(load_config(REPO_ROOT / "benchmark.json"), 27)
     ops = build_simulation(config)[1]
-    traj = stepper.run(ops, tau=config.time.tau, t_end=config.time.T)
-    changes = sum(
-        not np.array_equal(a.z, b.z) for a, b in zip(traj.states[:-1], traj.states[1:])
-    )
+    _, states = run_with_states(ops, tau=config.time.tau, t_end=config.time.T)
+    changes = sum(not np.array_equal(a.z, b.z) for a, b in zip(states[:-1], states[1:]))
     names = [span[0] for span in probe.spans]
     assert 2 <= names.count("qp.factorize") < changes  # eras, most releases lowered
     assert any(len(shape) == 2 for shape in superlu_calls)  # Z's multi-column solves

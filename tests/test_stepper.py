@@ -23,7 +23,7 @@ from delam2d.stepper import (
     segment_energies,
 )
 
-from conftest import REPO_ROOT, force_bond_increase, force_qp_budget, make_doc
+from conftest import REPO_ROOT, force_bond_increase, force_qp_budget, make_doc, run_with_states
 
 from delam2d import parse_config
 
@@ -35,8 +35,18 @@ def small_ops():
 
 
 @pytest.fixture(scope="module")
-def small_traj(small_ops):
-    return run(small_ops, tau=0.02, t_end=1.2)
+def small_run(small_ops):
+    return run_with_states(small_ops, tau=0.02, t_end=1.2)
+
+
+@pytest.fixture(scope="module")
+def small_traj(small_run):
+    return small_run[0]
+
+
+@pytest.fixture(scope="module")
+def small_states(small_run):
+    return small_run[1]
 
 
 def toy_adhesive(**overrides):
@@ -242,28 +252,37 @@ class TestRun:
         assert np.allclose(times, 0.02 * np.arange(len(times)))
         assert small_traj.times[-1] == pytest.approx(1.2)
 
-    def test_bond_monotone_and_binary(self, small_traj):
-        for prev, state in zip(small_traj.states, small_traj.states[1:]):
+    def test_bond_monotone_and_binary(self, small_states):
+        for prev, state in zip(small_states, small_states[1:]):
             assert np.all(state.z <= prev.z)
             assert np.all((state.z == 0.0) | (state.z == 1.0))
 
-    def test_full_debond_reached_and_flagged(self, small_traj):
+    def test_full_debond_reached_and_flagged(self, small_traj, small_states):
         t_star = small_traj.t_full_debond
         assert t_star is not None
         k = small_traj.times.index(t_star)
-        assert np.all(small_traj.states[k].z == 0.0)
-        assert small_traj.states[k - 1].z.max() == 1.0
+        assert np.all(small_states[k].z == 0.0)
+        assert small_states[k - 1].z.max() == 1.0
 
     def test_feasibility_throughout(self, small_traj):
         for report in small_traj.reports[1:]:
             assert report.min_gap >= -1e-10
 
-    def test_reports_recompute(self, small_ops, small_traj):
-        k = len(small_traj.states) // 2
-        report = small_traj.reports[k]
-        drive, psi = segment_energies(small_ops, small_traj.states[k].u)
+    def test_reports_recompute(self, small_ops, small_traj, small_states):
+        k = len(small_states) // 2
+        report, state, prev = small_traj.reports[k], small_states[k], small_states[k - 1]
+        drive, psi = segment_energies(small_ops, state.u)
         assert np.allclose(report.drive, drive, rtol=1e-12, atol=0)
         assert np.allclose(report.mixity, psi, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(report.z, state.z)
+        energy, du = report.energy, state.u - prev.u
+        assert energy.bulk_elastic == 0.5 * float(state.u @ (small_ops.K @ state.u))
+        assert energy.interface_elastic == float(state.z @ drive)
+        assert energy.viscous_increment == float(du @ (small_ops.V @ du)) / (state.t - prev.t)
+
+    def test_the_trajectory_keeps_only_the_first_and_last_states(self, small_traj, small_states):
+        assert small_traj.first is small_states[0] and small_traj.last is small_states[-1]
+        assert len(small_states) == small_traj.n_steps + 1
 
     def test_early_stop_at_full_debond(self, small_ops):
         traj = run(small_ops, tau=0.02, t_end=1.2, stop_after_full_debond=0.0)
@@ -275,11 +294,11 @@ class TestRun:
         traj = run(small_ops, tau=0.02, t_end=1.2, stop_after_full_debond=margin)
         assert traj.times[-1] == pytest.approx(traj.t_full_debond + margin)
 
-    def test_deterministic_rerun(self, small_ops, small_traj):
-        other = run(small_ops, tau=0.02, t_end=1.2)
+    def test_deterministic_rerun(self, small_ops, small_traj, small_states):
+        other, states = run_with_states(small_ops, tau=0.02, t_end=1.2)
         assert other.times == small_traj.times
         assert other.t_full_debond == small_traj.t_full_debond
-        for a, b in zip(other.states, small_traj.states):
+        for a, b in zip(states, small_states, strict=True):
             assert np.array_equal(a.u, b.u)
             assert np.array_equal(a.z, b.z)
         for a, b in zip(other.reports[1:], small_traj.reports[1:]):
@@ -308,7 +327,7 @@ class TestRun:
         "source", ["qp_budget", "qp_budget_step_3", "prescribed_penetration", "step_check"]
     )
     def test_escaping_errors_carry_the_trajectory(self, source, monkeypatch):
-        # Every error that escapes run names its step and carries the states
+        # Every error that escapes run names its step and carries the trajectory
         # so far: the completed steps, plus the failing one when its check failed.
         error, doc, qp_max_iter, step, n_states = {
             "qp_budget": (
@@ -331,8 +350,9 @@ class TestRun:
             run(ops, tau=0.02, t_end=0.2, qp_max_iter=qp_max_iter)
         assert str(info.value).startswith(f"step {step} (t={step * 0.02:.6g}): ")
         traj = info.value.trajectory
-        assert len(traj.states) == len(traj.times) == len(traj.reports) == n_states
+        assert len(traj.times) == len(traj.reports) == n_states
         assert traj.times == [k * 0.02 for k in range(n_states)]
+        assert traj.first.t == 0.0 and traj.last.t == traj.times[-1]
 
     @pytest.mark.parametrize("foundation", ["rigid", "two_body"])
     def test_reaction_is_the_driven_edge_force(self, foundation):
@@ -390,17 +410,27 @@ LEVEL27_CASES = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def level27_case(name):
-    """The operators, step and full run of one of LEVEL27_CASES."""
+def level27_config(name):
+    """The configuration of one of LEVEL27_CASES."""
     config = _level_config(load_config(REPO_ROOT / "benchmark.json"), 27)
     doc = json.loads(json.dumps(config.canonical))
     for section, fields in LEVEL27_CASES[name].items():
         doc[section].update(fields)
-    config = parse_config(doc)
+    return parse_config(doc)
+
+
+@functools.lru_cache(maxsize=None)
+def level27_case(name):
+    """The operators, step, and full run and its states of one of LEVEL27_CASES."""
+    config = level27_config(name)
     ops = build_simulation(config)[1]
     tau = config.time.tau
-    return ops, tau, run(ops, tau=tau, t_end=config.time.T)
+    return (ops, tau, *run_with_states(ops, tau=tau, t_end=config.time.T))
+
+
+def bond_changes(states):
+    """Whether each step of a run changed the bond field."""
+    return [not np.array_equal(a.z, b.z) for a, b in zip(states[:-1], states[1:])]
 
 
 @pytest.fixture(scope="module", params=["rigid", "two_body"])
@@ -418,12 +448,12 @@ class TestEraFactor:
         # field: every solve of the lowered factor must match a fresh
         # factor of H(z) within 1e-12 of the solution's size, with the same
         # active set, reaction and device work.
-        ops, tau, traj = level27_case(case)
+        ops, tau, traj, states = level27_case(case)
         rng = np.random.default_rng(27)
         m = ops.n_segments
         compared = active = 0
         for k in (60, 110, 130):
-            state = traj.states[k]
+            state = states[k]
             z = np.ones(m)
             op = stepper._StepOperator(ops, z, tau)
             for _ in range(3):
@@ -452,8 +482,8 @@ class TestEraFactor:
         # (K + A(z) + V/tau) on the free dofs, unlowered, so x has the bits
         # of solve_qp with a plain factor; a new era begun by set_bonds has
         # the bits of an operator built afresh at its bond field.
-        ops, tau, traj = level27
-        state = traj.states[100]
+        ops, tau, traj, states = level27
+        state = states[100]
         free = ops.dofmap.free
         z = np.ones(ops.n_segments)
         op = stepper._StepOperator(ops, z, tau)
@@ -486,7 +516,7 @@ class TestEraFactor:
         # dense block Z, one n-vector per dof touched by a release since the
         # era began, would hold more entries than the sparse factor; then a
         # new era starts.
-        ops, tau, traj = level27
+        ops, tau, traj, states = level27
         seen = []
         set_bonds = stepper._StepOperator.set_bonds
 
@@ -497,9 +527,7 @@ class TestEraFactor:
 
         monkeypatch.setattr(stepper._StepOperator, "set_bonds", spy)
         run(ops, tau=tau, t_end=traj.times[-1])
-        changes = sum(
-            not np.array_equal(a.z, b.z) for a, b in zip(traj.states[:-1], traj.states[1:])
-        )
+        changes = sum(bond_changes(states))
         assert len(seen) == changes
         eras = len(set(id(factor) for factor, _, _ in seen))  # all kept alive: ids differ
         assert 2 <= eras < changes
@@ -510,7 +538,7 @@ class TestEraFactor:
         # Over a full level-27 rigid run, each era assembles the interface
         # once, for its factorization, and each bond change builds one dense
         # glue block instead; a run that changes no bond builds none.
-        ops, tau, traj = level27_case("rigid")
+        ops, tau, traj, states = level27_case("rigid")
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -524,7 +552,7 @@ class TestEraFactor:
                              (qp, "factorize")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         run(ops, tau=tau, t_end=traj.times[-1])
-        changed = [not np.array_equal(a.z, b.z) for a, b in zip(traj.states[:-1], traj.states[1:])]
+        changed = bond_changes(states)
         assert calls["glue_block"] == sum(changed)
         assert calls["assemble_interface"] == calls["factorize"]
         assert 2 <= calls["factorize"] < sum(changed)
@@ -534,7 +562,7 @@ class TestEraFactor:
         assert calls == {"assemble_interface": 1, "factorize": 1}
 
 
-def test_state_records_are_consistent(small_traj):
-    for t, state in zip(small_traj.times, small_traj.states):
+def test_state_records_are_consistent(small_traj, small_states):
+    for t, state in zip(small_traj.times, small_states, strict=True):
         assert state.t == t
         assert isinstance(state, State)
