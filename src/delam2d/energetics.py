@@ -115,11 +115,12 @@ def momentum_residual(
 ) -> float:
     """Worst violation of the variational momentum inequality at a step.
 
-    Tests the discrete residual of the step from prev to state against random admissible
-    variations: fields matching the driven boundary values and keeping
-    every interface gap nonnegative.  At a KKT point the directional
-    slack is nonnegative for all of them; the returned value is the
-    most negative normalized slack seen (>= -tolerance when healthy).
+    Tests the discrete residual of the step from prev to state against
+    random admissible variations: fields matching the driven boundary
+    values and keeping every interface gap nonnegative.  At a KKT point
+    the directional slack is nonnegative for all of them; the returned
+    value is the most negative normalized slack seen (>= -tolerance when
+    healthy).
     """
     if not prev.t < state.t:
         raise ValueError(f"momentum residual needs a step, prev.t < state.t ({prev.t}, {state.t})")
@@ -218,7 +219,7 @@ class NormSums:
         self._S, self._m, self._lengths = S, m, lengths
         self.prev = first
         h1_sq = self._h1_sq(first.u)
-        self._sup_h1 = max(0.0, math.sqrt(h1_sq))
+        self._sup_h1 = math.sqrt(h1_sq)
         self._rate_sq = h1_sq
         self._bond_sup = float(first.z.max(initial=0.0))
         self._variation = float((first.z * lengths).sum()) if len(first.z) else 0.0

@@ -40,18 +40,18 @@ def small_ops():
 
 
 @pytest.fixture(scope="module")
-def small_run(small_ops):
+def small_stepper_run(small_ops):
     return run_with_states(small_ops, tau=0.02, t_end=1.2)
 
 
 @pytest.fixture(scope="module")
-def small_traj(small_run):
-    return small_run[0]
+def small_traj(small_stepper_run):
+    return small_stepper_run[0]
 
 
 @pytest.fixture(scope="module")
-def small_states(small_run):
-    return small_run[1]
+def small_states(small_stepper_run):
+    return small_stepper_run[1]
 
 
 def rest_trajectory(state):
