@@ -18,7 +18,11 @@ keeps the sweep's canonical form and hash.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -37,6 +41,7 @@ from .energetics import (
 )
 from .mesh import Mesh2D, _bottom_cell_counts, build_benchmark_mesh, build_two_body_mesh
 from .qp import QpNonconvergenceError
+from .snapshot_writer import LENGTH, SNAPSHOT
 from .stepper import (
     InvariantViolation,
     Operators,
@@ -64,6 +69,19 @@ __all__ = [
 # toward the end where the debonding front moves fastest.
 SNAPSHOT_FRACTIONS = (0.4, 0.6, 0.75, 0.85, 0.92, 0.96, 0.98, 1.0)
 
+# The helper process that formats and writes snapshots (see the script).
+_WRITER = Path(__file__).with_name("snapshot_writer.py")
+
+# Its input pipe's size (1 MiB, Linux's default limit for an unprivileged
+# process): at nice 19 the writer may be left waiting on the simulator's
+# CPU until the simulator blocks, so the pipe holds several snapshots (18
+# at level 162) and a hand-off does not wait for the writer.
+_PIPE_BYTES = 1 << 20
+try:
+    from fcntl import F_SETPIPE_SZ, fcntl
+except ImportError:  # not Linux (or no fcntl): the pipe keeps its default size
+    F_SETPIPE_SZ = None
+
 # Ledger series compared across refinement levels.
 CURVE_SET = (
     "bulk_elastic",
@@ -89,10 +107,6 @@ class RunResult:
     # (prev, state) of the step at the planned grid's midpoint, when the run
     # reached it, and of the last step: the CLI's momentum spot check
     momentum_pairs: tuple[tuple[State, State], ...]
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def build_mesh(config: SimulationConfig) -> Mesh2D:
@@ -183,23 +197,54 @@ def _write_csv(path: Path, digest: str, columns: dict) -> None:
         _write_table(out, columns)
 
 
-def _snapshot_writer(digest: str, ops: Operators):
-    """write(path, state) of one run's snapshots: the node table (id, x, y,
-    ux, uy) and the interface table (id, x_mid, z), as _write_table gives
-    them.  The columns fixed by the mesh are formatted once, here."""
-    nodes = ops.mesh.nodes
-    node_rows = _format_rows({"id": np.arange(len(nodes)), "x": nodes[:, 0], "y": nodes[:, 1]})
-    seg_rows = _format_rows({"id": np.arange(len(ops.seg_x_mid)), "x_mid": ops.seg_x_mid})
+class _SnapshotWriter:
+    """Hands one run's snapshots to a helper process, snapshot_writer.py,
+    which formats them (the node table id, x, y, ux, uy and the interface
+    table id, x_mid, z, as _write_table gives them) and writes them at low
+    priority, off the stepping path.  The columns fixed by the mesh are
+    formatted once, here, and go over with the first snapshot; each
+    snapshot then sends only its path, t, u and z."""
 
-    def write(path: Path, state) -> None:
-        u_rows = _format_rows({"ux": state.u[0::2], "uy": state.u[1::2]})
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
-            out.write(f"# config_hash={digest}\n# t={_fmt(state.t)}\nnodes\nid,x,y,ux,uy\n")
-            out.writelines(f"{a},{b}\n" for a, b in zip(node_rows, u_rows))
-            out.write("interface\nid,x_mid,z\n")
-            out.writelines(f"{a},{b}\n" for a, b in zip(seg_rows, _format_rows({"z": state.z})))
+    def __init__(self, digest: str, ops: Operators):
+        nodes = ops.mesh.nodes
+        mesh = {
+            "digest": digest,
+            "nodes": _format_rows({"id": np.arange(len(nodes)), "x": nodes[:, 0], "y": nodes[:, 1]}),
+            "segments": _format_rows({"id": np.arange(len(ops.seg_x_mid)), "x_mid": ops.seg_x_mid}),
+        }
+        blob = json.dumps(mesh).encode("utf-8")
+        self._pending = LENGTH.pack(len(blob)) + blob  # sent with the first snapshot
+        try:
+            self._proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", str(_WRITER)],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+            )
+        except OSError as err:
+            raise HarnessError(f"cannot start the snapshot writer ({err.strerror})") from err
+        if F_SETPIPE_SZ is not None:
+            with contextlib.suppress(OSError):  # above the system's limit: the default size
+                fcntl(self._proc.stdin.fileno(), F_SETPIPE_SZ, _PIPE_BYTES)
 
-    return write
+    def write(self, path: Path, state) -> None:
+        name = os.fsencode(path)
+        frame = [self._pending, SNAPSHOT.pack(state.t, len(name)), name]
+        frame += [np.asarray(v, dtype=np.float64).tobytes() for v in (state.u, state.z)]
+        self._pending = b""
+        try:
+            self._proc.stdin.write(b"".join(frame))
+            self._proc.stdin.flush()
+        except BrokenPipeError:
+            pass  # the writer has exited; close() reports why
+
+    def close(self) -> str | None:
+        """Close the input and wait for the writer; its failure, or None."""
+        _, err = self._proc.communicate()
+        if self._proc.returncode == 0:
+            return None
+        lines = err.decode("utf-8", "replace").strip().splitlines()
+        return lines[-1] if lines else f"the snapshot writer exited with status {self._proc.returncode}"
 
 
 def _snapshot_steps(config: SimulationConfig) -> set[int]:
@@ -213,13 +258,16 @@ def _snapshot_steps(config: SimulationConfig) -> set[int]:
 def run_single(config: SimulationConfig, out_dir) -> RunResult:
     """Run one configuration and write its result directory.
 
-    Snapshots are written as their instants pass, so a long run can be
-    inspected mid-flight; the remaining files land at the end, along with
-    one snapshot of the last state for instants the run never reached.
-    When the stepper aborts, the outputs for the completed steps are
-    still written before the error propagates.  The norms are summed as
-    the states pass, and no state is kept but the trajectory's first and
-    last and the momentum_pairs.
+    Snapshots are handed to the snapshot writer as their instants pass,
+    so a long run can be inspected mid-flight; the remaining files land
+    at the end, along with one snapshot of the last state for instants
+    the run never reached.  The writer has written every snapshot when
+    this returns or raises.  When the stepper aborts, the outputs for the
+    completed steps are still written before the error propagates; a
+    snapshot that could not be written raises HarnessError once every
+    other output is written, unless the stepper's error is already on
+    its way.  The norms are summed as the states pass, and no state is
+    kept but the trajectory's first and last and the momentum_pairs.
     """
     _, ops = build_simulation(config)
     digest = config_hash(config)
@@ -231,15 +279,15 @@ def run_single(config: SimulationConfig, out_dir) -> RunResult:
     snap_dir = _output_dir(out / "snapshots")
     planned = _snapshot_steps(config)
     written: set[int] = set()
-    write_snapshot = _snapshot_writer(digest, ops)
     norms = trajectory_norms(ops, init_state(ops))  # run starts from init_state(ops)
     mid = max(1, planned_steps(tau, config.time.T) // 2)
     pairs: dict[int, tuple[State, State]] = {}  # step -> (prev, state), for momentum_pairs
+    snapshots = _SnapshotWriter(digest, ops)
 
     def on_step(state, report):
         k = round(state.t / tau)
         if k in planned:
-            write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", state)
+            snapshots.write(snap_dir / f"snapshot_{k:05d}.csv", state)
             written.add(k)
         if k - 1 != mid:
             pairs.pop(k - 1, None)
@@ -250,13 +298,13 @@ def run_single(config: SimulationConfig, out_dir) -> RunResult:
         ledger = build_ledger(ops, traj)
         if traj.last.t > norms.prev.t:  # a failed step check keeps its state
             norms.add(traj.last)
-        runtime = time.perf_counter() - started
-        values = norms.values()
-        _write_run_outputs(config, ops, traj, ledger, values, out, digest, runtime)
         last = traj.n_steps
         for k in sorted({min(last, k) for k in planned} - written):  # only 0 and last remain
             state = traj.last if k == last else traj.first
-            write_snapshot(snap_dir / f"snapshot_{k:05d}.csv", state)
+            snapshots.write(snap_dir / f"snapshot_{k:05d}.csv", state)
+        runtime = time.perf_counter() - started
+        values = norms.values()
+        _write_run_outputs(config, ops, traj, ledger, values, out, digest, runtime)
         return RunResult(
             config=config,
             ops=ops,
@@ -268,23 +316,29 @@ def run_single(config: SimulationConfig, out_dir) -> RunResult:
         )
 
     try:
-        traj = run(
-            ops,
-            tau=tau,
-            t_end=config.time.T,
-            qp_tol=config.solver.qp_tol,
-            qp_max_iter=config.solver.qp_max_iter,
-            stop_after_full_debond=config.time.stop_after_full_debond,
-            energy_tol_factor=config.solver.energy_tol_factor,
-            on_step=on_step,
-        )
-    except (QpNonconvergenceError, InvariantViolation) as err:
         try:
-            emit(err.trajectory)
-        except Exception:
-            pass  # partial outputs are best-effort; the solver error wins
-        raise
-    return emit(traj)
+            traj = run(
+                ops,
+                tau=tau,
+                t_end=config.time.T,
+                qp_tol=config.solver.qp_tol,
+                qp_max_iter=config.solver.qp_max_iter,
+                stop_after_full_debond=config.time.stop_after_full_debond,
+                energy_tol_factor=config.solver.energy_tol_factor,
+                on_step=on_step,
+            )
+        except (QpNonconvergenceError, InvariantViolation) as err:
+            try:
+                emit(err.trajectory)
+            except Exception:
+                pass  # partial outputs are best-effort; the solver error wins
+            raise
+        result = emit(traj)
+    finally:
+        failure = snapshots.close()  # an error on its way wins over this one
+    if failure is not None:
+        raise HarnessError(failure)
+    return result
 
 
 def _write_run_outputs(

@@ -9,7 +9,12 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -39,7 +44,7 @@ from delam2d.harness import (
     CURVE_SET,
     _curve_distance,
     _level_config,
-    _snapshot_writer,
+    _SnapshotWriter,
     _write_table,
     build_simulation,
 )
@@ -387,9 +392,10 @@ class TestRunSingleOutputs:
             assert np.array_equal(segs[:, 2], state.z)
 
     def test_snapshot_writer_matches_the_table_writer(self, small_result, tmp_path):
-        # The writer formats the mesh columns once per run; its file must be
-        # the text _write_table gives for all columns of a state, here a
-        # random one with a partly released bond field.
+        # The writer process gets the mesh columns formatted once per run and
+        # u and z as raw doubles; its file must be the text _write_table
+        # gives for all columns of a state, here a random one with a partly
+        # released bond field and u spanning 1e-20 to 1e5.
         ops, digest = small_result.ops, config_hash(small_result.config)
         rng = np.random.default_rng(19)
         state = State(
@@ -398,7 +404,9 @@ class TestRunSingleOutputs:
             z=(rng.random(size=ops.n_segments) < 0.5).astype(float),
         )
         path = tmp_path / "snapshot.csv"
-        _snapshot_writer(digest, ops)(path, state)
+        writer = _SnapshotWriter(digest, ops)
+        writer.write(path, state)
+        assert writer.close() is None
         nodes = ops.mesh.nodes
         expected = io.StringIO()
         expected.write(f"# config_hash={digest}\n# t={state.t!r}\nnodes\n")
@@ -1107,3 +1115,101 @@ class TestCli:
         meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
         assert meta["config_hash"] == digest and meta["n_steps"] == 3
         assert_last_state_snapshot(out, 3, 0.15000000000000002)
+
+
+class TestSnapshotWriterProcess:
+    """Snapshots go through one helper process per run, which no path outlives."""
+
+    @staticmethod
+    def writers_in(cwd: Path) -> list[int]:
+        """Pids of the snapshot writers running with cwd as working directory."""
+        pids = []
+        for proc in Path("/proc").iterdir():
+            try:
+                cmdline = (proc / "cmdline").read_bytes()
+                if b"snapshot_writer.py" in cmdline and Path(os.readlink(proc / "cwd")) == cwd:
+                    pids.append(int(proc.name))
+            except (OSError, ValueError):
+                continue  # not a process, gone, or not ours to read
+        return pids
+
+    def test_unwritable_snapshot_exits_1_after_every_other_output(self, tmp_path, capsys):
+        path = write_doc(tmp_path, tiny_doc())
+        out = tmp_path / "o"
+        blocked = out / "snapshots" / "snapshot_00010.csv"  # the last step's
+        blocked.mkdir(parents=True)
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"delam2d: {blocked}: cannot write the snapshot (Is a directory)\n"
+        )
+        assert {p.name for p in out.iterdir()} == {
+            "energies.csv", "forces.csv", "mixity.csv", "meta.json", "snapshots"
+        }
+        assert json.loads((out / "meta.json").read_text(encoding="utf-8"))["n_steps"] == 10
+        snaps = sorted(p.name for p in (out / "snapshots").iterdir() if p.is_file())
+        assert snaps == ["snapshot_00004.csv", "snapshot_00006.csv", "snapshot_00008.csv",
+                         "snapshot_00009.csv"]
+
+    @pytest.mark.parametrize("path_taken", ["success", "exit 2", "exit 3", "writer failure"])
+    def test_no_child_process_outlives_the_run(self, path_taken, tmp_path, capsys, monkeypatch):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # none before the run either
+        out = tmp_path / "o"
+        code = {"success": 0, "exit 2": 2, "exit 3": 3, "writer failure": 1}[path_taken]
+        if path_taken == "exit 2":
+            force_qp_budget(monkeypatch, 3)
+        elif path_taken == "exit 3":
+            force_bond_increase(monkeypatch, 3)
+        elif path_taken == "writer failure":
+            (out / "snapshots" / "snapshot_00010.csv").mkdir(parents=True)
+        assert main(["run", "--config", write_doc(tmp_path, tiny_doc()), "--out", str(out)]) == code
+        assert any(p.is_file() for p in (out / "snapshots").iterdir())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not Path("/proc/self/cwd").exists(), reason="needs /proc")
+    def test_a_killed_run_keeps_the_snapshots_it_handed_over(self, tmp_path):
+        # Every step is a snapshot instant, and each step sleeps 0.1 s, so the
+        # run is killed mid-way; the writer must finish what it was handed,
+        # write nothing half-handed, and exit once its input closes.
+        doc = tiny_doc(outputs={"snapshot_times": [k * 0.05 for k in range(11)]})
+        config_path = write_doc(tmp_path, doc)
+        reference = run_single(parse_config(doc), tmp_path / "whole").out_dir / "snapshots"
+        cwd = (tmp_path / "killed").resolve()
+        cwd.mkdir()
+        out = cwd / "o"
+        slow_run = (
+            "import sys, time\n"
+            "from delam2d import cli, stepper\n"
+            "step = stepper.delamination_step\n"
+            "def slow(*args):\n"
+            "    time.sleep(0.1)\n"
+            "    return step(*args)\n"
+            "stepper.delamination_step = slow\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", slow_run, "run", "--config", config_path, "--out", str(out)],
+            cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while not (out / "snapshots").is_dir() or not any((out / "snapshots").iterdir()):
+                assert proc.poll() is None and time.monotonic() < deadline, "no snapshot appeared"
+                time.sleep(0.002)
+            proc.send_signal(signal.SIGKILL)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL
+        deadline = time.monotonic() + 10.0
+        while self.writers_in(cwd):
+            assert time.monotonic() < deadline, "the snapshot writer outlived its run by 10 s"
+            time.sleep(0.01)
+        present = sorted(p.name for p in (out / "snapshots").iterdir())
+        assert present and len(present) < 11, present
+        for name in present:
+            assert (out / "snapshots" / name).read_bytes() == (reference / name).read_bytes(), name
