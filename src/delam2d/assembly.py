@@ -199,8 +199,8 @@ class DofMap:
     per prescribed node, true on the driven body 0 (every node on a rigid
     foundation; the lower body's clamped edge stays at zero), and rate
     one entry per prescribed dof, the node's velocity component.
-    prescribed_values(t) = rate * t in prescribed order; expand scatters
-    a free vector into a full one with those values filled in at time t.
+    prescribed_values(t) = rate * t in prescribed order; scatter fills a
+    full vector from a free one and prescribed values.
     """
 
     n_dofs: int
@@ -219,9 +219,6 @@ class DofMap:
 
     def prescribed_values(self, t: float) -> np.ndarray:
         return self.rate * t
-
-    def expand(self, u_free: np.ndarray, t: float) -> np.ndarray:
-        return self.scatter(u_free, self.prescribed_values(t))
 
     def scatter(self, u_free: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The full vector of u_free and the prescribed values."""
@@ -275,10 +272,6 @@ class ConstraintMatrix:
     prescribed_part: sp.csr_matrix
     dofmap: DofMap
     fixed: sp.csr_matrix
-
-    @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
 
     def offset(self, t: float) -> np.ndarray:
         return self.prescribed_part @ self.dofmap.prescribed_values(t)

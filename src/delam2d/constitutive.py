@@ -68,7 +68,7 @@ class ViscosityLaw:
             warnings.warn(
                 "chi = 0 removes bulk viscosity; the incremental problems remain "
                 "convex but the usual convergence guarantees are lost",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, at its caller
             )
 
 

@@ -2,8 +2,9 @@
 
 The stepper computes every term of each step's energy inequality for its
 own check and puts them in the step's report; the ledger here is their
-running sum, so it needs no operator product per state.  The norms are
-summed the same way, state by state as the run hands them out.  The
+running sum, so it needs no operator product per state, and the mixity
+record is the run's own release record.  The norms are summed the same
+way, state by state as the run hands them out.  The
 recomputations from stored states (ledger, norms, stored energy,
 semistability) live in the tests, where they audit these sums.  The gap
 of the ledger is nonnegative and nondecreasing up to solver tolerance; a
@@ -81,7 +82,7 @@ def build_ledger(ops: Operators, traj: Trajectory) -> EnergyLedger:
     first = traj.first
     drive, _ = segment_energies(ops, first.u)
     bulk0, interface0 = _stored_split(ops, first.u, first.z, drive)
-    steps = [rep.energy for rep in traj.reports[1:]]
+    steps = [rep.energy for rep in traj.reports]
 
     def series(start: float, name: str) -> np.ndarray:
         return np.array([start] + [getattr(e, name) for e in steps], dtype=float)
@@ -177,32 +178,16 @@ class MixityRecord:
 
 
 def mixity_histogram(ops: Operators, traj: Trajectory) -> MixityRecord:
-    m = ops.n_segments
-    debonded = np.zeros(m, dtype=bool)
-    debond_time = np.full(m, np.nan)
-    angle = np.full(m, np.nan)
-    density = np.full(m, np.nan)
-    z_before = traj.first.z
-    for rep in traj.reports[1:]:
-        for e in rep.debonded:
-            if debonded[e]:
-                continue
-            debonded[e] = True
-            debond_time[e] = rep.t
-            angle[e] = rep.mixity[e]
-            density[e] = (
-                rep.threshold[e] / ops.mesh.seg_length[e] * z_before[e]
-            )
-        z_before = rep.z
-    ratio = density / ops.adhesive.mode1_toughness
+    """The trajectory's release record, with each segment's midpoint and toughness ratio."""
+    density = traj.release_density
     return MixityRecord(
-        segment=np.arange(m),
+        segment=np.arange(ops.n_segments),
         x_mid=ops.seg_x_mid,
-        debonded=debonded,
-        debond_time=debond_time,
-        mixity_angle=angle,
+        debonded=~np.isnan(traj.release_time),
+        debond_time=traj.release_time,
+        mixity_angle=traj.release_mixity,
         dissipated_density=density,
-        ratio=ratio,
+        ratio=density / ops.adhesive.mode1_toughness,
     )
 
 

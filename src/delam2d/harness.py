@@ -363,8 +363,7 @@ def _write_run_outputs(
         },
     )
 
-    lengths = ops.mesh.seg_length
-    reports = traj.reports[1:]  # index 0 is the initial state's None
+    reports = traj.reports
     _write_csv(
         out / "forces.csv",
         digest,
@@ -372,7 +371,7 @@ def _write_run_outputs(
             "t": [rep.t for rep in reports],
             "reaction_x": [rep.reaction[0] for rep in reports],
             "reaction_y": [rep.reaction[1] for rep in reports],
-            "bonded_length": [float(rep.z @ lengths) for rep in reports],
+            "bonded_length": [rep.bonded_length for rep in reports],
             "min_gap": [rep.min_gap for rep in reports],
         },
     )
@@ -402,7 +401,7 @@ def _write_run_outputs(
         "n_steps": traj.n_steps,
         "t_end": float(traj.times[-1]),
         "t_full_debond": traj.t_full_debond,
-        "bonded_length_final": float(final.z @ lengths),
+        "bonded_length_final": float(final.z @ ops.mesh.seg_length),
         "external_work_final": float(ledger.external_work[-1]),
         "energy_gap_final": float(ledger.gap[-1]),
         "norms": {k: float(v) for k, v in norms.items()},

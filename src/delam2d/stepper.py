@@ -11,8 +11,8 @@ threshold and debonds, irreversibly, when the energy wins.
 Conventions: dofs interleave as (2*node, 2*node + 1); time grid t_k =
 k*tau; energies are per unit out-of-plane thickness.  Per-step records
 carry every term of the step's energy inequality, so the run's energy
-ledger is their running sum; a run hands each state to its caller and
-keeps only the first and the last.
+ledger is their running sum; a run records each segment's release as it
+happens, hands each state to its caller and keeps the first and last.
 """
 
 from __future__ import annotations
@@ -102,24 +102,30 @@ class StepEnergy:
 class StepReport:
     t: float
     debonded: tuple[int, ...]
-    drive: np.ndarray  # per-segment glue energy integral (J/m)
-    threshold: np.ndarray  # per-segment dissipation bound (J/m)
-    mixity: np.ndarray  # per-segment midpoint mixity angle (rad)
-    z: np.ndarray  # bond field at the step's end
     reaction: np.ndarray  # device force resultant (N/m)
+    bonded_length: float  # z . seg_length at the step's end (m)
     min_gap: float
     energy: StepEnergy
 
 
 @dataclass
 class Trajectory:
-    """A run's time grid and step reports, and its first and last states only."""
+    """A run's time grid and step reports, its first and last states only,
+    and per segment, NaN until it releases, the release's time, midpoint
+    mixity angle (rad) and dissipated density threshold / length * z (J/m^2)."""
 
     times: list[float]
-    reports: list[StepReport | None]  # index 0 is None
+    reports: list[StepReport]  # reports[k] is step k + 1
     first: State
     last: State
     t_full_debond: float | None = None
+    release_time: np.ndarray = field(init=False, repr=False)
+    release_mixity: np.ndarray = field(init=False, repr=False)
+    release_density: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        nan = np.full(len(self.first.z), np.nan)
+        self.release_time, self.release_mixity, self.release_density = nan, nan.copy(), nan.copy()
 
     @property
     def n_steps(self) -> int:
@@ -396,7 +402,7 @@ def run(
     if tau <= 0:
         raise ValueError(f"time step must be positive, got {tau}")
     state = init_state(ops, z0=z0)
-    traj = Trajectory(times=[0.0], reports=[None], first=state, last=state)
+    traj = Trajectory(times=[0.0], reports=[], first=state, last=state)
     if len(state.z) and state.z.max() == 0.0:
         traj.t_full_debond = 0.0
 
@@ -440,11 +446,8 @@ def run(
             report = StepReport(
                 t=t_k,
                 debonded=debonded,
-                drive=drive,
-                threshold=threshold,
-                mixity=psi,
-                z=z_next,
                 reaction=reaction,
+                bonded_length=float(z_next @ ops.mesh.seg_length),
                 min_gap=min_gap,
                 energy=energy,
             )
@@ -452,14 +455,18 @@ def run(
             traj.times.append(t_k)
             traj.reports.append(report)
             traj.last = new_state
+            if released:
+                lengths, z_prev = ops.mesh.seg_length[released], state.z[released]
+                traj.release_time[released], traj.release_mixity[released] = t_k, psi[released]
+                traj.release_density[released] = threshold[released] / lengths * z_prev
 
             dissipated_total += viscous_inc + debond_inc
             work_total += device_inc
             # Tolerance is relative to the energies the run has moved so far,
             # not to the current increments, which vanish once the evolution
             # settles while roundoff in the residual does not.
-            energy_scale = max(bulk + interface, dissipated_total, abs(work_total), 1e-30)
-            _check_step(state, new_state, report, energy_tol_factor * energy_scale)
+            scale = max(bulk + interface, dissipated_total, abs(work_total), 1e-30)
+            _check_step(state, new_state, report, drive, threshold, energy_tol_factor * scale)
         except (qp.QpNonconvergenceError, InvariantViolation) as err:
             err.args = (f"step {k} (t={t_k:.6g}): {err.args[0]}",)
             err.trajectory = traj  # for post-mortem output
@@ -486,7 +493,10 @@ def run(
     return traj
 
 
-def _check_step(old: State, new: State, report: StepReport, energy_tol: float) -> None:
+def _check_step(
+    old: State, new: State, report: StepReport, drive: np.ndarray, threshold: np.ndarray,
+    tol: float,
+) -> None:
     if report.min_gap < -FEASIBILITY_TOL:
         raise InvariantViolation(f"interface penetration {-report.min_gap:.3e} m")
     if len(new.z) and float((new.z - old.z).max(initial=0.0)) > 0.0:
@@ -495,15 +505,14 @@ def _check_step(old: State, new: State, report: StepReport, energy_tol: float) -
         raise InvariantViolation("bond fraction left [0, 1]")
 
     residual = report.energy.inequality_residual
-    if residual < -energy_tol:
+    if residual < -tol:
         raise InvariantViolation(
-            f"per-step energy inequality violated by {-residual:.3e} "
-            f"(tolerance {energy_tol:.3e})"
+            f"per-step energy inequality violated by {-residual:.3e} (tolerance {tol:.3e})"
         )
 
     # semistability, disintegrated per segment: z * (2 * drive) <= 2 * threshold
-    lhs = new.z * 2.0 * report.drive
-    rhs = 2.0 * report.threshold
+    lhs = new.z * 2.0 * drive
+    rhs = 2.0 * threshold
     bad = (new.z > 0.0) & (lhs > rhs + 1e-9 * np.maximum(rhs, 1e-30))
     if bad.any():
         raise InvariantViolation(f"semistability violated on segments {np.nonzero(bad)[0].tolist()}")

@@ -62,7 +62,7 @@ def ledger_from_states(ops: Operators, traj: Trajectory, states: list[State]) ->
         du = state.u - prev.u
         dt = state.t - prev.t
         viscous[k] = viscous[k - 1] + float(du @ (ops.V @ du)) / dt
-        rep = traj.reports[k]
+        rep = traj.reports[k - 1]
         debond[k] = debond[k - 1] + rep.energy.debond_increment
         work[k] = work[k - 1] + rep.energy.device_work_increment
     stored0 = bulk[0] + interface[0]
@@ -88,7 +88,7 @@ def energy_inequality_residual(traj: Trajectory, t1: float, t2: float) -> float:
     if t2 < t1:
         raise ValueError(f"need t1 <= t2, got {t1} > {t2}")
     total = 0.0
-    for t_k, rep in zip(traj.times[1:], traj.reports[1:]):
+    for t_k, rep in zip(traj.times[1:], traj.reports):
         if t1 < t_k <= t2 + 1e-12 * max(1.0, abs(t2)):
             total += rep.energy.inequality_residual
     return total

@@ -57,6 +57,12 @@ class TestViscosity:
             law = ViscosityLaw(chi=0.0)
         assert law.chi == 0.0
 
+    def test_zero_chi_warning_points_at_the_caller(self):
+        # not at the dataclass-generated __init__, whose file is "<string>"
+        with pytest.warns(UserWarning, match="chi = 0") as record:
+            ViscosityLaw(chi=0.0)
+        assert [w.filename for w in record] == [__file__]
+
     def test_negative_chi_rejected(self):
         with pytest.raises(ValueError):
             ViscosityLaw(chi=-1e-3)

@@ -8,15 +8,16 @@ show up as a crash of `perfbench/run.py --trace 1`.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from delam2d import load_config, qp
+from delam2d import assembly, cli, energetics, harness, load_config, qp, stepper
 from delam2d.harness import _level_config, build_simulation
 
-from conftest import REPO_ROOT, run_with_states
+from conftest import REPO_ROOT, make_doc, run_with_states
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -90,3 +91,24 @@ def test_every_superlu_solve_goes_through_a_wrapped_solve(monkeypatch):
     assert 2 <= names.count("qp.factorize") < changes  # eras, most releases lowered
     assert any(len(shape) == 2 for shape in superlu_calls)  # Z's multi-column solves
     assert len(superlu_calls) == 2 * names.count("qp.linear_solve")
+
+
+def test_the_untraced_probe_stamps_every_step(monkeypatch, tmp_path):
+    # perfbench's end-to-end metrics all come from an untraced probe: set-up
+    # ends when build_simulation returns, and the step latencies are the gaps
+    # between the stamps it takes at the run's start and through on_step.
+    for attr in ("build_simulation", "run"):
+        monkeypatch.setattr(harness, attr, getattr(harness, attr))  # restored after the test
+    probe = _spans_module().Probe(tracing=False)
+    probe.install(
+        {"assembly": assembly, "cli": cli, "energetics": energetics,
+         "harness": harness, "qp": qp, "stepper": stepper}
+    )
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(make_doc()), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    n_steps = json.loads((out / "meta.json").read_text(encoding="utf-8"))["n_steps"]
+    assert n_steps > 0
+    assert len(probe.step_stamps) == n_steps + 1
+    assert probe.setup_done is not None

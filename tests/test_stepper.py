@@ -1,7 +1,9 @@
 import collections
 import dataclasses
 import functools
+import gc
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -243,7 +245,7 @@ class TestRun:
         traj = run(small_ops, tau=0.02, t_end=0.0)
         assert traj.n_steps == 0
         assert traj.times == [0.0]
-        assert traj.reports == [None]
+        assert traj.reports == []
         assert traj.t_full_debond is None
 
     def test_times_and_grid(self, small_traj):
@@ -265,20 +267,39 @@ class TestRun:
         assert small_states[k - 1].z.max() == 1.0
 
     def test_feasibility_throughout(self, small_traj):
-        for report in small_traj.reports[1:]:
+        for report in small_traj.reports:
             assert report.min_gap >= -1e-10
 
     def test_reports_recompute(self, small_ops, small_traj, small_states):
         k = len(small_states) // 2
-        report, state, prev = small_traj.reports[k], small_states[k], small_states[k - 1]
-        drive, psi = segment_energies(small_ops, state.u)
-        assert np.allclose(report.drive, drive, rtol=1e-12, atol=0)
-        assert np.allclose(report.mixity, psi, rtol=1e-12, atol=1e-15)
-        assert np.array_equal(report.z, state.z)
+        report, state, prev = small_traj.reports[k - 1], small_states[k], small_states[k - 1]
+        drive, _ = segment_energies(small_ops, state.u)
+        assert report.t == state.t
+        assert report.bonded_length == float(state.z @ small_ops.mesh.seg_length)
         energy, du = report.energy, state.u - prev.u
         assert energy.bulk_elastic == 0.5 * float(state.u @ (small_ops.K @ state.u))
         assert energy.interface_elastic == float(state.z @ drive)
         assert energy.viscous_increment == float(du @ (small_ops.V @ du)) / (state.t - prev.t)
+
+    def test_release_record_recomputes(self, small_ops, small_traj, small_states):
+        # each segment's release, recomputed from the states on either side of its step
+        lengths = small_ops.mesh.seg_length
+        released_ever = np.zeros(small_ops.n_segments, dtype=bool)
+        for prev, state in zip(small_states, small_states[1:]):
+            released = state.z < prev.z
+            drive, psi = segment_energies(small_ops, state.u)
+            threshold = small_ops.adhesive.threshold(psi) * lengths
+            assert np.all(drive[released] > threshold[released])
+            assert np.all(small_traj.release_time[released] == state.t)
+            assert np.allclose(
+                small_traj.release_mixity[released], psi[released], rtol=1e-12, atol=1e-15
+            )
+            assert np.array_equal(
+                small_traj.release_density[released],
+                threshold[released] / lengths[released] * prev.z[released],
+            )
+            released_ever |= released
+        assert released_ever.all()  # the small run releases every segment
 
     def test_the_trajectory_keeps_only_the_first_and_last_states(self, small_traj, small_states):
         assert small_traj.first is small_states[0] and small_traj.last is small_states[-1]
@@ -301,9 +322,14 @@ class TestRun:
         for a, b in zip(states, small_states, strict=True):
             assert np.array_equal(a.u, b.u)
             assert np.array_equal(a.z, b.z)
-        for a, b in zip(other.reports[1:], small_traj.reports[1:]):
-            assert np.array_equal(a.drive, b.drive)
+            assert np.array_equal(
+                segment_energies(small_ops, a.u)[0], segment_energies(small_ops, b.u)[0]
+            )
+        for a, b in zip(other.reports, small_traj.reports, strict=True):
             assert np.array_equal(a.reaction, b.reaction)
+            assert a.bonded_length == b.bonded_length
+        for name in ("release_time", "release_mixity", "release_density"):
+            assert np.array_equal(getattr(other, name), getattr(small_traj, name), equal_nan=True)
 
     def test_partial_start_debonds_earlier(self, small_ops, small_traj):
         traj = run(small_ops, tau=0.02, t_end=1.2, z0=0.5)
@@ -350,7 +376,7 @@ class TestRun:
             run(ops, tau=0.02, t_end=0.2, qp_max_iter=qp_max_iter)
         assert str(info.value).startswith(f"step {step} (t={step * 0.02:.6g}): ")
         traj = info.value.trajectory
-        assert len(traj.times) == len(traj.reports) == n_states
+        assert len(traj.times) == len(traj.reports) + 1 == n_states
         assert traj.times == [k * 0.02 for k in range(n_states)]
         assert traj.first.t == 0.0 and traj.last.t == traj.times[-1]
 
@@ -365,7 +391,7 @@ class TestRun:
         tau = config.time.tau
         traj = run(ops, tau=tau, t_end=10 * tau)
         step = config.loading.speed * np.array(config.loading.unit_direction()) * tau
-        for rep in traj.reports[1:]:
+        for rep in traj.reports:
             work = rep.energy.device_work_increment
             assert abs(work) > 0.0
             assert float(rep.reaction @ step) == pytest.approx(work, rel=1e-9)
@@ -378,7 +404,8 @@ class TestRun:
     def test_step_slacks_are_the_gaps_of_the_expanded_solution(self, overrides, monkeypatch):
         # The step reads min_gap off the QP's slacks and expands x with the
         # prescribed values computed once per step; both must give the bits
-        # of constraint.gaps and dofmap.expand at every step.
+        # of constraint.gaps and of scattering x with prescribed_values at
+        # every step.
         ops = build_simulation(parse_config(make_doc(**overrides)))[1]
         seen = []
         step = stepper.displacement_step
@@ -391,11 +418,11 @@ class TestRun:
         monkeypatch.setattr(stepper, "displacement_step", spy)
         traj = run(ops, tau=0.02, t_end=0.4)
         assert len(seen) == 20
-        for (t, u, sol), report in zip(seen, traj.reports[1:]):
+        for (t, u, sol), report in zip(seen, traj.reports):
             gaps = ops.constraint.gaps(u)
             assert np.array_equal(sol.slacks, gaps)
             assert report.min_gap == float(gaps.min())
-            assert np.array_equal(u, ops.dofmap.expand(sol.x, t))
+            assert np.array_equal(u, ops.dofmap.scatter(sol.x, ops.dofmap.prescribed_values(t)))
 
 
 # The benchmark physics at level 27 with these overrides, across the
@@ -566,3 +593,29 @@ def test_state_records_are_consistent(small_traj, small_states):
     for t, state in zip(small_traj.times, small_states, strict=True):
         assert state.t == t
         assert isinstance(state, State)
+
+
+def test_the_per_step_record_does_not_grow_with_the_interface():
+    # What a returned trajectory holds per step, before any release, at level
+    # 81 (81 segments): the difference between runs of 40 and 20 steps, over
+    # 20.  Scalar step reports hold about 620 B a step; reports that kept four
+    # per-segment arrays held about 3,660 B.
+    config = _level_config(load_config(REPO_ROOT / "benchmark.json"), 81)
+    ops = build_simulation(config)[1]
+    tau = config.time.tau
+
+    def held(n_steps):
+        tracemalloc.start()
+        try:
+            traj = run(ops, tau=tau, t_end=n_steps * tau)
+            assert traj.n_steps == n_steps and traj.last.z.min() == 1.0  # no release yet
+            gc.collect()
+            with_traj = tracemalloc.get_traced_memory()[0]
+            del traj
+            gc.collect()
+            return with_traj - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    per_step = (held(40) - held(20)) / 20
+    assert 0 < per_step <= 1000, per_step
