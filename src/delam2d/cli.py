@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +59,13 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
@@ -78,11 +86,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"  t_end={traj.times[-1]:g}  t_full_debond={traj.t_full_debond}"
         )
         for prev, state in result.momentum_pairs:
-            worst = min(
-                worst, momentum_residual(result.ops, prev, state, n_fields=16, seed=seed)
-            )
+            slack = momentum_residual(result.ops, prev, state, n_fields=16, seed=seed)
+            worst = slack if math.isnan(slack) else min(worst, slack)  # a NaN stays the worst
     print(f"momentum spot check: worst normalized slack {worst:.3e}")
-    if worst < -MOMENTUM_SLACK_TOL:
+    if not worst >= -MOMENTUM_SLACK_TOL:
         raise InvariantViolation(
             f"momentum residual slack {worst:.3e} below -{MOMENTUM_SLACK_TOL:g}"
         )
@@ -163,7 +170,7 @@ def _parser() -> argparse.ArgumentParser:
         help="comma-separated interface resolutions",
     )
     p_conv.add_argument(
-        "--threads", type=int, default=1, help="parallel level processes (1 = serial)"
+        "--threads", type=positive_int, default=1, help="parallel level processes (1 = serial)"
     )
     p_conv.set_defaults(handler=cmd_converge)
 

@@ -2,12 +2,15 @@
 
 A configuration document has sections geometry, material, adhesive,
 loading, and time (required), plus solver and outputs (optional).
-Parsing applies documented defaults, records which ones fired, checks
-every invariant, and reports all problems at once with paths like
-``material.nu``.  The canonical echo (defaults filled in, keys sorted)
-is hashed so output files can state exactly what produced them.  Both
-the echo and the typed section dataclasses are built from the checked
-values by the table, with no per-field code.
+Each setting is declared once, as a row of the schema table: whether it
+is required, its default, its kind and the rule its values must keep.
+Parsing applies the defaults, records which ones fired, checks every
+value against its kind (numbers must be finite) and its rule, and
+reports all problems at once with paths like ``material.nu``.  The
+canonical echo (defaults filled in, keys sorted) is hashed so output
+files can state exactly what produced them.  The echo, the checks and
+the typed section dataclasses themselves all come from the table, with
+no per-field code.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import typing
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
 
 __all__ = [
@@ -44,67 +47,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class GeometryConfig:
-    L: float
-    H: float
-    n_interface: int
-    glued_fraction: float
-    glued_from: str
-    foundation: str
-
-
-@dataclass(frozen=True)
-class MaterialConfig:
-    E: float
-    nu: float
-    chi: float
-
-
-@dataclass(frozen=True)
-class AdhesiveConfig:
-    kappa_n: float
-    kappa_t: float
-    a_I: float
-    mode_sensitivity: float  # JSON key "lambda"
-    eps_reg: float
-
-
-@dataclass(frozen=True)
-class LoadingConfig:
-    speed: float
-    direction: tuple[float, float]
-    normalize_direction: bool
-
-    def unit_direction(self) -> tuple[float, float]:
-        dx, dy = self.direction
-        if not self.normalize_direction:
-            return dx, dy
-        norm = math.hypot(dx, dy)
-        return dx / norm, dy / norm
-
-
-@dataclass(frozen=True)
-class TimeConfig:
-    T: float
-    tau: float
-    stop_after_full_debond: float | None
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    qp_tol: float
-    qp_max_iter: int | None
-    energy_tol_factor: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    directory: str
-    snapshot_times: tuple[float, ...] | None
-
-
-@dataclass(frozen=True)
 class SimulationConfig:
     geometry: GeometryConfig
     material: MaterialConfig
@@ -119,107 +61,153 @@ class SimulationConfig:
 
 
 _SCHEMA: dict[str, dict[str, tuple]] = {
-    # section -> key -> (required, default, kind); the one home of each
-    # setting.  A section whose keys all have defaults may be left out.
+    # section -> key -> (required, default, kind, rule); the one home of each
+    # setting.  A rule is an interval, written with open or closed ends, that
+    # every number of the setting must lie in, or the tuple of allowed strings.
+    # A section whose keys all have defaults may be left out.
     "geometry": {
-        "L": (True, None, "number"),
-        "H": (False, "L/10", "number"),
-        "n_interface": (True, None, "int"),
-        "glued_fraction": (False, 0.9, "number"),
-        "glued_from": (False, "left", "str"),
-        "foundation": (False, "rigid", "str"),
+        "L": (True, None, "number", "(0, inf)"),
+        "H": (False, "L/10", "number", "(0, inf)"),
+        "n_interface": (True, None, "int", "[1, inf)"),
+        "glued_fraction": (False, 0.9, "number", "(0, 1]"),
+        "glued_from": (False, "left", "str", ("left", "right")),
+        "foundation": (False, "rigid", "str", ("rigid", "two_body")),
     },
     "material": {
-        "E": (True, None, "number"),
-        "nu": (True, None, "number"),
-        "chi": (True, None, "number_or_list"),
+        "E": (True, None, "number", "(0, inf)"),
+        "nu": (True, None, "number", "(-1, 0.5)"),
+        "chi": (True, None, "number_or_list", "[0, inf)"),
     },
     "adhesive": {
-        "kappa_n": (True, None, "number"),
-        "kappa_t": (True, None, "number"),
-        "a_I": (True, None, "number"),
-        "lambda": (True, None, "number"),
-        "eps_reg": (False, 0.0, "number"),
+        "kappa_n": (True, None, "number", "(0, inf)"),
+        "kappa_t": (True, None, "number", "[0, inf)"),
+        "a_I": (True, None, "number", "(0, inf)"),
+        "lambda": (True, None, "number", "[0, 1)"),
+        "eps_reg": (False, 0.0, "number", "[0, inf)"),
     },
     "loading": {
-        "speed": (True, None, "number"),
-        "direction": (True, None, "vec2"),
-        "normalize_direction": (False, True, "bool"),
+        "speed": (True, None, "number", "[0, inf)"),
+        "direction": (True, None, "vec2", None),  # nonzero when normalized
+        "normalize_direction": (False, True, "bool", None),
     },
     "time": {
-        "T": (True, None, "number"),
-        "tau": (True, None, "number"),
-        "stop_after_full_debond": (False, None, "number_or_null"),
+        "T": (True, None, "number", "[0, inf)"),
+        "tau": (True, None, "number", "(0, inf)"),
+        "stop_after_full_debond": (False, None, "number_or_null", "[0, inf)"),
     },
     "solver": {
-        "qp_tol": (False, 1e-10, "number"),
-        "qp_max_iter": (False, None, "int_or_null"),
-        "energy_tol_factor": (False, 1e-8, "number"),
-        "seed": (False, 0, "int"),
+        "qp_tol": (False, 1e-10, "number", "(0, 1e-2)"),
+        "qp_max_iter": (False, None, "int_or_null", "[1, inf)"),
+        "energy_tol_factor": (False, 1e-8, "number", "(0, inf)"),
+        "seed": (False, 0, "int", "[0, inf)"),
     },
     "outputs": {
-        "directory": (False, "results", "str"),
-        "snapshot_times": (False, None, "list_or_null"),
+        "directory": (False, "results", "str", None),
+        "snapshot_times": (False, None, "list_or_null", "[0, inf)"),
     },
 }
-
-# section -> its dataclass, as SimulationConfig declares it
-_SECTION_TYPES = typing.get_type_hints(SimulationConfig)
 
 # JSON keys whose dataclass field has another name
 _FIELD_NAMES = {"lambda": "mode_sensitivity"}
 
 
-def _check_kind(value, kind: str) -> bool:
-    if kind == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind == "int":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if kind == "str":
-        return isinstance(value, str)
-    if kind == "bool":
-        return isinstance(value, bool)
-    if kind == "vec2":
-        return (
-            isinstance(value, (list, tuple))
-            and len(value) == 2
-            and all(_check_kind(v, "number") for v in value)
-        )
-    if kind == "number_or_null":
-        return value is None or _check_kind(value, "number")
-    if kind == "int_or_null":
-        return value is None or _check_kind(value, "int")
-    if kind == "number_or_list":
-        return _check_kind(value, "number") or (
-            isinstance(value, list)
-            and len(value) >= 1
-            and all(_check_kind(v, "number") for v in value)
-        )
-    if kind == "list_or_null":
-        return value is None or (
-            isinstance(value, list) and all(_check_kind(v, "number") for v in value)
-        )
-    raise AssertionError(kind)
+def _number(v) -> bool:
+    """A JSON number that a double holds: finite, and not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _cast(value, kind: str):
-    """The typed field value of a checked setting; a chi list gives its first member."""
-    if value is None or kind in ("str", "bool", "int_or_null"):
-        return value
-    if kind == "int":
-        return int(value)
-    if kind in ("vec2", "list_or_null"):
-        return tuple(float(v) for v in value)
-    if isinstance(value, list):
-        value = value[0]
-    return float(value)
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_number, v))
+
+
+def _floats(v) -> tuple[float, ...]:
+    return tuple(map(float, v))
+
+
+# kind -> (field type, accepts a JSON value, the field value of an accepted
+# one other than null, which stays None); a chi list gives its first member
+_KINDS = {
+    "number": ("float", _number, float),
+    "int": ("int", _int, int),
+    "str": ("str", lambda v: isinstance(v, str), str),
+    "bool": ("bool", lambda v: isinstance(v, bool), bool),
+    "vec2": (
+        "tuple[float, float]",
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and _numbers(list(v)),
+        _floats,
+    ),
+    "number_or_null": ("float | None", lambda v: v is None or _number(v), float),
+    "int_or_null": ("int | None", lambda v: v is None or _int(v), int),
+    "number_or_list": (
+        "float",
+        lambda v: _number(v) or (_numbers(v) and len(v) > 0),
+        lambda v: float(v[0] if isinstance(v, list) else v),
+    ),
+    "list_or_null": ("tuple[float, ...] | None", lambda v: v is None or _numbers(v), _floats),
+}
+
+
+def _breach(rule, value) -> str | None:
+    """Why a well-typed value breaks its setting's rule, or None if it keeps it."""
+    if isinstance(rule, tuple):  # the allowed strings
+        return None if value in rule else f"must be {' or '.join(map(repr, rule))}, got {value!r}"
+    low, high = rule[1:-1].split(", ")
+    above = float(low) < value or (rule[0] == "[" and float(low) == value)
+    below = value < float(high) or (rule[-1] == "]" and float(high) == value)
+    if above and below:
+        return None
+    if rule in ("(0, inf)", "[0, inf)"):
+        phrase = "be positive" if rule[0] == "(" else "be nonnegative"
+    elif rule == f"[{low}, inf)":
+        phrase = f"be >= {low}"
+    else:
+        phrase = f"lie in {rule}"
+    return f"must {phrase}, got {value}"
+
+
+def _unit_direction(self) -> tuple[float, float]:
+    dx, dy = self.direction
+    if not self.normalize_direction:
+        return dx, dy
+    norm = math.hypot(dx, dy)
+    return dx / norm, dy / norm
+
+
+def _section_class(section: str) -> type:
+    """The frozen dataclass of a section, with one field per _SCHEMA row, in
+    order, named as SimulationConfig's annotation of the section."""
+    rows = _SCHEMA[section].items()
+    cls = make_dataclass(
+        SimulationConfig.__annotations__[section],
+        [(_FIELD_NAMES.get(key, key), _KINDS[row[2]][0]) for key, row in rows],
+        namespace={"unit_direction": _unit_direction} if section == "loading" else {},
+        frozen=True,
+    )
+    cls.__module__ = __name__  # so that a parsed configuration pickles
+    return cls
+
+
+_SECTION_TYPES = tuple(map(_section_class, _SCHEMA))
+(
+    GeometryConfig,
+    MaterialConfig,
+    AdhesiveConfig,
+    LoadingConfig,
+    TimeConfig,
+    SolverConfig,
+    OutputConfig,
+) = _SECTION_TYPES
 
 
 def parse_config(doc: dict) -> SimulationConfig:
     """Validate a configuration document and fill in defaults.
 
     Raises ConfigError carrying every problem found: missing keys,
-    unknown keys, wrong types, and invariant violations, each tagged
+    unknown keys, wrong types, and values outside their rule, each tagged
     with the dotted path of the offending field.
     """
     problems: list[str] = []
@@ -233,7 +221,7 @@ def parse_config(doc: dict) -> SimulationConfig:
     for section, keys in _SCHEMA.items():
         raw = doc.get(section)
         if raw is None:
-            if not any(required for required, _, _ in keys.values()):
+            if not any(row[0] for row in keys.values()):
                 raw = {}
                 defaults.append(section)
             else:
@@ -246,14 +234,12 @@ def parse_config(doc: dict) -> SimulationConfig:
         for key, value in raw.items():
             if key not in keys:
                 problems.append(f"{section}.{key}: unknown key")
-        for key, (required, default, kind) in keys.items():
+        for key, (required, default, kind, _) in keys.items():
             if key in raw:
-                if _check_kind(raw[key], kind):
+                if _KINDS[kind][1](raw[key]):
                     out[key] = raw[key]
                 else:
-                    problems.append(
-                        f"{section}.{key}: expected {kind}, got {raw[key]!r}"
-                    )
+                    problems.append(f"{section}.{key}: expected {kind}, got {raw[key]!r}")
             elif required:
                 problems.append(f"{section}.{key}: missing required key")
             else:
@@ -263,89 +249,42 @@ def parse_config(doc: dict) -> SimulationConfig:
     if problems:
         raise ConfigError(problems)
 
-    geo, mat, adh, load, tim, sol, outp = values.values()  # in _SCHEMA order
-
-    if geo["H"] == "L/10":
-        geo["H"] = geo["L"] / 10.0
-
-    def bad(path: str, msg: str) -> None:
-        problems.append(f"{path}: {msg}")
-
-    if not geo["L"] > 0:
-        bad("geometry.L", f"must be positive, got {geo['L']}")
-    if not geo["H"] > 0:
-        bad("geometry.H", f"must be positive, got {geo['H']}")
-    if geo["n_interface"] < 1:
-        bad("geometry.n_interface", f"must be >= 1, got {geo['n_interface']}")
-    if not 0.0 < geo["glued_fraction"] <= 1.0:
-        bad("geometry.glued_fraction", f"must lie in (0, 1], got {geo['glued_fraction']}")
-    if geo["glued_from"] not in ("left", "right"):
-        bad("geometry.glued_from", f"must be 'left' or 'right', got {geo['glued_from']!r}")
-    if geo["foundation"] not in ("rigid", "two_body"):
-        bad("geometry.foundation", f"must be 'rigid' or 'two_body', got {geo['foundation']!r}")
-
-    if not mat["E"] > 0:
-        bad("material.E", f"must be positive, got {mat['E']}")
-    if not -1.0 < mat["nu"] < 0.5:
-        bad("material.nu", f"must lie in (-1, 0.5), got {mat['nu']}")
-    chis = mat["chi"] if isinstance(mat["chi"], list) else [mat["chi"]]
-    for i, chi in enumerate(chis):
-        if chi < 0:
-            path = f"material.chi[{i}]" if isinstance(mat["chi"], list) else "material.chi"
-            bad(path, f"must be nonnegative, got {chi}")
-
-    if not adh["kappa_n"] > 0:
-        bad("adhesive.kappa_n", f"must be positive, got {adh['kappa_n']}")
-    if adh["kappa_t"] < 0:
-        bad("adhesive.kappa_t", f"must be nonnegative, got {adh['kappa_t']}")
-    if not adh["a_I"] > 0:
-        bad("adhesive.a_I", f"must be positive, got {adh['a_I']}")
-    if not 0.0 <= adh["lambda"] < 1.0:
-        bad("adhesive.lambda", f"must lie in [0, 1), got {adh['lambda']}")
-    if adh["eps_reg"] < 0:
-        bad("adhesive.eps_reg", f"must be nonnegative, got {adh['eps_reg']}")
-
-    if load["speed"] < 0:
-        bad("loading.speed", f"must be nonnegative, got {load['speed']}")
-    if load["normalize_direction"] and math.hypot(*load["direction"]) == 0.0:
-        bad("loading.direction", "cannot normalize the zero vector")
-
-    if tim["T"] < 0:
-        bad("time.T", f"must be nonnegative, got {tim['T']}")
-    if not tim["tau"] > 0:
-        bad("time.tau", f"must be positive, got {tim['tau']}")
-    if tim["stop_after_full_debond"] is not None and tim["stop_after_full_debond"] < 0:
-        bad("time.stop_after_full_debond", "must be nonnegative when set")
-
-    if not 0 < sol["qp_tol"] < 1e-2:
-        bad("solver.qp_tol", f"must lie in (0, 1e-2), got {sol['qp_tol']}")
-    if sol["qp_max_iter"] is not None and sol["qp_max_iter"] < 1:
-        bad("solver.qp_max_iter", "must be >= 1 when set")
-    if not sol["energy_tol_factor"] > 0:
-        bad("solver.energy_tol_factor", "must be positive")
-    if sol["seed"] < 0:
-        bad("solver.seed", "must be nonnegative")
-    if outp["snapshot_times"] is not None:
-        for i, s in enumerate(outp["snapshot_times"]):
-            if s < 0:
-                bad(f"outputs.snapshot_times[{i}]", "must be nonnegative")
+    geometry, loading = values["geometry"], values["loading"]
+    if geometry["H"] == "L/10":
+        geometry["H"] = geometry["L"] / 10.0
+    for section, out in values.items():
+        for key, value in out.items():
+            rule = _SCHEMA[section][key][3]
+            if rule is None or value is None:
+                continue
+            path = f"{section}.{key}"
+            if isinstance(value, list):  # each member under its own path
+                members = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+            else:
+                members = [(path, value)]
+            for path, member in members:
+                breach = _breach(rule, member)
+                if breach is not None:
+                    problems.append(f"{path}: {breach}")
+    if loading["normalize_direction"] and math.hypot(*loading["direction"]) == 0.0:
+        problems.append("loading.direction: cannot normalize the zero vector")
     if problems:
         raise ConfigError(problems)
 
-    chi_sweep = tuple(float(c) for c in mat["chi"]) if isinstance(mat["chi"], list) else None
+    chi = values["material"]["chi"]
     canonical = {
         section: {k: list(v) if isinstance(v, (list, tuple)) else v for k, v in sorted(out.items())}
         for section, out in values.items()
     }
-    typed = {
-        section: _SECTION_TYPES[section](
-            **{_FIELD_NAMES.get(k, k): _cast(v, _SCHEMA[section][k][2]) for k, v in out.items()}
+    typed = {}
+    for cls, (section, out) in zip(_SECTION_TYPES, values.items()):
+        casts = {k: _KINDS[row[2]][2] for k, row in _SCHEMA[section].items()}
+        typed[section] = cls(
+            **{_FIELD_NAMES.get(k, k): v if v is None else casts[k](v) for k, v in out.items()}
         )
-        for section, out in values.items()
-    }
     return SimulationConfig(
         **typed,
-        chi_sweep=chi_sweep,
+        chi_sweep=_floats(chi) if isinstance(chi, list) else None,
         defaults_applied=tuple(defaults),
         canonical=canonical,
     )

@@ -158,7 +158,9 @@ def _check_provenance(out: Path, digest: str) -> None:
                 f"with {digest}; use a fresh directory"
             )
         return
-    for path in sorted(out.glob("*.csv")):
+    for path in sorted(out.glob("*.csv")) + sorted(out.glob("snapshots/*.csv")):
+        if not path.is_file():
+            continue
         with open(path, encoding="utf-8") as f:
             first = f.readline().strip()
         if first.startswith("# config_hash=") and first.split("=", 1)[1] != digest:

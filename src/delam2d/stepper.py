@@ -262,7 +262,7 @@ class _StepOperator:
         ops, dofmap, constraint = self.ops, self.ops.dofmap, self.ops.constraint
         values = dofmap.prescribed_values(t_next)
         fixed = constraint.fixed @ values
-        if fixed.size and float(fixed.min()) < -FEASIBILITY_TOL:
+        if fixed.size and not float(fixed.min()) >= -FEASIBILITY_TOL:  # NaN fails too
             raise InvariantViolation(
                 "driven boundary values penetrate the foundation at a fully prescribed "
                 f"interface node (worst gap {fixed.min():.3e})"
@@ -497,15 +497,16 @@ def _check_step(
     old: State, new: State, report: StepReport, drive: np.ndarray, threshold: np.ndarray,
     tol: float,
 ) -> None:
-    if report.min_gap < -FEASIBILITY_TOL:
+    # each check is written so that a NaN fails it
+    if not report.min_gap >= -FEASIBILITY_TOL:
         raise InvariantViolation(f"interface penetration {-report.min_gap:.3e} m")
-    if len(new.z) and float((new.z - old.z).max(initial=0.0)) > 0.0:
+    if len(new.z) and not float((new.z - old.z).max(initial=0.0)) <= 0.0:
         raise InvariantViolation("bond fraction increased somewhere")
-    if len(new.z) and (new.z.min() < 0.0 or new.z.max() > 1.0):
+    if len(new.z) and not (new.z.min() >= 0.0 and new.z.max() <= 1.0):
         raise InvariantViolation("bond fraction left [0, 1]")
 
     residual = report.energy.inequality_residual
-    if residual < -tol:
+    if not residual >= -tol:
         raise InvariantViolation(
             f"per-step energy inequality violated by {-residual:.3e} (tolerance {tol:.3e})"
         )
@@ -513,6 +514,6 @@ def _check_step(
     # semistability, disintegrated per segment: z * (2 * drive) <= 2 * threshold
     lhs = new.z * 2.0 * drive
     rhs = 2.0 * threshold
-    bad = (new.z > 0.0) & (lhs > rhs + 1e-9 * np.maximum(rhs, 1e-30))
+    bad = (new.z > 0.0) & ~(lhs <= rhs + 1e-9 * np.maximum(rhs, 1e-30))
     if bad.any():
         raise InvariantViolation(f"semistability violated on segments {np.nonzero(bad)[0].tolist()}")

@@ -45,6 +45,24 @@ def force_bond_increase(monkeypatch, step: int) -> None:
     monkeypatch.setattr(stepper, "delamination_step", raised)
 
 
+def force_nan_drive(monkeypatch, step: int) -> None:
+    """Make the bond update of the given step return a NaN drive on segment 0,
+    with the bonds it would have given; nothing compares true with NaN, so
+    only a check written to fail on NaN stops that step."""
+    release = stepper.delamination_step
+    calls = []
+
+    def poisoned(ops, u_next, z_prev):
+        z_next, drive, *rest = release(ops, u_next, z_prev)
+        calls.append(None)
+        if len(calls) == step:
+            drive = drive.copy()
+            drive[0] = np.nan
+        return (z_next, drive, *rest)
+
+    monkeypatch.setattr(stepper, "delamination_step", poisoned)
+
+
 def force_qp_budget(monkeypatch, step: int) -> None:
     """Give the QP of the given step a budget of zero iterations, so that
     step's solve raises QpNonconvergenceError."""

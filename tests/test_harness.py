@@ -10,19 +10,23 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import subprocess
 import sys
 import time
+import types
 import typing
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import REPO_ROOT, force_bond_increase, force_qp_budget, make_doc
+from conftest import REPO_ROOT, force_bond_increase, force_nan_drive, force_qp_budget, make_doc
 
 import delam2d
 from delam2d import cli, stepper
@@ -39,7 +43,7 @@ from delam2d import (
     run_single,
 )
 from delam2d.cli import main
-from delam2d.config import _SCHEMA, SimulationConfig
+from delam2d.config import _FIELD_NAMES, _SCHEMA, SimulationConfig
 from delam2d.harness import (
     CURVE_SET,
     _curve_distance,
@@ -204,14 +208,6 @@ class TestParseConfig:
             "outputs.snapshot_times",
         )
 
-    def test_schema_keys_are_the_section_fields(self):
-        # every setting is one _SCHEMA row and one dataclass field, in order
-        sections = typing.get_type_hints(SimulationConfig)
-        assert [f.name for f in fields(SimulationConfig)][: len(_SCHEMA)] == list(_SCHEMA)
-        for section, keys in _SCHEMA.items():
-            names = ["mode_sensitivity" if k == "lambda" else k for k in keys]
-            assert names == [f.name for f in fields(sections[section])], section
-
     def test_height_defaults_to_tenth_of_length(self):
         doc = make_doc()
         del doc["geometry"]["H"]
@@ -229,7 +225,7 @@ class TestParseConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config(make_doc(solver={"seed": -1}))
-        assert err.value.problems == ["solver.seed: must be nonnegative"]
+        assert err.value.problems == ["solver.seed: must be nonnegative, got -1"]
         assert parse_config(make_doc(solver={"seed": 0})).solver.seed == 0
 
     def test_chi_empty_list_rejected(self):
@@ -248,6 +244,185 @@ class TestParseConfig:
             make_doc(loading={"direction": [2.0, 0.0], "normalize_direction": False})
         )
         assert config.loading.unit_direction() == (2.0, 0.0)
+
+
+# Every setting of the schema as (section, key, kind, rule).
+SETTINGS = [(s, k, row[2], row[3]) for s, keys in _SCHEMA.items() for k, row in keys.items()]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def interval(rule: str) -> tuple[float, float, bool, bool]:
+    """(low, high, low end open, high end open) of a rule written like "(0, 1]"."""
+    low, high = (float(b) for b in rule[1:-1].split(", "))
+    return low, high, rule[0] == "(", rule[-1] == ")"
+
+
+def member_inside(kind, rule):
+    """One number or string that keeps the rule."""
+    if isinstance(rule, tuple):
+        return st.sampled_from(rule)
+    low, high, low_open, high_open = interval(rule)
+    if kind.startswith("int"):
+        assert high == math.inf and not low_open, rule
+        return st.integers(min_value=int(low), max_value=2**62)
+    floats = st.floats(
+        min_value=low,
+        max_value=high if high < math.inf else None,
+        exclude_min=low_open,
+        exclude_max=high_open and high < math.inf,
+        allow_nan=False,
+        allow_infinity=False,
+    )
+    if high < math.inf:
+        return floats
+    return floats | st.integers(min_value=int(low) + low_open, max_value=2**62)
+
+
+def member_outside(kind, rule):
+    """One finite number or string of the setting's kind that breaks the rule."""
+    if isinstance(rule, tuple):
+        return st.text().filter(lambda v: v not in rule)
+    low, high, low_open, high_open = interval(rule)
+    if kind.startswith("int"):
+        return st.integers(max_value=int(low) - 1)
+    below = FINITE.filter(lambda v: v < low or (low_open and v == low))
+    if high == math.inf:
+        return below
+    return below | FINITE.filter(lambda v: v > high or (high_open and v == high))
+
+
+def inside(kind, rule):
+    """A value of the setting that parses."""
+    if kind == "bool":
+        return st.booleans()
+    if kind == "vec2":  # normalized by default, so not the zero vector
+        return st.lists(FINITE, min_size=2, max_size=2).filter(lambda v: math.hypot(*v) != 0.0)
+    if rule is None:
+        return st.text()
+    member = member_inside(kind, rule)
+    if kind == "number_or_list":
+        return member | st.lists(member, min_size=1, max_size=4)
+    if kind == "list_or_null":
+        return st.none() | st.lists(member, max_size=4)
+    if kind.endswith("_or_null"):
+        return st.none() | member
+    return member
+
+
+def outside(kind, rule):
+    """(value, index): a value the setting refuses, and the index of the list
+    member that the refusal names, or None when it names the setting itself."""
+
+    def setting(values):
+        return st.tuples(values, st.none())
+
+    def among_good(bad, names_member):
+        def place(drawn):
+            good, member, i = drawn
+            i = min(i, len(good))
+            return good[:i] + [member] + good[i:], i if names_member else None
+
+        good = st.lists(member_inside(kind, rule), max_size=3)
+        return st.tuples(good, bad, st.integers(0, 3)).map(place)
+
+    if kind == "bool":
+        return setting(st.sampled_from([0, 1, "true", None]))
+    if kind == "vec2":
+        return setting(
+            st.sampled_from([[0.0, 0.0], [-0.0, 0.0], [1.0], [1.0, 2.0, 3.0], [True, 1.0], "x"])
+            | st.tuples(FINITE, NON_FINITE).map(list)
+        )
+    if rule is None:
+        return setting(st.sampled_from([1, 1.5, None, True, ["x"]]))
+    if kind == "str":
+        return setting(member_outside(kind, rule) | st.sampled_from([1, None, True]))
+    wrong = [math.nan, "1", True, False, {}, [True], ["x"]]
+    if kind in ("number_or_list", "list_or_null"):
+        # a non-finite or mistyped member is the setting's kind error, a
+        # finite one out of range its own member's
+        bad_kind = among_good(NON_FINITE | st.sampled_from(["x", True, None]), False)
+        bad_member = among_good(member_outside(kind, rule), True)
+        scalars = NON_FINITE | st.sampled_from(wrong + ([1.0] if kind == "list_or_null" else [[]]))
+        if kind == "number_or_list":
+            scalars |= member_outside(kind, rule)
+        return bad_kind | bad_member | setting(scalars)
+    scalars = NON_FINITE | member_outside(kind, rule) | st.sampled_from(wrong + [[1]])
+    if kind.startswith("int"):
+        scalars |= st.sampled_from([1.5, 1.0])
+    if not kind.endswith("_or_null"):
+        scalars |= st.none()
+    return setting(scalars)
+
+
+def conforms(value, hint) -> bool:
+    """value is an instance of a field annotation such as float | None or tuple[float, ...]."""
+    if isinstance(hint, types.UnionType):
+        return any(conforms(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(type(v) is float for v in value)
+    return type(value) is hint
+
+
+class TestSchemaSpace:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(setting=st.sampled_from(SETTINGS), data=st.data())
+    def test_every_setting_keeps_its_rule(self, setting, data):
+        section, key, kind, rule = setting
+        path = f"{section}.{key}"
+        value = data.draw(inside(kind, rule), label="inside")
+        config = parse_config(make_doc(**{section: {key: value}}))
+
+        # the section dataclass holds one field per schema row, in order,
+        # typed after the kind, and the value lands in its own field
+        assert [f.name for f in fields(SimulationConfig)][: len(_SCHEMA)] == list(_SCHEMA)
+        part = getattr(config, section)
+        assert [f.name for f in fields(part)] == [_FIELD_NAMES.get(k, k) for k in _SCHEMA[section]]
+        hints = typing.get_type_hints(type(part))
+        assert all(conforms(getattr(part, name), hint) for name, hint in hints.items())
+        held = getattr(part, _FIELD_NAMES.get(key, key))
+        if kind == "number_or_list" and isinstance(value, list):
+            assert (held, config.chi_sweep) == (value[0], tuple(value))
+        else:
+            assert held == (tuple(value) if isinstance(value, list) else value)
+
+        # its canonical echo parses to the same configuration, and it pickles
+        again = parse_config(json.loads(json.dumps(config.canonical)))
+        assert config_hash(again) == config_hash(config)
+        assert dataclasses.replace(again, defaults_applied=config.defaults_applied) == config
+        assert pickle.loads(pickle.dumps(config)) == config
+
+        bad, index = data.draw(outside(kind, rule), label="outside")
+        with pytest.raises(ConfigError) as err:
+            parse_config(make_doc(**{section: {key: bad}}))
+        named = path if index is None else f"{path}[{index}]"
+        assert [p.split(": ", 1)[0] for p in err.value.problems] == [named]
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_json_non_finite_numbers_are_refused(self, tmp_path, value):
+        # Python's JSON reader takes these literals; no setting does
+        text = json.dumps(make_doc()).replace('"speed": 0.0003', f'"speed": {value}')
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.problems == [f"loading.speed: expected number, got {float(value)!r}"]
+
+    def test_every_setting_is_in_the_readme_table(self):
+        # one row per setting, whose rule cell quotes the schema's rule
+        text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        table = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in table.splitlines():
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            if line.startswith("| `"):
+                rows[cells[0].strip("`")] = cells[2]
+        assert list(rows) == [f"{s}.{k}" for s, k, _, _ in SETTINGS]
+        for section, key, _, rule in SETTINGS:
+            if rule is not None:
+                strings = " or ".join(f'`"{v}"`' for v in rule)
+                quoted = f"`{rule}`" if isinstance(rule, str) else strings
+                assert rows[f"{section}.{key}"] == quoted, (section, key)
 
 
 class TestConfigHash:
@@ -566,6 +741,18 @@ class TestProvenance:
         )
         with pytest.raises(HarnessError, match="refusing to mix"):
             run_single(parse_config(tiny_doc()), tmp_path)
+
+    def test_refuses_snapshots_of_another_config_without_meta(self, tmp_path):
+        # a killed run leaves only its snapshots; they carry its config hash
+        first = parse_config(tiny_doc())
+        run_single(first, tmp_path)
+        for path in tmp_path.glob("*.*"):
+            path.unlink()
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshots"]
+        foreign = r"snapshots/snapshot_\d{5}\.csv: written by a different configuration"
+        with pytest.raises(HarnessError, match=foreign):
+            run_single(parse_config(tiny_doc(adhesive={"a_I": 200.0})), tmp_path)
+        run_single(first, tmp_path)  # its own snapshots do not stop it
 
     def test_unreadable_meta_is_an_error(self, tmp_path):
         (tmp_path / "meta.json").write_text("{broken", encoding="utf-8")
@@ -952,6 +1139,38 @@ class TestCli:
         assert capsys.readouterr().err.startswith("delam2d: argument --seed: invalid ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_1_exit_1_before_the_run(self, threads, tmp_path, capsys):
+        path = write_doc(tmp_path, tiny_doc())
+        out = tmp_path / "c"
+        assert main(["converge", "--config", path, "--out", str(out), "--threads", threads]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("delam2d: argument --threads: invalid ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("loading", "speed", math.nan),
+            ("material", "chi", math.nan),
+            ("material", "E", math.inf),
+            ("adhesive", "kappa_t", math.nan),
+            ("adhesive", "eps_reg", math.nan),
+            ("time", "T", math.inf),
+            ("material", "chi", [1e-3, -math.inf]),
+            ("outputs", "snapshot_times", [0.1, math.nan]),
+        ],
+    )
+    def test_non_finite_number_exits_1_with_one_line(self, section, key, value, tmp_path, capsys):
+        path = write_doc(tmp_path, tiny_doc(**{section: {key: value}}))  # json writes NaN, Infinity
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"delam2d: invalid configuration:\n  {section}.{key}: expected " + (
+            f"{_SCHEMA[section][key][2]}, got {value!r}\n"
+        )
+        assert not out.exists()
+
     def test_negative_config_seed_exits_1(self, tmp_path, capsys):
         path = write_doc(tmp_path, tiny_doc(solver={"seed": -1}))
         out = tmp_path / "o"
@@ -1115,6 +1334,31 @@ class TestCli:
         meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
         assert meta["config_hash"] == digest and meta["n_steps"] == 3
         assert_last_state_snapshot(out, 3, 0.15000000000000002)
+
+
+    def test_nan_drive_exits_3_with_the_step_named(self, tmp_path, capsys, monkeypatch):
+        # no comparison with a NaN holds: the step's checks must fail on it
+        force_nan_drive(monkeypatch, 3)
+        path = write_doc(tmp_path, tiny_doc())
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "delam2d: invariant violation: step 3 (t=0.15): "
+            "per-step energy inequality violated by nan"
+        )
+        assert json.loads((out / "meta.json").read_text(encoding="utf-8"))["n_steps"] == 3
+
+    def test_nan_momentum_slack_exits_3(self, tmp_path, capsys, monkeypatch):
+        slacks = iter([math.nan, -1e-9])  # a later finite slack must not hide the NaN
+        monkeypatch.setattr(cli, "momentum_residual", lambda *args, **kwargs: next(slacks))
+        path = write_doc(tmp_path, tiny_doc())
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        captured = capsys.readouterr()
+        assert "momentum spot check: worst normalized slack nan" in captured.out
+        assert captured.err == (
+            "delam2d: invariant violation: momentum residual slack nan below -1e-06\n"
+        )
 
 
 class TestSnapshotWriterProcess:

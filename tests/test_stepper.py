@@ -25,7 +25,14 @@ from delam2d.stepper import (
     segment_energies,
 )
 
-from conftest import REPO_ROOT, force_bond_increase, force_qp_budget, make_doc, run_with_states
+from conftest import (
+    REPO_ROOT,
+    force_bond_increase,
+    force_nan_drive,
+    force_qp_budget,
+    make_doc,
+    run_with_states,
+)
 
 from delam2d import parse_config
 
@@ -177,6 +184,20 @@ class TestDisplacementStep:
         state = init_state(ops)
         with pytest.raises(InvariantViolation, match="penetrate"):
             displacement_step(ops, state, tau=0.1, t_next=0.1)
+
+    def test_nan_prescribed_values_detected(self):
+        # the same fully glued bar, driven at a NaN rate: no gap of its fixed
+        # interface nodes compares true, and the solve must not go on
+        mesh = build_benchmark_mesh(L=1.0, H=0.25, n_interface=4, glued_fraction=1.0)
+        ops = build_operators(
+            mesh,
+            IsotropicElasticity(E=1.0, nu=0.3),
+            ViscosityLaw(chi=1e-3),
+            toy_adhesive(),
+            np.array([0.0, np.nan]),
+        )
+        with pytest.raises(InvariantViolation, match=r"penetrate .*\(worst gap nan\)"):
+            displacement_step(ops, init_state(ops), tau=0.1, t_next=0.1)
 
 
 class TestDelaminationStep:
@@ -379,6 +400,38 @@ class TestRun:
         assert len(traj.times) == len(traj.reports) + 1 == n_states
         assert traj.times == [k * 0.02 for k in range(n_states)]
         assert traj.first.t == 0.0 and traj.last.t == traj.times[-1]
+
+    def test_a_nan_drive_fails_its_step(self, small_ops, monkeypatch):
+        force_nan_drive(monkeypatch, 3)
+        with pytest.raises(InvariantViolation, match=r"^step 3 \(t=0.06\): per-step energy"):
+            run(small_ops, tau=0.02, t_end=0.2)
+
+    @pytest.mark.parametrize(
+        "entry", ["min_gap", "inequality_residual", "drive", "threshold", "z"]
+    )
+    def test_every_step_check_fails_on_nan(self, small_ops, entry):
+        # the first step's check passes on its own inputs; a NaN in any of
+        # them compares false everywhere and must fail the check all the same
+        traj = run(small_ops, tau=0.02, t_end=0.02)
+        old, new, report = traj.first, traj.last, traj.reports[0]
+        _, drive, threshold, _ = delamination_step(small_ops, new.u, old.z)
+        stepper._check_step(old, new, report, drive, threshold, 1.0)
+        bonded = int(np.flatnonzero(new.z > 0.0)[0])
+        if entry == "min_gap":
+            report = dataclasses.replace(report, min_gap=np.nan)
+        elif entry == "inequality_residual":
+            energy = dataclasses.replace(report.energy, inequality_residual=np.nan)
+            report = dataclasses.replace(report, energy=energy)
+        elif entry == "z":
+            z = new.z.copy()
+            z[bonded] = np.nan
+            new = State(t=new.t, u=new.u, z=z)
+        else:
+            values = {"drive": drive, "threshold": threshold}[entry].copy()
+            values[bonded] = np.nan
+            drive, threshold = (values, threshold) if entry == "drive" else (drive, values)
+        with pytest.raises(InvariantViolation):
+            stepper._check_step(old, new, report, drive, threshold, 1.0)
 
     @pytest.mark.parametrize("foundation", ["rigid", "two_body"])
     def test_reaction_is_the_driven_edge_force(self, foundation):
