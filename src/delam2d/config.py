@@ -5,8 +5,9 @@ loading, and time (required), plus solver and outputs (optional).
 Each setting is declared once, as a row of the schema table: whether it
 is required, its default, its kind and the rule its values must keep.
 Parsing applies the defaults, records which ones fired, checks every
-value against its kind (numbers must be finite) and its rule, and
-reports all problems at once with paths like ``material.nu``.  The
+value against its kind (a number must be a double, held exactly) and
+its rule, and reports all problems at once with paths like
+``material.nu``.  The
 canonical echo (defaults filled in, keys sorted) is hashed so output
 files can state exactly what produced them.  The echo, the checks and
 the typed section dataclasses themselves all come from the table, with
@@ -87,7 +88,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "loading": {
         "speed": (True, None, "number", "[0, inf)"),
-        "direction": (True, None, "vec2", None),  # nonzero when normalized
+        "direction": (True, None, "vec2", None),  # of finite nonzero length when normalized
         "normalize_direction": (False, True, "bool", None),
     },
     "time": {
@@ -96,10 +97,11 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "stop_after_full_debond": (False, None, "number_or_null", "[0, inf)"),
     },
     "solver": {
-        "qp_tol": (False, 1e-10, "number", "(0, 1e-2)"),
+        # the stepper refuses penetration past 1e-10 m, which a looser QP
+        # reached on the level-27 benchmark (a measured bound, not a proof)
+        "qp_tol": (False, 1e-10, "number", "(0, 1e-10]"),
         "qp_max_iter": (False, None, "int_or_null", "[1, inf)"),
         "energy_tol_factor": (False, 1e-8, "number", "(0, inf)"),
-        "seed": (False, 0, "int", "[0, inf)"),
     },
     "outputs": {
         "directory": (False, "results", "str", None),
@@ -112,8 +114,12 @@ _FIELD_NAMES = {"lambda": "mode_sensitivity"}
 
 
 def _number(v) -> bool:
-    """A JSON number that a double holds: finite, and not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    """A JSON number that a double holds exactly: finite, and not a bool.
+    An integer the nearest double would round (2**53 + 1) is refused, so
+    the echo and the hash state the value the run uses."""
+    if isinstance(v, float):
+        return abs(v) <= sys.float_info.max
+    return _int(v) and abs(v) <= sys.float_info.max and float(v) == v
 
 
 def _int(v) -> bool:
@@ -266,8 +272,17 @@ def parse_config(doc: dict) -> SimulationConfig:
                 breach = _breach(rule, member)
                 if breach is not None:
                     problems.append(f"{path}: {breach}")
-    if loading["normalize_direction"] and math.hypot(*loading["direction"]) == 0.0:
-        problems.append("loading.direction: cannot normalize the zero vector")
+    if loading["normalize_direction"]:
+        length = math.hypot(*loading["direction"])
+        if not 0.0 < length < math.inf:  # x / 0 or x / inf: no drive
+            problems.append(f"loading.direction: cannot normalize a vector of length {length}")
+    # the run and its snapshots round t / tau to a step index, an int
+    tau, snapshots = values["time"]["tau"], values["outputs"]["snapshot_times"] or ()
+    instants = [("time.T", values["time"]["T"])]
+    instants += [(f"outputs.snapshot_times[{i}]", t) for i, t in enumerate(snapshots)]
+    for path, t in instants:
+        if tau > 0.0 and t / tau == math.inf:
+            problems.append(f"{path}: must be a finite number of steps, got {t} / {tau} = inf")
     if problems:
         raise ConfigError(problems)
 

@@ -105,7 +105,7 @@ class RunResult:
     norms: dict[str, float]
     out_dir: Path
     # (prev, state) of the step at the planned grid's midpoint, when the run
-    # reached it, and of the last step: the CLI's momentum spot check
+    # reached it, and of the last step: the CLI's momentum check reads them
     momentum_pairs: tuple[tuple[State, State], ...]
 
 
