@@ -24,7 +24,6 @@ from .config import (
     MaterialConfig,
     OutputConfig,
     SimulationConfig,
-    SolverConfig,
     TimeConfig,
     config_hash,
     load_config,
@@ -92,7 +91,6 @@ __all__ = [
     "QpSolution",
     "RunResult",
     "SimulationConfig",
-    "SolverConfig",
     "State",
     "TimeConfig",
     "Trajectory",

@@ -102,10 +102,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_config(args: argparse.Namespace) -> int:
-    path = args.config_path or args.config
-    if path is None:
-        raise ConfigError(["no configuration given (pass a path or --config)"])
-    config = load_config(path)
+    config = load_config(args.config)
     print(f"ok  config_hash={config_hash(config)}")
     if config.defaults_applied:
         print("defaults applied: " + ", ".join(config.defaults_applied))
@@ -161,8 +158,7 @@ def _parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(handler=cmd_converge)
 
     p_val = sub.add_parser("validate-config", help="check a configuration file")
-    p_val.add_argument("config_path", nargs="?", default=None, help="JSON configuration path")
-    p_val.add_argument("--config", default=None, help="JSON configuration path")
+    p_val.add_argument("--config", required=True, help="JSON configuration path")
     p_val.set_defaults(handler=cmd_validate_config)
 
     p_mesh = sub.add_parser("mesh-dump", help="write the configured mesh as CSV")

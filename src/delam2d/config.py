@@ -1,7 +1,7 @@
 """Run configuration: JSON schema, validation, defaults, and hashing.
 
 A configuration document has sections geometry, material, adhesive,
-loading, and time (required), plus solver and outputs (optional).
+loading, and time (required), plus outputs (optional).
 Each setting is declared once, as a row of the schema table: whether it
 is required, its default, its kind and the rule its values must keep.
 Parsing applies the defaults, records which ones fired, checks every
@@ -30,7 +30,6 @@ __all__ = [
     "AdhesiveConfig",
     "LoadingConfig",
     "TimeConfig",
-    "SolverConfig",
     "OutputConfig",
     "SimulationConfig",
     "parse_config",
@@ -54,7 +53,6 @@ class SimulationConfig:
     adhesive: AdhesiveConfig
     loading: LoadingConfig
     time: TimeConfig
-    solver: SolverConfig
     outputs: OutputConfig
     chi_sweep: tuple[float, ...] | None
     defaults_applied: tuple[str, ...]
@@ -95,13 +93,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "T": (True, None, "number", "[0, inf)"),
         "tau": (True, None, "number", "(0, inf)"),
         "stop_after_full_debond": (False, None, "number_or_null", "[0, inf)"),
-    },
-    "solver": {
-        # the stepper refuses penetration past 1e-10 m, which a looser QP
-        # reached on the level-27 benchmark (a measured bound, not a proof)
-        "qp_tol": (False, 1e-10, "number", "(0, 1e-10]"),
-        "qp_max_iter": (False, None, "int_or_null", "[1, inf)"),
-        "energy_tol_factor": (False, 1e-8, "number", "(0, inf)"),
     },
     "outputs": {
         "directory": (False, "results", "str", None),
@@ -147,7 +138,6 @@ _KINDS = {
         _floats,
     ),
     "number_or_null": ("float | None", lambda v: v is None or _number(v), float),
-    "int_or_null": ("int | None", lambda v: v is None or _int(v), int),
     "number_or_list": (
         "float",
         lambda v: _number(v) or (_numbers(v) and len(v) > 0),
@@ -204,7 +194,6 @@ _SECTION_TYPES = tuple(map(_section_class, _SCHEMA))
     AdhesiveConfig,
     LoadingConfig,
     TimeConfig,
-    SolverConfig,
     OutputConfig,
 ) = _SECTION_TYPES
 
@@ -276,6 +265,9 @@ def parse_config(doc: dict) -> SimulationConfig:
         length = math.hypot(*loading["direction"])
         if not 0.0 < length < math.inf:  # x / 0 or x / inf: no drive
             problems.append(f"loading.direction: cannot normalize a vector of length {length}")
+    elif not math.isfinite(loading["speed"] * max(map(abs, loading["direction"]))):
+        rate = f"{loading['speed']} * {list(loading['direction'])}"
+        problems.append(f"loading.speed: the drive rate must be finite, got {rate}")
     # the run and its snapshots round t / tau to a step index, an int
     tau, snapshots = values["time"]["tau"], values["outputs"]["snapshot_times"] or ()
     instants = [("time.T", values["time"]["T"])]

@@ -323,10 +323,7 @@ def run_single(config: SimulationConfig, out_dir) -> RunResult:
                 ops,
                 tau=tau,
                 t_end=config.time.T,
-                qp_tol=config.solver.qp_tol,
-                qp_max_iter=config.solver.qp_max_iter,
                 stop_after_full_debond=config.time.stop_after_full_debond,
-                energy_tol_factor=config.solver.energy_tol_factor,
                 on_step=on_step,
             )
         except (QpNonconvergenceError, InvariantViolation) as err:
@@ -444,9 +441,8 @@ def _level_payload(result: RunResult) -> dict:
     }
 
 
-def _convergence_worker(payload: tuple[str, str]) -> dict:
-    doc_json, out_dir = payload
-    config = parse_config(json.loads(doc_json))
+def _convergence_worker(job: tuple[SimulationConfig, str]) -> dict:
+    config, out_dir = job
     return _level_payload(run_single(config, out_dir))
 
 
@@ -485,11 +481,7 @@ def run_convergence(
         raise HarnessError(f"levels must increase strictly, got {levels}")
     out = _output_dir(out_dir)
 
-    configs = [_level_config(config, n) for n in levels]
-    jobs = [
-        (json.dumps(cfg.canonical), str(out / f"level_{n:03d}"))
-        for cfg, n in zip(configs, levels)
-    ]
+    jobs = [(_level_config(config, n), str(out / f"level_{n:03d}")) for n in levels]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             payloads = list(pool.map(_convergence_worker, jobs))

@@ -251,12 +251,7 @@ class _StepOperator:
         self.glue = at[~p], block[~p][:, p], np.searchsorted(dofmap.prescribed, D[p]), block[p], D
 
     def solve(
-        self,
-        u_prev: np.ndarray,
-        t_next: float,
-        warm: tuple[int, ...] | None,
-        qp_tol: float,
-        qp_max_iter: int | None,
+        self, u_prev: np.ndarray, t_next: float, warm: tuple[int, ...] | None
     ) -> tuple[np.ndarray, qp.QpSolution]:
         """Full displacement at t_next after u_prev, and the QP's record."""
         ops, dofmap, constraint = self.ops, self.ops.dofmap, self.ops.constraint
@@ -276,9 +271,9 @@ class _StepOperator:
         problem = qp.QpProblem(
             H=self.factor.H, g=g, B=constraint.rows, c=constraint.prescribed_part @ values
         )
-        sol = qp.solve_qp(
-            problem, tol=qp_tol, max_iter=qp_max_iter, warm_start=warm, factor=self.factor
-        )
+        # solve_qp's tolerance is relative, to 1 + max|c| + max|Bx| (qp.py), so
+        # that it keeps the 1e-10 m feasibility check is measured, not guaranteed
+        sol = qp.solve_qp(problem, tol=FEASIBILITY_TOL, warm_start=warm, factor=self.factor)
         return dofmap.scatter(sol.x, values), sol
 
     def boundary_work(self, u_prev: np.ndarray, u_next: np.ndarray) -> tuple[np.ndarray, float]:
@@ -309,15 +304,18 @@ def init_state(ops: Operators, u0: np.ndarray | None = None, z0=None) -> State:
         z = np.asarray(z0, dtype=float).copy()
     if z.shape != (m,):
         raise ValueError(f"bond field must have shape ({m},), got {z.shape}")
-    if z.size and (z.min() < 0.0 or z.max() > 1.0):
+    # each check is written so that a NaN fails it
+    if z.size and not (z.min() >= 0.0 and z.max() <= 1.0):
         raise ValueError("bond fractions must lie in [0, 1]")
+    if not np.isfinite(u).all():
+        raise ValueError("initial displacement must be finite")
     gaps = ops.constraint.gaps(u)
-    if gaps.size and float(gaps.min()) < -FEASIBILITY_TOL:
+    if gaps.size and not float(gaps.min()) >= -FEASIBILITY_TOL:
         raise ValueError(
             f"initial displacement penetrates the foundation by {-gaps.min():.3e}"
         )
     expected = ops.dofmap.prescribed_values(0.0)
-    if np.abs(u[ops.dofmap.prescribed] - expected).max(initial=0.0) > 1e-12:
+    if not np.abs(u[ops.dofmap.prescribed] - expected).max(initial=0.0) <= 1e-12:
         raise ValueError("initial displacement disagrees with the boundary drive at t=0")
     return State(t=0.0, u=u, z=z)
 
@@ -327,8 +325,6 @@ def displacement_step(
     state: State,
     tau: float,
     t_next: float,
-    qp_tol: float = 1e-10,
-    qp_max_iter: int | None = None,
     warm_start: tuple[int, ...] | None = None,
     step_op: _StepOperator | None = None,
 ) -> tuple[np.ndarray, qp.QpSolution]:
@@ -343,7 +339,7 @@ def displacement_step(
         raise ValueError(f"time step must be positive, got {tau}")
     if step_op is None or not np.array_equal(step_op.z, state.z) or step_op.tau != tau:
         step_op = _StepOperator(ops, state.z, tau)
-    return step_op.solve(state.u, t_next, warm_start, qp_tol, qp_max_iter)
+    return step_op.solve(state.u, t_next, warm_start)
 
 
 def delamination_step(
@@ -380,11 +376,8 @@ def run(
     ops: Operators,
     tau: float,
     t_end: float,
-    qp_tol: float = 1e-10,
-    qp_max_iter: int | None = None,
     z0=None,
     stop_after_full_debond: float | None = None,
-    energy_tol_factor: float = ENERGY_TOL_FACTOR,
     on_step: Callable[[State, StepReport], None] | None = None,
 ) -> Trajectory:
     """March the coupled evolution from 0 to t_end in steps of tau.
@@ -416,9 +409,7 @@ def run(
     for k in range(1, planned_steps(tau, t_end) + 1):
         t_k = k * tau
         try:
-            u_next, sol = displacement_step(
-                ops, state, tau, t_k, qp_tol, qp_max_iter, warm, step_op
-            )
+            u_next, sol = displacement_step(ops, state, tau, t_k, warm, step_op)
             z_next, drive, threshold, psi = delamination_step(ops, u_next, state.z)
             debonded = tuple(int(e) for e in np.nonzero(z_next < state.z)[0])
 
@@ -466,7 +457,7 @@ def run(
             # not to the current increments, which vanish once the evolution
             # settles while roundoff in the residual does not.
             scale = max(bulk + interface, dissipated_total, abs(work_total), 1e-30)
-            _check_step(state, new_state, report, drive, threshold, energy_tol_factor * scale)
+            _check_step(state, new_state, report, drive, threshold, scale)
         except (qp.QpNonconvergenceError, InvariantViolation) as err:
             err.args = (f"step {k} (t={t_k:.6g}): {err.args[0]}",)
             err.trajectory = traj  # for post-mortem output
@@ -495,7 +486,7 @@ def run(
 
 def _check_step(
     old: State, new: State, report: StepReport, drive: np.ndarray, threshold: np.ndarray,
-    tol: float,
+    scale: float,
 ) -> None:
     # each check is written so that a NaN fails it
     if not report.min_gap >= -FEASIBILITY_TOL:
@@ -505,7 +496,7 @@ def _check_step(
     if len(new.z) and not (new.z.min() >= 0.0 and new.z.max() <= 1.0):
         raise InvariantViolation("bond fraction left [0, 1]")
 
-    residual = report.energy.inequality_residual
+    residual, tol = report.energy.inequality_residual, ENERGY_TOL_FACTOR * scale
     if not residual >= -tol:
         raise InvariantViolation(
             f"per-step energy inequality violated by {-residual:.3e} (tolerance {tol:.3e})"

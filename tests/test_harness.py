@@ -43,7 +43,7 @@ from delam2d import (
     run_single,
 )
 from delam2d.cli import main
-from delam2d.config import _FIELD_NAMES, _SCHEMA, SimulationConfig
+from delam2d.config import _FIELD_NAMES, _KINDS, _SCHEMA, SimulationConfig
 from delam2d.harness import (
     CURVE_SET,
     _curve_distance,
@@ -99,7 +99,6 @@ class TestParseConfig:
         for section in ("geometry", "material", "adhesive", "loading", "time"):
             assert f"{section}: missing required section" in err.value.problems
         # optional sections are defaulted, not demanded
-        assert not any(p.startswith("solver") for p in err.value.problems)
         assert not any(p.startswith("outputs") for p in err.value.problems)
 
     def test_error_message_format(self):
@@ -154,8 +153,6 @@ class TestParseConfig:
             ("loading.direction", {"loading": {"direction": [0.0, 0.0]}}),
             ("time.tau", {"time": {"tau": 0.0}}),
             ("time.T", {"time": {"T": -1.0}}),
-            ("solver.qp_tol", {"solver": {"qp_tol": 0.1}}),
-            ("solver.qp_max_iter", {"solver": {"qp_max_iter": 0}}),
         ],
     )
     def test_value_problems_carry_dotted_paths(self, path, overrides):
@@ -183,9 +180,8 @@ class TestParseConfig:
     def test_defaults_recorded(self):
         config = parse_config(make_doc())
         applied = set(config.defaults_applied)
-        assert {"solver", "outputs", "geometry.glued_fraction", "adhesive.eps_reg"} <= applied
+        assert {"outputs", "geometry.glued_fraction", "adhesive.eps_reg"} <= applied
         assert "material.E" not in applied
-        assert config.solver.qp_tol == 1e-10
         assert config.outputs.directory == "results"
         assert config.outputs.snapshot_times is None
 
@@ -197,10 +193,6 @@ class TestParseConfig:
             "adhesive.eps_reg",
             "loading.normalize_direction",
             "time.stop_after_full_debond",
-            "solver",
-            "solver.qp_tol",
-            "solver.qp_max_iter",
-            "solver.energy_tol_factor",
             "outputs",
             "outputs.directory",
             "outputs.snapshot_times",
@@ -220,19 +212,12 @@ class TestParseConfig:
         assert config.material.chi == 1e-3
         assert parse_config(make_doc()).chi_sweep is None
 
-    def test_seed_is_an_unknown_key(self):
+    @pytest.mark.parametrize("solver", [{}, {"seed": 0}, {"qp_tol": 1e-10}])
+    def test_solver_is_an_unknown_section(self, solver):
+        # the step's QP tolerance and budget are the stepper's, not settings
         with pytest.raises(ConfigError) as err:
-            parse_config(make_doc(solver={"seed": 0}))
-        assert err.value.problems == ["solver.seed: unknown key"]
-
-    def test_qp_tol_is_at_most_the_feasibility_tolerance(self):
-        # a looser QP left penetration that the stepper's 1e-10 m check refuses
-        # (level-27 benchmark.json: two_body exits 3 at 1e-9); the level-27
-        # cases of test_stepper run at 1e-10, benchmark.json's value
-        assert parse_config(make_doc(solver={"qp_tol": 1e-10})).solver.qp_tol == 1e-10
-        with pytest.raises(ConfigError) as err:
-            parse_config(make_doc(solver={"qp_tol": 1e-9}))
-        assert err.value.problems == ["solver.qp_tol: must lie in (0, 1e-10], got 1e-09"]
+            parse_config(make_doc(solver=solver))
+        assert err.value.problems == ["solver: unknown section"]
 
     @pytest.mark.parametrize(
         "overrides,problem",
@@ -268,6 +253,20 @@ class TestParseConfig:
         ]
         doc["loading"]["normalize_direction"] = False
         assert parse_config(doc).loading.unit_direction() == tuple(direction)
+
+    def test_drive_rate_must_be_finite(self):
+        # an unnormalized direction is used as given, so speed times it may
+        # overflow, and the drive at t = 0 would be inf * 0 = NaN
+        doc = make_doc(
+            loading={"speed": 1e300, "direction": [1e300, 1.0], "normalize_direction": False}
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.problems == [
+            "loading.speed: the drive rate must be finite, got 1e+300 * [1e+300, 1.0]"
+        ]
+        doc["loading"]["normalize_direction"] = True
+        assert parse_config(doc).loading.unit_direction() == (1.0, 1e-300)
 
     def test_chi_empty_list_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -458,6 +457,10 @@ class TestSchemaSpace:
         named = path if index is None else f"{path}[{index}]"
         assert [p.split(": ", 1)[0] for p in err.value.problems] == [named]
 
+    def test_every_kind_is_used(self):
+        # a kind that no setting has is code that nothing runs
+        assert {kind for _, _, kind, _ in SETTINGS} == set(_KINDS)
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_json_non_finite_numbers_are_refused(self, tmp_path, value):
         # Python's JSON reader takes these literals; no setting does
@@ -502,7 +505,7 @@ class TestConfigHash:
     def test_benchmark_digest_is_pinned(self):
         # every result file of benchmark.json carries this digest
         assert config_hash(load_config(REPO_ROOT / "benchmark.json")) == (
-            "7ae68504332d0ab62835773fb90e0ed35dcb93a9289859aa76b1c321366b766e"
+            "bd96d0d859c830145f4de1a24a5e13e3dbe8e40300b26964277de159355a38b4"
         )
 
     def test_sensitive_to_values(self):
@@ -517,7 +520,8 @@ class TestConfigHash:
             parse_config(
                 make_doc(
                     geometry={"glued_fraction": 0.9, "glued_from": "left", "foundation": "rigid"},
-                    solver={"qp_tol": 1e-10, "energy_tol_factor": 1e-8},
+                    time={"stop_after_full_debond": None},
+                    outputs={"directory": "results"},
                 )
             )
         )
@@ -719,17 +723,14 @@ class TestRunSingleOutputs:
         # tau = 0.05, so t = 0.0 and 0.1 land on steps 0 and 2
         assert names == ["snapshot_00000.csv", "snapshot_00002.csv"]
 
-    def test_solver_failure_preserves_partial_outputs(self, tmp_path):
-        # the first contact step blows the one-iteration budget, so the
+    def test_solver_failure_preserves_partial_outputs(self, tmp_path, monkeypatch):
+        # the first contact step blows a zero-iteration budget, so the
         # run dies with only the initial state; that state must still be
         # on disk for post-mortem inspection
         config = parse_config(
-            tiny_doc(
-                geometry={"n_interface": 9},
-                loading={"direction": [-1.0, -0.6]},
-                solver={"qp_max_iter": 1},
-            )
+            tiny_doc(geometry={"n_interface": 9}, loading={"direction": [-1.0, -0.6]})
         )
+        force_qp_budget(monkeypatch, 1)
         out = tmp_path / "dead"
         with pytest.raises(QpNonconvergenceError, match="step 1"):
             run_single(config, out)
@@ -1068,7 +1069,7 @@ class TestRunConvergence:
 class TestCli:
     def test_validate_config_ok(self, tmp_path, capsys):
         path = write_doc(tmp_path, make_doc())
-        assert main(["validate-config", path]) == 0
+        assert main(["validate-config", "--config", path]) == 0
         out = capsys.readouterr().out
         config = parse_config(make_doc())
         assert out.splitlines()[0] == f"ok  config_hash={config_hash(config)}"
@@ -1076,31 +1077,36 @@ class TestCli:
         echoed = json.loads(out[out.index("{") :])
         assert echoed == config.canonical
 
-    def test_validate_config_flag_form(self, tmp_path, capsys):
+    def test_validate_config_takes_no_positional_path(self, tmp_path, capsys):
+        # one way to name the file: a path beside --config would be a second
         path = write_doc(tmp_path, make_doc())
-        assert main(["validate-config", "--config", path]) == 0
-        assert capsys.readouterr().out.startswith("ok  config_hash=")
+        other = write_doc(tmp_path, make_doc(material={"nu": 0.3}), "other.json")
+        assert main(["validate-config", "--config", path, other]) == 1
+        assert capsys.readouterr().err == (
+            f"delam2d: unrecognized arguments: {other} (see delam2d --help)\n"
+        )
 
     def test_validate_config_requires_a_path(self, capsys):
         assert main(["validate-config"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("delam2d: invalid configuration:")
-        assert "no configuration given" in err
+        assert capsys.readouterr().err == (
+            "delam2d: the following arguments are required: --config "
+            "(see delam2d validate-config --help)\n"
+        )
 
     def test_validate_config_reports_field_paths(self, tmp_path, capsys):
         path = write_doc(tmp_path, make_doc(material={"nu": 0.9}))
-        assert main(["validate-config", path]) == 1
+        assert main(["validate-config", "--config", path]) == 1
         err = capsys.readouterr().err
         assert "material.nu" in err and "delam2d:" in err
 
     def test_validate_config_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")
-        assert main(["validate-config", str(path)]) == 1
+        assert main(["validate-config", "--config", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
     def test_validate_config_missing_file(self, tmp_path, capsys):
-        assert main(["validate-config", str(tmp_path / "absent.json")]) == 1
+        assert main(["validate-config", "--config", str(tmp_path / "absent.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
     def test_run_writes_result_directory(self, tmp_path, capsys):
@@ -1241,12 +1247,12 @@ class TestCli:
         )
         assert not out.exists()
 
-    def test_config_seed_exits_1(self, tmp_path, capsys):
-        path = write_doc(tmp_path, tiny_doc(solver={"seed": 0}))
+    def test_config_solver_section_exits_1(self, tmp_path, capsys):
+        path = write_doc(tmp_path, tiny_doc(solver={"qp_tol": 1e-10}))
         out = tmp_path / "o"
         assert main(["run", "--config", path, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "delam2d: invalid configuration:\n  solver.seed: unknown key\n"
+            "delam2d: invalid configuration:\n  solver: unknown section\n"
         )
         assert not out.exists()
 
@@ -1272,6 +1278,17 @@ class TestCli:
         assert capsys.readouterr().err == (
             "delam2d: invalid configuration:\n"
             "  loading.direction: cannot normalize a vector of length inf\n"
+        )
+        assert not out.exists()
+
+    def test_overflowing_drive_rate_exits_1(self, tmp_path, capsys):
+        loading = {"speed": 1e300, "direction": [1e300, 1.0], "normalize_direction": False}
+        path = write_doc(tmp_path, tiny_doc(loading=loading))
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "delam2d: invalid configuration:\n"
+            "  loading.speed: the drive rate must be finite, got 1e+300 * [1e+300, 1.0]\n"
         )
         assert not out.exists()
 
@@ -1337,16 +1354,14 @@ class TestCli:
         assert seen == [((n - 1) * 0.02, n * 0.02)] and seen[0][1] == t_end
         assert "momentum check: worst normalized KKT defect" in capsys.readouterr().out
 
-    def test_solver_budget_exhaustion_exits_2(self, tmp_path, capsys):
-        # compression activates contact; one active-set iteration is not
-        # enough to settle the working set, so the step must give up
+    def test_solver_budget_exhaustion_exits_2(self, tmp_path, capsys, monkeypatch):
+        # compression activates contact; a budget of zero active-set
+        # iterations cannot settle the working set, so the step must give up
         doc = tiny_doc(
-            geometry={"n_interface": 9},
-            loading={"direction": [-1.0, -0.6]},
-            time={"T": 0.2},
-            solver={"qp_max_iter": 1},
+            geometry={"n_interface": 9}, loading={"direction": [-1.0, -0.6]}, time={"T": 0.2}
         )
         path = write_doc(tmp_path, doc)
+        force_qp_budget(monkeypatch, 1)
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("delam2d: solver failed: step 1")

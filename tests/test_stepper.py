@@ -127,6 +127,33 @@ class TestInitState:
         with pytest.raises(ValueError, match="boundary"):
             init_state(small_ops, u0=u)
 
+    @pytest.mark.parametrize(
+        "where", ["z0", "z0_one_segment", "u0_interface", "u0_prescribed", "u0_interior"]
+    )
+    def test_nan_rejected(self, small_ops, where):
+        # nothing compares true with NaN, so each check must be written to fail on it
+        u = np.zeros(small_ops.mesh.n_dofs)
+        z = np.ones(small_ops.n_segments)
+        dofmap = small_ops.dofmap
+        touched = dofmap.free[small_ops.constraint.rows.indices]
+        dof = {
+            "u0_interface": 2 * small_ops.mesh.seg_plus[0, 0] + 1,
+            "u0_prescribed": dofmap.prescribed[0],
+            "u0_interior": np.setdiff1d(dofmap.free, touched)[0],
+        }.get(where)
+        if dof is not None:
+            u[dof] = np.nan
+        elif where == "z0_one_segment":
+            z[0] = np.nan
+        else:
+            z = np.nan
+        with pytest.raises(ValueError):
+            init_state(small_ops, u0=u, z0=z)
+
+    def test_nan_bond_fails_the_run_before_its_first_step(self, small_ops):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run(small_ops, tau=0.02, t_end=0.1, z0=np.nan)
+
 
 class TestDisplacementStep:
     def test_zero_drive_stays_at_rest(self, toy_ops):
@@ -196,8 +223,11 @@ class TestDisplacementStep:
             toy_adhesive(),
             np.array([0.0, np.nan]),
         )
+        with pytest.raises(ValueError, match="boundary drive at t=0"):
+            init_state(ops)  # the drive at t = 0 is NaN too
+        rest = State(t=0.0, u=np.zeros(mesh.n_dofs), z=np.ones(ops.n_segments))
         with pytest.raises(InvariantViolation, match=r"penetrate .*\(worst gap nan\)"):
-            displacement_step(ops, init_state(ops), tau=0.1, t_next=0.1)
+            displacement_step(ops, rest, tau=0.1, t_next=0.1)
 
 
 class TestDelaminationStep:
@@ -362,13 +392,31 @@ class TestRun:
         with pytest.raises(ValueError, match="nonnegative"):
             run(small_ops, tau=0.1, t_end=-1.0)
 
-    def test_qp_budget_failure_names_the_step(self):
+    def test_qp_budget_failure_names_the_step(self, monkeypatch):
         # compression drives the contact solve into an actual active-set
         # iteration, which a zero budget cannot finish
         config = parse_config(make_doc(loading={"direction": [-1.0, -0.6]}))
         ops = build_simulation(config)[1]
+        force_qp_budget(monkeypatch, 1)
         with pytest.raises(QpNonconvergenceError, match=r"step 1 \(t="):
-            run(ops, tau=0.02, t_end=0.2, qp_max_iter=0)
+            run(ops, tau=0.02, t_end=0.2)
+
+    def test_step_solve_is_held_to_the_feasibility_tolerance(self, small_ops, monkeypatch):
+        # solve_qp's own tolerance is relative; the step passes the stepper's
+        # 1e-10 m and leaves the iteration budget at solve_qp's default
+        calls = []
+        solve = qp.solve_qp
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "solve_qp", recorded)
+        run(small_ops, tau=0.02, t_end=0.1)
+        assert len(calls) == 5
+        for kwargs in calls:
+            assert kwargs["tol"] == stepper.FEASIBILITY_TOL == 1e-10
+            assert "max_iter" not in kwargs
 
     @pytest.mark.parametrize(
         "source", ["qp_budget", "qp_budget_step_3", "prescribed_penetration", "step_check"]
@@ -376,25 +424,25 @@ class TestRun:
     def test_escaping_errors_carry_the_trajectory(self, source, monkeypatch):
         # Every error that escapes run names its step and carries the trajectory
         # so far: the completed steps, plus the failing one when its check failed.
-        error, doc, qp_max_iter, step, n_states = {
+        error, doc, step, n_states = {
             "qp_budget": (
-                QpNonconvergenceError, make_doc(loading={"direction": [-1.0, -0.6]}), 0, 1, 1
+                QpNonconvergenceError, make_doc(loading={"direction": [-1.0, -0.6]}), 1, 1
             ),
-            "qp_budget_step_3": (QpNonconvergenceError, make_doc(), None, 3, 3),
+            "qp_budget_step_3": (QpNonconvergenceError, make_doc(), 3, 3),
             "prescribed_penetration": (
                 InvariantViolation,
                 make_doc(geometry={"glued_fraction": 1.0}, loading={"direction": [1.0, -0.6]}),
-                None, 1, 1,
+                1, 1,
             ),
-            "step_check": (InvariantViolation, make_doc(), None, 3, 4),
+            "step_check": (InvariantViolation, make_doc(), 3, 4),
         }[source]
         if source == "step_check":
             force_bond_increase(monkeypatch, step)
-        if source == "qp_budget_step_3":
+        if source.startswith("qp_budget"):
             force_qp_budget(monkeypatch, step)
         ops = build_simulation(parse_config(doc))[1]
         with pytest.raises(error) as info:
-            run(ops, tau=0.02, t_end=0.2, qp_max_iter=qp_max_iter)
+            run(ops, tau=0.02, t_end=0.2)
         assert str(info.value).startswith(f"step {step} (t={step * 0.02:.6g}): ")
         traj = info.value.trajectory
         assert len(traj.times) == len(traj.reports) + 1 == n_states
@@ -544,8 +592,8 @@ class TestEraFactor:
                     break  # a new era: pinned bitwise below
                 fresh = stepper._StepOperator(ops, z, tau)
                 t_next = state.t + tau
-                u, sol = op.solve(state.u, t_next, None, 1e-10, None)
-                u_ref, ref = fresh.solve(state.u, t_next, None, 1e-10, None)
+                u, sol = op.solve(state.u, t_next, None)
+                u_ref, ref = fresh.solve(state.u, t_next, None)
                 scale = np.abs(u_ref).max()
                 assert np.abs(u - u_ref).max() <= 1e-12 * scale, (k, z)
                 assert sol.active_set == ref.active_set, (k, z)
@@ -573,12 +621,10 @@ class TestEraFactor:
             A = assembly.assemble_interface(ops.jump, ops.adhesive, z)
             H = ((ops.K + A).tocsr() + ops.V / tau).tocsr()[free][:, free].tocsc()
             assert (op.factor.H != H).nnz == 0
-            u, sol = op.solve(state.u, state.t + tau, None, 1e-10, None)
+            u, sol = op.solve(state.u, state.t + tau, None)
             plain = qp.QpProblem(H=H, g=sol.problem.g, B=ops.constraint.rows, c=sol.problem.c)
             assert np.array_equal(sol.x, qp.solve_qp(plain, factor=qp.factorize(H, plain.B)).x)
-            u_new, _ = stepper._StepOperator(ops, z, tau).solve(
-                state.u, state.t + tau, None, 1e-10, None
-            )
+            u_new, _ = stepper._StepOperator(ops, z, tau).solve(state.u, state.t + tau, None)
             assert np.array_equal(u, u_new)
             eras += 1
             while z.any():  # release segments, left first, until a new era starts
