@@ -262,19 +262,16 @@ class ConstraintMatrix:
     """Nodal non-penetration rows jump . normal >= 0 over free dofs.
 
     The inequality on the full displacement splits as
-    rows @ u_free + offset(t) >= 0 where offset collects the prescribed
-    contributions.  Rows whose dofs are all prescribed cannot enter the
-    program; they are kept aside in fixed, and fixed @ prescribed_values(t)
-    must stay nonnegative for the data to be admissible.
+    rows @ u_free + prescribed_part @ u_prescribed >= 0.  Rows whose dofs
+    are all prescribed cannot enter the program; they are kept aside in
+    fixed, and fixed @ prescribed_values(t) must stay nonnegative for the
+    data to be admissible.
     """
 
     rows: sp.csr_matrix
     prescribed_part: sp.csr_matrix
     dofmap: DofMap
     fixed: sp.csr_matrix
-
-    def offset(self, t: float) -> np.ndarray:
-        return self.prescribed_part @ self.dofmap.prescribed_values(t)
 
     def gaps(self, u_full: np.ndarray) -> np.ndarray:
         """Opening gap at every constrained node pair for a full vector."""

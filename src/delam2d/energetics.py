@@ -4,11 +4,13 @@ The stepper computes every term of each step's energy inequality for its
 own check and puts them in the step's report; the ledger here is their
 running sum, so it needs no operator product per state, and the mixity
 record is the run's own release record.  The norms are summed the same
-way, state by state as the run hands them out.  The
-recomputations from stored states (ledger, norms, stored energy,
-semistability) live in the tests, where they audit these sums.  The gap
-of the ledger is nonnegative and nondecreasing up to solver tolerance; a
-strictly positive gap is a property of the limit model, not a bug.
+way, state by state as the run hands them out.  The recomputations from
+stored states (ledger, norms, stored energy, semistability) live in the
+tests, where they audit these sums, and so does the ledger's running
+energy scale; the stepper's energy check keeps its own, step by step.
+The gap of the ledger is nonnegative and nondecreasing up to solver
+tolerance; a strictly positive gap is a property of the limit model, not
+a bug.
 """
 
 from __future__ import annotations
@@ -60,17 +62,6 @@ class EnergyLedger:
             self.total_stored()
             + self.viscous_dissipated
             + self.interface_dissipated
-        )
-
-    def scale(self) -> np.ndarray:
-        """Running magnitude used to normalize per-step residual checks."""
-        return np.maximum.reduce(
-            [
-                np.abs(self.total_stored()),
-                self.viscous_dissipated + self.interface_dissipated,
-                np.abs(self.external_work),
-                np.full_like(self.gap, 1e-30),
-            ]
         )
 
 

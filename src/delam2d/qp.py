@@ -38,9 +38,7 @@ One sparse code path: H is used as float CSC and B as canonical float
 CSR of shape (m, n) without stored zeros, converted only when not
 already in that form, so dense and sparse copies of one problem give
 bitwise-equal results and the stepper's held operands are never rebuilt.
-Each sparse product is computed once per solve (B x_unc, B x); the KKT
-residuals and the objective, which only tests read, are evaluated when
-first read.
+Each sparse product is computed once per solve (B x_unc, B x).
 
 Determinism: two lowest-index rules make identical inputs give identical
 iterates.  The ratio test blocks on the row of least ratio, the lowest
@@ -51,8 +49,7 @@ negative multiplier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -63,11 +60,9 @@ from scipy.linalg import lapack
 __all__ = [
     "QpProblem",
     "QpSolution",
-    "KktResiduals",
     "QpNonconvergenceError",
     "factorize",
     "solve_qp",
-    "kkt_check",
     "project_feasible",
 ]
 
@@ -104,27 +99,6 @@ class QpProblem:
     def m(self) -> int:
         return len(self.c)
 
-    def objective(self, x: np.ndarray) -> float:
-        return 0.5 * float(x @ (self.H @ x)) + float(self.g @ x)
-
-    def slacks(self, x: np.ndarray) -> np.ndarray:
-        if self.m == 0:
-            return np.zeros(0)
-        return self.B @ x + self.c
-
-
-@dataclass(frozen=True)
-class KktResiduals:
-    """Scaled optimality certificates; all should sit at solver tolerance."""
-
-    stationarity: float
-    primal: float
-    dual: float
-    complementarity: float
-
-    def worst(self) -> float:
-        return max(self.stationarity, self.primal, self.dual, self.complementarity)
-
 
 @dataclass(frozen=True)
 class QpSolution:
@@ -133,15 +107,6 @@ class QpSolution:
     multipliers: np.ndarray  # length m, zero off the active set
     slacks: np.ndarray  # B x + c
     iterations: int
-    problem: QpProblem = field(repr=False)  # as solved, operands converted
-
-    @cached_property
-    def kkt(self) -> KktResiduals:
-        return kkt_check(self.problem, self.x, self.multipliers)
-
-    @cached_property
-    def objective(self) -> float:
-        return self.problem.objective(self.x)
 
 
 @dataclass(frozen=True)
@@ -278,30 +243,6 @@ def _scale(v: np.ndarray, w: np.ndarray) -> float:
     return 1.0 + float(np.abs(v).max(initial=0.0)) + float(np.abs(w).max(initial=0.0))
 
 
-def kkt_check(problem: QpProblem, x: np.ndarray, multipliers: np.ndarray) -> KktResiduals:
-    """Scaled KKT residuals of a candidate point and multiplier vector.
-
-    multipliers has one entry per constraint row (zeros off the active
-    set).  Stationarity and dual residuals are scaled by the gradient
-    magnitude, primal and complementarity by the constraint magnitude.
-    """
-    Hx = problem.H @ x
-    g_scale = _scale(problem.g, Hx)
-    grad = Hx + problem.g
-    if problem.m:
-        Bx = problem.B @ x
-        c_scale = _scale(problem.c, Bx)
-        grad = grad - problem.B.T @ multipliers
-        slacks = Bx + problem.c
-        primal = max(0.0, -float(slacks.min())) / c_scale
-        dual = max(0.0, -float(multipliers.min())) / g_scale
-        compl = float(np.abs(multipliers * slacks).max()) / (g_scale * c_scale)
-    else:
-        primal = dual = compl = 0.0
-    stationarity = float(np.abs(grad).max(initial=0.0)) / g_scale
-    return KktResiduals(stationarity, primal, dual, compl)
-
-
 def _nodal_rows(B):
     """B as canonical float CSR without stored zeros; ValueError unless nodal rows."""
     if not (sp.issparse(B) and B.format == "csr" and B.dtype == np.float64):
@@ -343,19 +284,19 @@ def project_feasible(B, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
 
 
 def _build_solution(
-    problem: QpProblem, x: np.ndarray, mu: np.ndarray, iterations: int, tol: float
+    B, c: np.ndarray, x: np.ndarray, mu: np.ndarray, iterations: int, tol: float
 ) -> QpSolution:
     """The solution record of x with multipliers mu; one B-matvec serves it.
 
-    Both solvers report through here, so both read the active set off the
-    slacks by one scaled tolerance and classify degenerate
-    zero-multiplier actives identically.
+    A reference solver that reports through here too reads the active set
+    off the slacks by the same scaled tolerance, so it classifies
+    degenerate zero-multiplier actives as solve_qp does.
     """
-    Bx = problem.B @ x
-    slacks = Bx + problem.c
-    act_tol = max(tol, 1e-9) * _scale(problem.c, Bx)
+    Bx = B @ x
+    slacks = Bx + c
+    act_tol = max(tol, 1e-9) * _scale(c, Bx)
     active = tuple(np.flatnonzero(slacks <= act_tol).tolist())
-    return QpSolution(x, active, mu, slacks, iterations, problem)
+    return QpSolution(x, active, mu, slacks, iterations)
 
 
 def _solve_spd(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -400,16 +341,14 @@ def solve_qp(
     elif factor.built_for is not problem.B:
         raise ValueError("the factor was built for other constraint rows")
     m = len(problem.c)
-    H, B = factor.H, factor.B
-    problem = QpProblem(H=H, g=problem.g, B=B, c=problem.c)
-    g, c = problem.g, problem.c
+    B, g, c = factor.B, problem.g, problem.c
     cols, col_max, img, B_norm = factor.cols, factor.col_max, factor.img, factor.B_norm
     if max_iter is None:
         max_iter = 3 * (m + 1) + 30
 
     x_unc = factor.correct(factor.solve(-g))
     if m == 0:
-        return _build_solution(problem, x_unc, np.zeros(0), 0, tol)
+        return _build_solution(B, c, x_unc, np.zeros(0), 0, tol)
 
     g_scale = _scale(g, g)  # H x_unc is -g up to the refinement residual
     Bx_unc = B @ x_unc
@@ -457,7 +396,7 @@ def solve_qp(
             s = slacks_unc
         else:
             x0 = project_feasible(B, c, x_unc)
-            a, x0_size, s = 1.0, float(np.abs(x0).max(initial=0.0)), problem.slacks(x0)
+            a, x0_size, s = 1.0, float(np.abs(x0).max(initial=0.0)), B @ x0 + c
 
     def iterate() -> np.ndarray:
         base = x_unc if a == 0.0 else a * x0 + (1.0 - a) * x_unc
@@ -507,7 +446,7 @@ def solve_qp(
                 mu = np.zeros(m)
                 mu[working] = mu_w
                 x = combine(x_unc, working, mu_w)
-                return _build_solution(problem, x, mu, iterations, tol)
+                return _build_solution(B, c, x, mu, iterations, tol)
             del working[int(np.argmin(mu_w))]
             continue
 

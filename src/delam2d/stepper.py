@@ -137,7 +137,6 @@ class Operators:
     """Assembled time-independent operators of one problem instance."""
 
     mesh: Mesh2D
-    elasticity: IsotropicElasticity
     adhesive: AdhesiveLaw
     K: sp.csr_matrix
     V: sp.csr_matrix
@@ -171,7 +170,6 @@ def build_operators(
     x_ends = mesh.nodes[mesh.seg_plus, 0]
     return Operators(
         mesh=mesh,
-        elasticity=elasticity,
         adhesive=adhesive,
         K=K,
         V=V,

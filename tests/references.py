@@ -1,22 +1,105 @@
-"""Reference computations from stored states, kept to audit the package.
+"""Reference computations, kept to audit the package.
 
 The package sums its energy ledger from the stepper's step reports and
 its trajectory norms state by state as a run goes, and it keeps no state
 but a run's first and last.  These functions recompute the same
 quantities the direct way, from the list of every state of a run
 (collected through run's on_step, see conftest.run_with_states), so
-the tests can hold the two implementations against each other.
+the tests can hold the two implementations against each other.  The
+generic certificates of a QP solution (its scaled KKT residuals and its
+objective), the program of one displacement step built from scratch
+and the ledger's running energy scale live here too: the package
+certifies each step by its energy check and its closed-form momentum
+certificate, and reads none of them.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from delam2d import assembly
 from delam2d.energetics import EnergyLedger
+from delam2d.qp import QpProblem
 from delam2d.stepper import FEASIBILITY_TOL, Operators, State, Trajectory, segment_energies
+
+
+class KktResiduals(NamedTuple):
+    """Scaled optimality certificates; max() of them is the worst."""
+
+    stationarity: float
+    primal: float
+    dual: float
+    complementarity: float
+
+
+def _scale(v: np.ndarray, w: np.ndarray) -> float:
+    return 1.0 + float(np.abs(v).max(initial=0.0)) + float(np.abs(w).max(initial=0.0))
+
+
+def kkt_residuals(problem: QpProblem, x: np.ndarray, mu: np.ndarray) -> KktResiduals:
+    """Scaled KKT residuals of a candidate point x and multipliers mu.
+
+    mu has one entry per constraint row (zeros off the active set).
+    Stationarity and dual residuals are scaled by the gradient magnitude
+    1 + max|g| + max|Hx|, primal and complementarity by the constraint
+    magnitude 1 + max|c| + max|Bx|.
+    """
+    Hx = problem.H @ x
+    g_scale = _scale(problem.g, Hx)
+    grad = Hx + problem.g
+    if problem.m:
+        Bx = problem.B @ x
+        c_scale = _scale(problem.c, Bx)
+        grad = grad - problem.B.T @ mu
+        slacks = Bx + problem.c
+        primal = max(0.0, -float(slacks.min())) / c_scale
+        dual = max(0.0, -float(mu.min())) / g_scale
+        compl = float(np.abs(mu * slacks).max()) / (g_scale * c_scale)
+    else:
+        primal = dual = compl = 0.0
+    stationarity = float(np.abs(grad).max(initial=0.0)) / g_scale
+    return KktResiduals(stationarity, primal, dual, compl)
+
+
+def objective(problem: QpProblem, x: np.ndarray) -> float:
+    """0.5 x.Hx + g.x, the QP's objective at x."""
+    return 0.5 * float(x @ (problem.H @ x)) + float(problem.g @ x)
+
+
+def step_problem(ops: Operators, state: State, tau: float, t_next: float) -> QpProblem:
+    """The displacement step's QP from state to t_next, assembled from scratch.
+
+    The step minimizes 0.5 u.C u + |u - state.u|_V^2 / (2 tau) over the
+    free dofs x of u = (x, prescribed values at t_next), with C = K + A(z),
+    under the nodal rows B x + c >= 0.
+    """
+    free, values = ops.dofmap.free, ops.dofmap.prescribed_values(t_next)
+    C = (ops.K + assembly.assemble_interface(ops.jump, ops.adhesive, state.z)).tocsr()
+    H = (C + ops.V / tau).tocsr()[free][:, free].tocsc()
+    u_ext = ops.dofmap.scatter(np.zeros(ops.dofmap.n_free), values)
+    g = (C @ u_ext + ops.V @ ((u_ext - state.u) / tau))[free]
+    constraint = ops.constraint
+    return QpProblem(H=H, g=g, B=constraint.rows, c=constraint.prescribed_part @ values)
+
+
+def ledger_scale(ledger: EnergyLedger) -> np.ndarray:
+    """Running energy magnitude of a ledger, to normalize its per-step checks.
+
+    The largest of |stored|, total dissipation and |external work| at
+    each time, floored at 1e-30: the scale the stepper's energy check
+    takes step by step.
+    """
+    return np.maximum.reduce(
+        [
+            np.abs(ledger.total_stored()),
+            ledger.viscous_dissipated + ledger.interface_dissipated,
+            np.abs(ledger.external_work),
+            np.full_like(ledger.gap, 1e-30),
+        ]
+    )
 
 
 def stored_energy(ops: Operators, state: State) -> tuple[bool, float]:

@@ -29,13 +29,14 @@ from delam2d import (
 )
 from delam2d.constitutive import AdhesiveLaw
 from delam2d.harness import CURVE_SET, _level_config
+from delam2d.stepper import ENERGY_TOL_FACTOR
 from test_assembly import (
     UNIT_MATERIAL,
     boundary_node_set,
     generator_meshes,
     linear_field,
 )
-from references import semistability_check
+from references import ledger_scale, semistability_check
 from test_qp import assert_matches_oracle, random_instance
 
 import scipy.sparse.linalg as spla
@@ -136,13 +137,13 @@ def test_03_linear_patch_fields_on_every_generator_mesh():
 def test_04_per_step_energy_inequality(benchmark_result):
     traj, ledger = benchmark_result.trajectory, benchmark_result.ledger
     residuals = np.array([rep.energy.inequality_residual for rep in traj.reports])
-    scales = ledger.scale()[1:]
-    violations = int((residuals < -1e-8 * scales).sum())
+    tol = ENERGY_TOL_FACTOR * ledger_scale(ledger)[1:]
+    violations = int((residuals < -tol).sum())
     verdict(
         "per-step energy inequality",
         violations == 0,
         f"{violations} violations over {traj.n_steps} steps; worst margin "
-        f"{(residuals + 1e-8 * scales).min():.3e} (tol -1e-8 x running energy scale)",
+        f"{(residuals + tol).min():.3e} (tol -{ENERGY_TOL_FACTOR:g} x running energy scale)",
     )
 
 
@@ -178,7 +179,7 @@ def test_06_bond_monotone_and_no_penetration(benchmark_result, benchmark_states)
 
 def test_07_energy_gap_nonnegative_and_nondecreasing(benchmark_result):
     ledger = benchmark_result.ledger
-    tol = 1e-8 * ledger.scale()
+    tol = ENERGY_TOL_FACTOR * ledger_scale(ledger)
     nonneg = bool((ledger.gap >= -tol).all())
     worst_drop = float(np.diff(ledger.gap).min())
     nondecreasing = bool((np.diff(ledger.gap) >= -tol[1:]).all())

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pkgutil
 
@@ -27,3 +28,17 @@ def test_from_states_audits_live_in_the_tests(name):
     assert name not in delam2d.__all__
     assert not hasattr(importlib.import_module("delam2d.energetics"), name)
     assert callable(getattr(references, name))
+
+
+def test_test_only_certificates_live_in_the_tests():
+    # the package certifies a step by its energy check and the closed-form
+    # momentum certificate; the generic KKT residuals, the QP objective and
+    # the ledger's energy scale are test references, and a QpSolution keeps
+    # no copy of the problem it solved
+    qp = importlib.import_module("delam2d.qp")
+    assert not hasattr(qp, "kkt_check") and not hasattr(qp, "KktResiduals")
+    assert not hasattr(qp.QpProblem, "objective")
+    assert not hasattr(delam2d.EnergyLedger, "scale")
+    fields = [f.name for f in dataclasses.fields(qp.QpSolution)]
+    assert fields == ["x", "active_set", "multipliers", "slacks", "iterations"]
+    assert callable(references.kkt_residuals) and callable(references.ledger_scale)

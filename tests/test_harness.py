@@ -55,6 +55,7 @@ from delam2d.harness import (
 from delam2d.mesh import _bottom_cell_counts
 from delam2d.qp import QpNonconvergenceError
 from delam2d.stepper import State
+from references import ledger_scale
 
 # Pull-off run on a 6x1-cell bar: 10 steps, well under a second.
 TINY = {"geometry": {"n_interface": 5}, "time": {"T": 0.5, "tau": 0.05}}
@@ -930,7 +931,7 @@ def test_vanishing_viscosity_limit(tmp_path):
     limit = results[-1]
     traj, ledger = limit.trajectory, limit.ledger
     assert traj.n_steps == 150
-    tol = 1e-8 * ledger.scale()  # the stepper's energy tolerance
+    tol = stepper.ENERGY_TOL_FACTOR * ledger_scale(ledger)
     assert np.all(ledger.gap >= -tol)
     assert np.all(np.diff(ledger.gap) >= -tol[1:])
     assert min(rep.min_gap for rep in traj.reports) >= -1e-10
