@@ -57,7 +57,6 @@ from .mesh import (
 )
 from .qp import (
     QpNonconvergenceError,
-    QpProblem,
     QpSolution,
     solve_qp,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "Operators",
     "OutputConfig",
     "QpNonconvergenceError",
-    "QpProblem",
     "QpSolution",
     "RunResult",
     "SimulationConfig",

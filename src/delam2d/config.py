@@ -303,6 +303,8 @@ def load_config(path) -> SimulationConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError([f"{path}: cannot read ({err})"]) from err
+    except UnicodeDecodeError as err:
+        raise ConfigError([f"{path}: not UTF-8 text ({err})"]) from err
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

@@ -150,7 +150,7 @@ def _check_provenance(out: Path, digest: str) -> None:
     if meta.exists():
         try:
             previous = json.loads(meta.read_text(encoding="utf-8")).get("config_hash")
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
             raise HarnessError(f"{meta}: unreadable metadata ({err})") from err
         if previous != digest:
             raise HarnessError(
@@ -161,8 +161,11 @@ def _check_provenance(out: Path, digest: str) -> None:
     for path in sorted(out.glob("*.csv")) + sorted(out.glob("snapshots/*.csv")):
         if not path.is_file():
             continue
-        with open(path, encoding="utf-8") as f:
-            first = f.readline().strip()
+        try:
+            with open(path, encoding="utf-8") as f:
+                first = f.readline().strip()
+        except (OSError, UnicodeDecodeError) as err:
+            raise HarnessError(f"{path}: cannot read ({err})") from err
         if first.startswith("# config_hash=") and first.split("=", 1)[1] != digest:
             raise HarnessError(
                 f"{path}: written by a different configuration, refusing to mix"
@@ -186,15 +189,25 @@ def _write_table(out, columns: dict) -> None:
     out.writelines(row + "\n" for row in _format_rows(columns))
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """path opened for writing text; HarnessError naming it when that fails."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+    except OSError as err:
+        raise HarnessError(f"{path}: cannot write ({err.strerror or err})") from err
+
+
 def _write_json(path: Path, obj) -> None:
     """obj as indented JSON with sorted keys and a trailing newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with _writing(path) as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 def _write_csv(path: Path, digest: str, columns: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
+    with _writing(path) as out:
         out.write(f"# config_hash={digest}\n")
         _write_table(out, columns)
 

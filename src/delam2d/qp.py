@@ -23,9 +23,10 @@ next iteration tests that solve's multipliers.
 
 A factor is built for one H_b and one B, and caches, for its life, the
 columns H_b^{-1} B_i^T; a Schur matrix is a slice of the cached
-constraint images B H^{-1} B_i^T (row i of an m x m array).  Calls that
-pass the factor again solve only for rows not seen yet.  A factor can be
-lowered to H = H_b - E_D^T Delta E_D, a dense symmetric Delta on a few
+constraint images B H^{-1} B_i^T (row i of an m x m array).  solve_qp
+takes the factor and only what changes per call, g and c, and solves
+only for rows not seen yet.  A factor can be lowered to
+H = H_b - E_D^T Delta E_D, a dense symmetric Delta on a few
 dofs D (Hager, SIAM Review 31, 1989): with Z = H_b^{-1} E_D^T and
 R = Z[D], a solve is y + Z M y[D] for y = H_b^{-1} b and
 M = Delta (I - R Delta)^{-1}.  The columns of Z are solved once per dof
@@ -34,11 +35,10 @@ corrected where they are combined, and only the images and the max-norm
 bounds are redone per Delta.  A lowering that would make Z hold more
 entries than the sparse factor itself is refused; the caller refactors.
 
-One sparse code path: H is used as float CSC and B as canonical float
-CSR of shape (m, n) without stored zeros, converted only when not
-already in that form, so dense and sparse copies of one problem give
-bitwise-equal results and the stepper's held operands are never rebuilt.
-Each sparse product is computed once per solve (B x_unc, B x).
+H is float CSC and B canonical float CSR of shape (m, n) without stored
+zeros (ValueError for any other B), as the stepper holds them; neither
+is converted or rebuilt.  Each sparse product is computed once per solve
+(B x_unc, B x).
 
 Determinism: two lowest-index rules make identical inputs give identical
 iterates.  The ratio test blocks on the row of least ratio, the lowest
@@ -58,7 +58,6 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 __all__ = [
-    "QpProblem",
     "QpSolution",
     "QpNonconvergenceError",
     "factorize",
@@ -77,30 +76,6 @@ class QpNonconvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QpProblem:
-    """min 0.5 x.Hx + g.x  s.t.  B x + c >= 0.
-
-    H must be symmetric positive definite (sparse, dense, or the H of a
-    lowered factor).  B, sparse or dense, has one row per constraint and
-    may have none (unconstrained); each row must be nonzero and no two
-    rows may share a column, as for nodal non-penetration rows.
-    """
-
-    H: object
-    g: np.ndarray
-    B: object
-    c: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.g)
-
-    @property
-    def m(self) -> int:
-        return len(self.c)
-
-
-@dataclass(frozen=True)
 class QpSolution:
     x: np.ndarray
     active_set: tuple[int, ...]
@@ -109,46 +84,25 @@ class QpSolution:
     iterations: int
 
 
-@dataclass(frozen=True)
-class _Lowered:
-    """base - E_D^T delta E_D as an operator: the H of a lowered factor."""
-
-    base: sp.csc_matrix
-    dofs: np.ndarray
-    delta: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.base.shape
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = self.base @ x
-        y[self.dofs] -= self.delta @ x[self.dofs]
-        return y
-
-
 class _Factor:
-    """SuperLU factor of H_b, converted to CSC on entry; each solve refines once.
+    """SuperLU factor of H_b (base, float CSC) for the nodal rows B; each solve refines once.
 
-    solve(rhs) is H_b^{-1} rhs and correct(y) turns it into H^{-1} rhs;
-    H is base (H_b) until lower() makes it a _Lowered operator.
-    built_for is the caller's B object and B its checked canonical CSR copy.
-    For the rows i that solve_qp has met, cols[i] is H_b^{-1} B_i^T,
-    col_max[i] bounds the max norm of H^{-1} B_i^T and img[i] is its
-    constraint image B H^{-1} B_i^T; rows not met yet hold zeros.  B_norm,
-    the largest absolute row sum of B, bounds |B v|_inf by B_norm |v|_inf.
-    block is the last (rows, column_stack of their cols) that solve_qp
-    stacked, or None: consecutive steps often end on one working set.
-    dofs holds D in the order Z's columns were solved; max_rank, the
-    factor's stored entries over n, caps their number.
+    solve(rhs) is H_b^{-1} rhs and correct(y) turns it into H^{-1} rhs,
+    for H = H_b until lower() lowers it.  For the rows i that solve_qp
+    has met, cols[i] is H_b^{-1} B_i^T, col_max[i] bounds the max norm of
+    H^{-1} B_i^T and img[i] is its constraint image B H^{-1} B_i^T; rows
+    not met yet hold zeros.  B_norm, the largest absolute row sum of B,
+    bounds |B v|_inf by B_norm |v|_inf.  block is the last (rows,
+    column_stack of their cols) that solve_qp stacked, or None:
+    consecutive steps often end on one working set.  dofs holds D in the
+    order Z's columns were solved; max_rank, the factor's stored entries
+    over n, caps their number.
     """
 
     def __init__(self, H, B):
-        if not (sp.issparse(H) and H.format == "csc" and H.dtype == np.float64):
-            H = sp.csc_matrix(H, dtype=float)
-        self.H = self.base = H
+        self.base = H
         self._lu = spla.splu(H)
-        self.built_for, self.B = B, _nodal_rows(B)
+        self.B = _nodal_rows(B)
         self.cols: dict[int, np.ndarray] = {}
         self.block: tuple[tuple[int, ...], np.ndarray] | None = None
         n, m = H.shape[0], self.B.shape[0]
@@ -226,7 +180,6 @@ class _Factor:
         # M = Delta (I - R Delta)^{-1} = (I - Delta R)^{-1} Delta, R = Z[D]
         R = self._Zt[:d][:, self.dofs]
         self._M = np.linalg.solve(np.eye(d) - Delta @ R, Delta)
-        self.H = _Lowered(self.base, self.dofs, Delta)
         self.col_max, self.img = self._base_max.copy(), self._base_img.copy()
         if self.cols:
             self._lower_rows(list(self.cols))
@@ -234,7 +187,7 @@ class _Factor:
 
 
 def factorize(H, B) -> _Factor:
-    """Factor a symmetric positive definite H for repeated solve_qp calls with the rows B."""
+    """Factor a symmetric positive definite H (float CSC) for solve_qp calls with the rows B."""
     return _Factor(H, B)
 
 
@@ -244,13 +197,10 @@ def _scale(v: np.ndarray, w: np.ndarray) -> float:
 
 
 def _nodal_rows(B):
-    """B as canonical float CSR without stored zeros; ValueError unless nodal rows."""
-    if not (sp.issparse(B) and B.format == "csr" and B.dtype == np.float64):
-        B = sp.csr_matrix(B, dtype=float)
-    if not (B.has_canonical_format and B.data.all()):
-        B = B.copy()
-        B.sum_duplicates()
-        B.eliminate_zeros()
+    """B itself; ValueError unless nodal rows in canonical float CSR without stored zeros."""
+    csr = sp.issparse(B) and B.format == "csr" and B.dtype == np.float64
+    if not (csr and B.has_canonical_format and B.data.all()):
+        raise ValueError("constraint rows must be canonical float64 CSR without stored zeros")
     if (np.diff(B.indptr) == 0).any():
         raise ValueError("constraint row with no nonzero entry")
     if np.unique(B.indices).size < B.nnz:
@@ -261,7 +211,7 @@ def _nodal_rows(B):
 def project_feasible(B, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """A point of B x + c >= 0 near x0, by one pass over the violated rows.
 
-    B, dense or sparse, must hold nonzero rows with disjoint supports
+    B, canonical float CSR, must hold nonzero rows with disjoint supports
     (ValueError otherwise), so each violated row i moves only its own
     dofs: x_j -= 1.5 (s_i / |B_i|^2) B_ij, over-relaxed to leave the slack
     s_i = (B x + c)_i at -s_i / 2.  x0 is returned unchanged when no row
@@ -314,34 +264,29 @@ def _solve_spd(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_qp(
-    problem: QpProblem,
+    factor: _Factor,
+    g: np.ndarray,
+    c: np.ndarray,
     tol: float = 1e-10,
     max_iter: int | None = None,
     warm_start: tuple[int, ...] | None = None,
-    factor: _Factor | None = None,
 ) -> QpSolution:
-    """Primal active-set solve of a strictly convex inequality QP.
+    """min 0.5 x.Hx + g.x  s.t.  B x + c >= 0, for factor = factorize(H, B), maybe lowered.
 
-    warm_start seeds the working set (commonly the previous time step's
-    active set); an infeasible warm equality solution falls back to a
-    cold start from the projected unconstrained minimizer.  The returned
-    active set is derived from the final slacks, so degenerate
-    constraints that happen to hold with equality are included even if
-    they never entered the working set.
-
-    max_iter caps the active-set iterations (default 3(m + 1) + 30).
-    The rows of B must be nonzero with disjoint supports (ValueError
-    otherwise), which makes every Schur matrix positive definite.
-    factor, when given, must be factorize(problem.H, problem.B) of this
-    very B object, unchanged in place (ValueError for another object), or
-    that factor lowered, whose H is then the one solved for.
+    A primal active-set solve; c has one entry per row of B (ValueError
+    otherwise).  warm_start, sorted distinct row indices (commonly the
+    previous time step's active set), seeds the working set; an
+    infeasible warm equality solution falls back to a cold start from
+    the projected unconstrained minimizer.  The returned active set is
+    derived from the final slacks, so degenerate constraints that happen
+    to hold with equality are included even if they never entered the
+    working set.  max_iter caps the active-set iterations (default
+    3(m + 1) + 30).
     """
-    if factor is None:
-        factor = factorize(problem.H, problem.B)
-    elif factor.built_for is not problem.B:
-        raise ValueError("the factor was built for other constraint rows")
-    m = len(problem.c)
-    B, g, c = factor.B, problem.g, problem.c
+    B = factor.B
+    m = B.shape[0]
+    if len(c) != m:
+        raise ValueError(f"c has {len(c)} entries for {m} constraint rows")
     cols, col_max, img, B_norm = factor.cols, factor.col_max, factor.img, factor.B_norm
     if max_iter is None:
         max_iter = 3 * (m + 1) + 30
@@ -386,7 +331,7 @@ def solve_qp(
     a, x0, x0_size = 0.0, None, 0.0
     s = reached = None
     if warm_start:
-        seed = sorted(set(int(i) for i in warm_start if 0 <= int(i) < m))
+        seed = list(warm_start)
         mu_try, s_try = eqp(seed)
         if float(s_try.min()) >= -feas_tol:
             working, s, reached = seed, s_try, (mu_try, s_try)

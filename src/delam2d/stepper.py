@@ -266,12 +266,10 @@ class _StepOperator:
             at, cols, p_at = self.glue[:3]
             C_u[at] -= cols @ values[p_at]
         g = C_u + (ops.V @ ((u_ext - u_prev) / self.tau))[dofmap.free]
-        problem = qp.QpProblem(
-            H=self.factor.H, g=g, B=constraint.rows, c=constraint.prescribed_part @ values
-        )
+        c = constraint.prescribed_part @ values
         # solve_qp's tolerance is relative, to 1 + max|c| + max|Bx| (qp.py), so
         # that it keeps the 1e-10 m feasibility check is measured, not guaranteed
-        sol = qp.solve_qp(problem, tol=FEASIBILITY_TOL, warm_start=warm, factor=self.factor)
+        sol = qp.solve_qp(self.factor, g, c, tol=FEASIBILITY_TOL, warm_start=warm)
         return dofmap.scatter(sol.x, values), sol
 
     def boundary_work(self, u_prev: np.ndarray, u_next: np.ndarray) -> tuple[np.ndarray, float]:

@@ -10,20 +10,58 @@ generic certificates of a QP solution (its scaled KKT residuals and its
 objective), the program of one displacement step built from scratch
 and the ledger's running energy scale live here too: the package
 certifies each step by its energy check and its closed-form momentum
-certificate, and reads none of them.
+certificate, and reads none of them.  So do a QP held as one object
+(QpProblem) and solve(), which hands it to solve_qp: the package's one
+QP is the step's, which solve_qp takes as the step's factor, g and c.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from delam2d import assembly
+from delam2d import assembly, qp
 from delam2d.energetics import EnergyLedger
-from delam2d.qp import QpProblem
 from delam2d.stepper import FEASIBILITY_TOL, Operators, State, Trajectory, segment_energies
+
+
+@dataclass(frozen=True)
+class QpProblem:
+    """min 0.5 x.Hx + g.x  s.t.  B x + c >= 0, the operands solve_qp reads.
+
+    H (symmetric positive definite) is held as float CSC and B as float
+    CSR, the forms factorize takes; dense operands are converted, sparse
+    ones kept as they are (a stored zero in B stays, for factorize to
+    refuse).
+    """
+
+    H: sp.csc_matrix
+    g: np.ndarray
+    B: sp.csr_matrix
+    c: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "H", sp.csc_matrix(self.H, dtype=float))
+        object.__setattr__(self, "B", sp.csr_matrix(self.B, dtype=float))
+
+    @property
+    def n(self) -> int:
+        return len(self.g)
+
+    @property
+    def m(self) -> int:
+        return len(self.c)
+
+
+def solve(problem: QpProblem, factor=None, **kw) -> qp.QpSolution:
+    """solve_qp on problem, from factor or else a fresh factorize(H, B)."""
+    if factor is None:
+        factor = qp.factorize(problem.H, problem.B)
+    return qp.solve_qp(factor, problem.g, problem.c, **kw)
 
 
 class KktResiduals(NamedTuple):

@@ -21,7 +21,6 @@ from delam2d.energetics import (
 )
 from delam2d.harness import build_simulation
 from delam2d.mesh import build_benchmark_mesh
-from delam2d.qp import solve_qp
 from delam2d.stepper import (
     State,
     Trajectory,
@@ -39,6 +38,7 @@ from references import (
     ledger_scale,
     norms_from_states,
     semistability_check,
+    solve,
     step_problem,
     stored_energy,
 )
@@ -245,7 +245,7 @@ CERTIFICATE_TOL = 1e-12
 def solve_step(ops, prev, t, problem):
     """The state at t after prev whose free dofs solve problem, the step's QP
     (references.step_problem) or a variant of its rows."""
-    x = solve_qp(problem).x
+    x = solve(problem).x
     return State(t, ops.dofmap.scatter(x, ops.dofmap.prescribed_values(t)), prev.z)
 
 

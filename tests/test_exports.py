@@ -1,8 +1,11 @@
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import delam2d
 import references
@@ -30,6 +33,23 @@ def test_from_states_audits_live_in_the_tests(name):
     assert callable(getattr(references, name))
 
 
+def test_the_qp_entry_takes_the_steps_factor_g_and_c():
+    # the package's one QP is the step's: solve_qp takes the factor that
+    # factorize(H, B) built and the call's g and c; a problem container
+    # is a test reference, and a factor keeps no H and no caller's B
+    qp = importlib.import_module("delam2d.qp")
+    assert not hasattr(delam2d, "QpProblem") and not hasattr(qp, "QpProblem")
+    assert not hasattr(qp, "_Lowered")
+    params = list(inspect.signature(qp.solve_qp).parameters)
+    assert params == ["factor", "g", "c", "tol", "max_iter", "warm_start"]
+    factor = qp.factorize(sp.csc_matrix(np.eye(2)), sp.csr_matrix(np.eye(2)))
+    assert not hasattr(factor, "H") and not hasattr(factor, "built_for")
+    with pytest.raises(ValueError, match="entries for 2 constraint rows"):
+        qp.solve_qp(factor, np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError, match="CSR"):
+        qp.factorize(sp.csc_matrix(np.eye(2)), np.eye(2))
+
+
 def test_test_only_certificates_live_in_the_tests():
     # the package certifies a step by its energy check and the closed-form
     # momentum certificate; the generic KKT residuals, the QP objective and
@@ -37,7 +57,6 @@ def test_test_only_certificates_live_in_the_tests():
     # no copy of the problem it solved
     qp = importlib.import_module("delam2d.qp")
     assert not hasattr(qp, "kkt_check") and not hasattr(qp, "KktResiduals")
-    assert not hasattr(qp.QpProblem, "objective")
     assert not hasattr(delam2d.EnergyLedger, "scale")
     fields = [f.name for f in dataclasses.fields(qp.QpSolution)]
     assert fields == ["x", "active_set", "multipliers", "slacks", "iterations"]

@@ -828,6 +828,18 @@ class TestProvenance:
         with pytest.raises(HarnessError, match="unreadable metadata"):
             run_single(parse_config(tiny_doc()), tmp_path)
 
+    @pytest.mark.parametrize(
+        "name, message", [("meta.json", "unreadable metadata"), ("junk.csv", "cannot read")]
+    )
+    def test_a_file_not_utf8_exits_1_with_one_line(self, tmp_path, capsys, name, message):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / name).write_bytes(b"\xff\xfe\x00\x01")
+        assert main(["run", "--config", write_doc(tmp_path, tiny_doc()), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"delam2d: {out / name}: {message} (")
+        assert err.count("\n") == 1
+
 
 SWEEP_CHIS = [1e-3, 1e-2]
 
@@ -1109,6 +1121,25 @@ class TestCli:
     def test_validate_config_missing_file(self, tmp_path, capsys):
         assert main(["validate-config", "--config", str(tmp_path / "absent.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_validate_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(make_doc()).encode("utf-16-le"))
+        assert main(["validate-config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("delam2d:")] == [
+            "delam2d: invalid configuration:"
+        ]
+        assert f"  {path}: not UTF-8 text (" in err
+
+    def test_run_with_an_unwritable_output_file_exits_1(self, tmp_path, capsys):
+        # the snapshot writer's own failure reads the same way (TestSnapshotWriterProcess)
+        out = tmp_path / "o"
+        (out / "energies.csv").mkdir(parents=True)
+        assert main(["run", "--config", write_doc(tmp_path, tiny_doc()), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"delam2d: {out / 'energies.csv'}: cannot write (Is a directory)\n"
+        )
 
     def test_run_writes_result_directory(self, tmp_path, capsys):
         path = write_doc(tmp_path, tiny_doc())

@@ -38,7 +38,7 @@ def test_every_patch_point_resolves():
 
 
 def test_factorize_returns_an_object_with_solve():
-    factor = qp.factorize(sp.csc_matrix(2.0 * np.eye(3)), np.zeros((0, 3)))
+    factor = qp.factorize(sp.csc_matrix(2.0 * np.eye(3)), sp.csr_matrix((0, 3)))
     assert callable(factor.solve)
     assert np.allclose(factor.solve(np.ones(3)), 0.5)
 
@@ -49,15 +49,13 @@ def test_cached_columns_leave_one_wrapped_solve_per_repeat():
     # attribute, so a repeat of a solved problem makes exactly one solve,
     # the unconstrained minimizer.
     probe = _spans_module().Probe(tracing=True)
-    problem = qp.QpProblem(
-        H=sp.csc_matrix(2.0 * np.eye(3)), g=-np.ones(3), B=-np.eye(3), c=np.full(3, 0.25)
-    )
-    factor = qp.factorize(problem.H, problem.B)
+    g, c = -np.ones(3), np.full(3, 0.25)
+    factor = qp.factorize(sp.csc_matrix(2.0 * np.eye(3)), sp.csr_matrix(-np.eye(3)))
     factor.solve = probe.span("qp.linear_solve", factor.solve)
-    first = qp.solve_qp(problem, factor=factor)
+    first = qp.solve_qp(factor, g, c)
     assert len(first.active_set) == 3 and len(probe.spans) == 4
     probe.spans.clear()
-    second = qp.solve_qp(problem, factor=factor)
+    second = qp.solve_qp(factor, g, c)
     assert len(probe.spans) == 1
     assert np.array_equal(first.x, second.x)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import warnings
 
@@ -10,15 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delam2d import qp
-from delam2d.qp import (
-    QpNonconvergenceError,
-    QpProblem,
-    factorize,
-    project_feasible,
-    solve_qp,
-)
+from delam2d.qp import QpNonconvergenceError, factorize, project_feasible
 
-from references import kkt_residuals, objective
+from references import QpProblem, kkt_residuals, objective, solve
 
 
 def nodal_rows(rng, m, n):
@@ -61,8 +54,7 @@ def brute_force_qp(problem, tol=1e-10):
     feasible candidate of least objective.  Exponential cost, testing
     use only.
     """
-    H = problem.H.toarray() if sp.issparse(problem.H) else np.asarray(problem.H, float)
-    B = problem.B.toarray() if sp.issparse(problem.B) else np.asarray(problem.B, float)
+    H, B = problem.H.toarray(), problem.B.toarray()
     g, c = problem.g, problem.c
     n, m = problem.n, problem.m
     if m > 20:
@@ -113,7 +105,7 @@ def brute_force_qp(problem, tol=1e-10):
 
 
 def assert_matches_oracle(problem, tol=1e-10):
-    sol = solve_qp(problem, tol=tol)
+    sol = solve(problem, tol=tol)
     ref = brute_force_qp(problem, tol=tol)
     scale = 1.0 + float(np.abs(ref.x).max(initial=0.0))
     err = float(np.abs(sol.x - ref.x).max(initial=0.0))
@@ -157,32 +149,6 @@ class TestOracleEquivalence:
         assert np.allclose(sol.x, [0.0, 0.0], atol=1e-12)
         assert sol.active_set == (0, 1)
 
-    def test_sparse_operands(self):
-        # Dense and sparse copies of the same operands take one code path,
-        # so they give bitwise-equal results, and both match the oracle.
-        rng = np.random.default_rng(3)
-        sizes = set()
-        for k in range(40):
-            dense = random_instance(rng, max_dofs=8, max_cons=4)
-            sizes.add(dense.m)
-            problem = QpProblem(
-                H=sp.csc_matrix(dense.H),
-                g=dense.g,
-                B=sp.csr_matrix(dense.B),
-                c=dense.c,
-            )
-            sol_d, sol_s = solve_qp(dense), solve_qp(problem)
-            assert_same_solution(sol_d, sol_s, f"instance {k}")
-            ref = brute_force_qp(dense)
-            assert np.abs(sol_s.x - ref.x).max() <= 1e-10 * (1 + np.abs(ref.x).max())
-            if dense.m:
-                x0 = rng.normal(size=dense.n)
-                assert np.array_equal(
-                    project_feasible(dense.B, dense.c, x0),
-                    project_feasible(problem.B, problem.c, x0),
-                ), f"instance {k}"
-        assert 0 in sizes and len(sizes) > 2  # unconstrained and constrained draws
-
 
 def dense_projection(B, c, x0):
     """project_feasible on a dense B, one row and one entry at a time.
@@ -223,31 +189,13 @@ class TestFactorColumnCache:
                 problem = QpProblem(
                     H=base.H, g=rng.normal(size=base.n), B=base.B, c=slack - base.B @ x0
                 )
-                reused = solve_qp(problem, warm_start=warm_reused, factor=factor)
-                fresh = solve_qp(problem, warm_start=warm_fresh)
+                reused = solve(problem, factor=factor, warm_start=warm_reused)
+                fresh = solve(problem, warm_start=warm_fresh)
                 assert_same_solution(reused, fresh, f"instance {k}, step {step}")
                 warm_reused, warm_fresh = reused.active_set, fresh.active_set
 
-    def test_a_factor_refuses_other_rows(self):
-        # Same shape, other rows (even equal ones in a new object): columns
-        # cached by row index belong to the factor's own B, so the solve
-        # refuses before making any linear solve.
-        rng = np.random.default_rng(14)
-        for k in range(20):
-            first = random_instance(rng, max_dofs=6, max_cons=4)
-            factor = factorize(first.H, first.B)
-            solve_qp(first, factor=factor)
-            solves = []
-            factor.solve = lambda rhs: solves.append(rhs)
-            for B in (nodal_rows(rng, first.m, first.n), first.B.copy()):
-                other = dataclasses.replace(first, B=B)
-                with pytest.raises(ValueError, match="other constraint rows"):
-                    solve_qp(other, factor=factor)
-            assert solves == [], f"instance {k}"
-
     def test_rows_checked_once_per_factor(self, monkeypatch):
-        # factorize checks and converts B; steady solves with the factor
-        # check nothing more
+        # factorize checks B; steady solves with the factor check nothing more
         checks = []
         nodal_rows = qp._nodal_rows
 
@@ -260,7 +208,7 @@ class TestFactorColumnCache:
         factor = factorize(problem.H, problem.B)
         assert len(checks) == 1
         for _ in range(3):
-            solve_qp(problem, factor=factor)
+            solve(problem, factor=factor)
         assert len(checks) == 1
 
 
@@ -270,21 +218,14 @@ def perturbed(problem, rng, size=1e-3):
     return QpProblem(H=problem.H, g=g, B=problem.B, c=problem.c)
 
 
-def converted(problem):
-    """The problem with H as CSC and B as canonical CSR, as the stepper holds them."""
-    return QpProblem(
-        H=sp.csc_matrix(problem.H), g=problem.g, B=sp.csr_matrix(problem.B), c=problem.c
-    )
-
-
 class TestConvertedOperands:
     def test_steady_solves_build_no_sparse_matrix(self, monkeypatch):
-        # Operands already in CSC and canonical CSR with one factor: the
-        # solves convert nothing, and give the bits of the dense problems.
+        # Operands in CSC and canonical CSR with one factor: the solves
+        # build no sparse matrix, and give the bits of fresh factors.
         rng = np.random.default_rng(16)
-        base = converted(random_instance(rng, max_dofs=12, max_cons=6))
+        base = random_instance(rng, max_dofs=12, max_cons=6)
         while base.m < 3:
-            base = converted(random_instance(rng, max_dofs=12, max_cons=6))
+            base = random_instance(rng, max_dofs=12, max_cons=6)
         problems = [base, perturbed(base, rng)]
         factor = factorize(base.H, base.B)
 
@@ -295,15 +236,14 @@ class TestConvertedOperands:
         monkeypatch.setattr(qp.sp, "csr_matrix", refuse)
         sols, warm = [], None
         for problem in problems:
-            sols.append(solve_qp(problem, warm_start=warm, factor=factor))
+            sols.append(solve(problem, factor=factor, warm_start=warm))
             warm = sols[-1].active_set
         monkeypatch.undo()
         assert all(sol.active_set for sol in sols)  # the EQP and the stacking ran
         warm = None
         for problem, sol in zip(problems, sols):
-            dense = QpProblem(H=base.H.toarray(), g=problem.g, B=base.B.toarray(), c=base.c)
-            ref = solve_qp(dense, warm_start=warm)
-            assert_same_solution(sol, ref, "converted operands")
+            ref = solve(problem, warm_start=warm)
+            assert_same_solution(sol, ref, "reused factor")
             warm = ref.active_set
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 160])
@@ -337,8 +277,8 @@ class TestConvertedOperands:
     def test_slacks_equal_direct_evaluation(self):
         rng = np.random.default_rng(17)
         for k in range(60):
-            problem = converted(random_instance(rng))
-            sol = solve_qp(problem)
+            problem = random_instance(rng)
+            sol = solve(problem)
             assert np.array_equal(sol.slacks, problem.B @ sol.x + problem.c), f"instance {k}"
 
     def test_reused_block_gives_the_bits_of_a_fresh_stack(self, monkeypatch):
@@ -355,17 +295,17 @@ class TestConvertedOperands:
 
         reused = 0
         for k in range(40):
-            first = converted(random_instance(rng, max_dofs=10, max_cons=6))
+            first = random_instance(rng, max_dofs=10, max_cons=6)
             factor = factorize(first.H, first.B)
-            sol = solve_qp(first, factor=factor)
+            sol = solve(first, factor=factor)
             if factor.block is None:
                 continue
             block = factor.block[1]
             second = perturbed(first, rng)
             monkeypatch.setattr(np, "column_stack", spy)
-            repeat = solve_qp(second, warm_start=sol.active_set, factor=factor)
+            repeat = solve(second, factor=factor, warm_start=sol.active_set)
             monkeypatch.undo()
-            fresh = solve_qp(second, warm_start=sol.active_set)
+            fresh = solve(second, warm_start=sol.active_set)
             assert_same_solution(repeat, fresh, f"instance {k}")
             if factor.block[1] is block:
                 reused += 1
@@ -392,8 +332,8 @@ class TestLoweredFactor:
                 a = np.zeros(n)
                 a[rng.choice(n, size=size, replace=False)] = rng.normal(size=size)
                 terms.append(a)
-            H_b = problem.H + sum(np.outer(a, a) for a in terms)
-            factor = factorize(H_b, problem.B)
+            H_b = problem.H.toarray() + sum(np.outer(a, a) for a in terms)
+            factor = factorize(sp.csc_matrix(H_b), problem.B)
             released: list[int] = []
             for _ in range(3):
                 released += list(rng.choice(n, size=min(2, n), replace=False))
@@ -401,35 +341,30 @@ class TestLoweredFactor:
                 dofs = np.flatnonzero(np.abs(drop).sum(axis=0))
                 if not factor.lower(dofs, drop[np.ix_(dofs, dofs)]):
                     break
-                H = H_b - drop
                 lowered += 1
-                target = QpProblem(H=H, g=problem.g, B=problem.B, c=problem.c)
-                sol = solve_qp(target, factor=factor)
-                ref = solve_qp(target)
+                target = QpProblem(H=H_b - drop, g=problem.g, B=problem.B, c=problem.c)
+                sol = solve(target, factor=factor)
+                ref = solve(target)
                 worst = max(worst, np.abs(sol.x - ref.x).max() / max(1.0, np.abs(ref.x).max()))
                 assert sol.active_set == ref.active_set, f"instance {k}"
                 res = kkt_residuals(target, sol.x, sol.multipliers)
                 assert max(res) <= 1e-8, f"instance {k}"
-                v = rng.normal(size=n)
-                assert np.allclose(factor.H @ v, H @ v, rtol=1e-13, atol=1e-13 * np.abs(H).max())
         assert lowered >= 100
         assert worst <= 1e-12
 
     def test_a_lowering_past_the_factor_size_is_refused(self):
         # Z may hold at most as many entries as the sparse factor: a lowering
         # that needs more columns leaves the factor as it was.
-        H, B = sp.diags(np.full(8, 4.0)).tocsc(), np.zeros((0, 8))
-        factor = factorize(H, B)
+        factor = factorize(sp.diags(np.full(8, 4.0)).tocsc(), sp.csr_matrix((0, 8)))
         assert factor.max_rank == 2  # SuperLU stores 16 entries: the diagonals of L and U
         assert not factor.lower(np.array([0, 1, 2]), np.eye(3))
-        assert factor.H is factor.base and len(factor.dofs) == 0
-        problem = QpProblem(H=H, g=-np.ones(8), B=B, c=np.zeros(0))
+        assert factor._M is None and len(factor.dofs) == 0
         assert factor.lower(np.array([3]), np.ones((1, 1)))
         assert factor.lower(np.array([3, 5]), np.diag([1.0, 2.0]))
-        lowered = factor.H
+        M = factor._M
         assert not factor.lower(np.array([3, 5, 6]), np.eye(3))
-        assert factor.H is lowered
-        x = solve_qp(problem, factor=factor).x
+        assert factor._M is M and factor.dofs.tolist() == [3, 5]
+        x = qp.solve_qp(factor, -np.ones(8), np.zeros(0)).x
         assert np.allclose(x, [0.25] * 3 + [1.0 / 3.0, 0.25, 0.5, 0.25, 0.25], rtol=1e-15)
 
 
@@ -438,14 +373,14 @@ class TestSolutionQuality:
         rng = np.random.default_rng(4)
         for _ in range(100):
             problem = random_instance(rng)
-            sol = solve_qp(problem)
+            sol = solve(problem)
             assert max(kkt_residuals(problem, sol.x, sol.multipliers)) <= 1e-8
 
     def test_feasibility(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             problem = random_instance(rng)
-            sol = solve_qp(problem)
+            sol = solve(problem)
             if problem.m:
                 c_scale = 1.0 + float(np.abs(problem.c).max())
                 assert (problem.B @ sol.x + problem.c).min() >= -1e-8 * c_scale
@@ -454,7 +389,7 @@ class TestSolutionQuality:
         rng = np.random.default_rng(6)
         for _ in range(50):
             problem = random_instance(rng)
-            sol = solve_qp(problem)
+            sol = solve(problem)
             for _ in range(5):
                 v = rng.normal(size=problem.n)
                 if problem.m:
@@ -468,11 +403,11 @@ class TestSolutionQuality:
         rng = np.random.default_rng(7)
         for _ in range(50):
             problem = random_instance(rng)
-            sol = solve_qp(problem)
+            sol = solve(problem)
             trace = []
             for k in range(sol.iterations):
                 with pytest.raises(QpNonconvergenceError) as err:
-                    solve_qp(problem, max_iter=k)
+                    solve(problem, max_iter=k)
                 trace.append(objective(problem, err.value.x))
             trace.append(objective(problem, sol.x))
             for a, b in zip(trace[:-1], trace[1:]):
@@ -482,7 +417,7 @@ class TestSolutionQuality:
         rng = np.random.default_rng(8)
         for _ in range(100):
             problem = random_instance(rng)
-            sol = solve_qp(problem)
+            sol = solve(problem)
             if problem.m:
                 g_scale = 1.0 + float(np.abs(problem.g).max())
                 assert sol.multipliers.min(initial=0.0) >= -1e-8 * g_scale
@@ -495,8 +430,8 @@ class TestWarmStart:
         rng = np.random.default_rng(9)
         for _ in range(50):
             problem = random_instance(rng)
-            cold = solve_qp(problem)
-            warm = solve_qp(problem, warm_start=cold.active_set)
+            cold = solve(problem)
+            warm = solve(problem, warm_start=cold.active_set)
             assert np.allclose(warm.x, cold.x, atol=1e-9 * (1 + np.abs(cold.x).max()))
             assert warm.active_set == cold.active_set
             assert warm.iterations <= cold.iterations + 1
@@ -508,8 +443,8 @@ class TestWarmStart:
             if problem.m == 0:
                 continue
             bogus = tuple(range(min(problem.m, problem.n)))
-            cold = solve_qp(problem)
-            warm = solve_qp(problem, warm_start=bogus)
+            cold = solve(problem)
+            warm = solve(problem, warm_start=bogus)
             assert np.allclose(warm.x, cold.x, atol=1e-8 * (1 + np.abs(cold.x).max()))
 
 
@@ -522,11 +457,11 @@ class TestOneEqpPerWorkingSet:
         # {0}, whose multiplier test (mu = 0.5) ends the solve.  Two
         # nonempty working sets, so two Schur solves, in three iterations.
         sizes = []
-        solve = qp._solve_spd
+        solve_spd = qp._solve_spd
 
         def spy(S, rhs):
             sizes.append(len(rhs))
-            return solve(S, rhs)
+            return solve_spd(S, rhs)
 
         monkeypatch.setattr(qp, "_solve_spd", spy)
         problem = QpProblem(
@@ -535,7 +470,7 @@ class TestOneEqpPerWorkingSet:
             B=np.array([[-1.0, 0.0], [0.0, 1.0]]),
             c=np.array([0.5, 0.0]),
         )
-        sol = solve_qp(problem, warm_start=(0, 1))
+        sol = solve(problem, warm_start=(0, 1))
         assert sizes == [2, 1]  # {0, 1}, then {0}
         assert sol.iterations == 3
         assert np.array_equal(sol.x, [0.5, 1.0])
@@ -576,7 +511,7 @@ class TestConstraintSpaceIteration:
 
         problem = random_instance(np.random.default_rng(110))
         monkeypatch.setattr(np, "column_stack", spy)
-        sol = solve_qp(problem)
+        sol = solve(problem)
         monkeypatch.undo()
         assert sol.iterations == 9
         assert shapes == [(problem.n, 4)]
@@ -616,14 +551,14 @@ class TestTieRules:
         c = np.append(scale * (0.5 - np.array(offsets)), 0.0)
         g = -H @ np.ones(m + 1)
         schur = []
-        solve = qp._solve_spd
+        solve_spd = qp._solve_spd
 
         def spy(S, rhs):
             schur.append(float(S[0, 0]) if len(rhs) == 1 else None)
-            return solve(S, rhs)
+            return solve_spd(S, rhs)
 
         monkeypatch.setattr(qp, "_solve_spd", spy)
-        sol = solve_qp(QpProblem(H=H, g=g, B=B, c=c), warm_start=(m,))
+        sol = solve(QpProblem(H=H, g=g, B=B, c=c), warm_start=(m,))
         monkeypatch.undo()
         assert schur[0] == pytest.approx(1.0)  # the warm start's row y >= 0
         assert schur[1] == pytest.approx(2.0 * 4.0**blocker)
@@ -637,7 +572,7 @@ class TestNonconvergence:
         for _ in range(200):
             problem = random_instance(rng)
             try:
-                solve_qp(problem, max_iter=1)
+                solve(problem, max_iter=1)
             except QpNonconvergenceError as err:
                 raised += 1
                 assert err.x.shape == (problem.n,)
@@ -650,9 +585,9 @@ class TestNonconvergence:
         problem = QpProblem(
             H=np.eye(1), g=np.array([-1.0]), B=-np.ones((1, 1)), c=np.array([0.5])
         )
-        assert solve_qp(problem, max_iter=2).iterations == 2
+        assert solve(problem, max_iter=2).iterations == 2
         with pytest.raises(QpNonconvergenceError) as info:
-            solve_qp(problem, max_iter=1)
+            solve(problem, max_iter=1)
         assert info.value.iterations == 1
 
 
@@ -709,20 +644,21 @@ class TestProjectFeasible:
     def test_overlapping_rows_rejected(self, B):
         problem = QpProblem(H=np.eye(2), g=-np.ones(2), B=B, c=np.array([-1.0, -0.5]))
         with pytest.raises(ValueError, match="share a column"):
-            solve_qp(problem)
+            solve(problem)
         with pytest.raises(ValueError, match="share a column"):
-            project_feasible(B, problem.c, np.zeros(2))
+            project_feasible(problem.B, problem.c, np.zeros(2))
 
     def test_zero_row_rejected(self):
-        for B in (
-            np.array([[1.0, 0.0], [0.0, 0.0]]),
-            sp.csr_matrix(([1.0, 0.0], ([0, 1], [0, 1])), shape=(2, 2)),  # a stored zero
+        for B, match in (
+            (np.array([[1.0, 0.0], [0.0, 0.0]]), "no nonzero"),
+            # a stored zero is refused as it stands, not cleaned up
+            (sp.csr_matrix(([1.0, 0.0], ([0, 1], [0, 1])), shape=(2, 2)), "stored zeros"),
         ):
             problem = QpProblem(H=np.eye(2), g=-np.ones(2), B=B, c=np.array([-1.0, -0.5]))
-            with pytest.raises(ValueError, match="no nonzero"):
-                solve_qp(problem)
-            with pytest.raises(ValueError, match="no nonzero"):
-                project_feasible(B, problem.c, np.zeros(2))
+            with pytest.raises(ValueError, match=match):
+                solve(problem)
+            with pytest.raises(ValueError, match=match):
+                project_feasible(problem.B, problem.c, np.zeros(2))
 
 
 class TestKktReference:
