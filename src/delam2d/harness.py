@@ -149,9 +149,12 @@ def _check_provenance(out: Path, digest: str) -> None:
     meta = out / "meta.json"
     if meta.exists():
         try:
-            previous = json.loads(meta.read_text(encoding="utf-8")).get("config_hash")
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+            doc = json.loads(meta.read_text(encoding="utf-8"))
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as err:  # UnicodeDecodeError, JSONDecodeError too
             raise HarnessError(f"{meta}: unreadable metadata ({err})") from err
+        previous = doc.get("config_hash")
         if previous != digest:
             raise HarnessError(
                 f"{out}: holds output for config {previous}, refusing to mix "

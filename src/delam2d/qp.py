@@ -30,7 +30,9 @@ H = H_b - E_D^T Delta E_D, a dense symmetric Delta on a few
 dofs D (Hager, SIAM Review 31, 1989): with Z = H_b^{-1} E_D^T and
 R = Z[D], a solve is y + Z M y[D] for y = H_b^{-1} b and
 M = Delta (I - R Delta)^{-1}.  The columns of Z are solved once per dof
-for the factor's life, so the lowered columns are never stored: they are
+for the factor's life, in one unrefined pass: SuperLU's plain solve is
+already backward stable here, and a refinement step moved them by no
+more than roundoff.  So the lowered columns are never stored: they are
 corrected where they are combined, and only the images and the max-norm
 bounds are redone per Delta.  A lowering that would make Z hold more
 entries than the sparse factor itself is refused; the caller refactors.
@@ -85,7 +87,7 @@ class QpSolution:
 
 
 class _Factor:
-    """SuperLU factor of H_b (base, float CSC) for the nodal rows B; each solve refines once.
+    """SuperLU factor of H_b (base, float CSC) for the nodal rows B.
 
     solve(rhs) is H_b^{-1} rhs and correct(y) turns it into H^{-1} rhs,
     for H = H_b until lower() lowers it.  For the rows i that solve_qp
@@ -95,7 +97,8 @@ class _Factor:
     bounds |B v|_inf by B_norm |v|_inf.  block is the last (rows,
     column_stack of their cols) that solve_qp stacked, or None:
     consecutive steps often end on one working set.  dofs holds D in the
-    order Z's columns were solved; max_rank, the factor's stored entries
+    order Z's columns were solved, and from the first lowering on, a
+    dof -> column index finds them; max_rank, the factor's stored entries
     over n, caps their number.
     """
 
@@ -113,13 +116,20 @@ class _Factor:
         self.max_rank = self._lu.nnz // max(n, 1)
         self.dofs = np.zeros(0, dtype=np.intp)
         self._Zt = self._BZt = None  # rows: the columns of Z and of B Z, in dofs order
+        self._slot: np.ndarray | None = None  # dof -> its column of Z, -1 if none
         self._z_max = 0.0  # max |Z|, so |Z v|_inf <= _z_max |v|_1
         self._M: np.ndarray | None = None  # None until lowered
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, refine: bool = True) -> np.ndarray:
+        """H_b^{-1} rhs with one step of iterative refinement, or without when refine is False.
+
+        Only lower passes refine=False, for Z's columns, solved once; x_unc
+        and the cached columns keep the refinement step, which holds their
+        residuals near machine level.
+        """
         y = self._lu.solve(rhs)
-        # one step of iterative refinement keeps residuals near machine level
-        y += self._lu.solve(rhs - self.base @ y)
+        if refine:
+            y += self._lu.solve(rhs - self.base @ y)
         return y
 
     def correct(self, y: np.ndarray) -> np.ndarray:
@@ -144,7 +154,8 @@ class _Factor:
         """img and col_max of cached rows under M: only m- and d-vectors."""
         rows = np.asarray(rows, dtype=np.intp)
         d = len(self.dofs)
-        W = np.array([self.cols[i][self.dofs] for i in rows]) @ self._M.T
+        # cols[i][D] = B_i Z, as H_b is symmetric
+        W = self._BZt[:d, rows].T @ self._M.T
         self.img[rows] = self._base_img[rows] + W @ self._BZt[:d]
         self.col_max[rows] = self._base_max[rows] + self._z_max * np.abs(W).sum(axis=1)
 
@@ -153,28 +164,30 @@ class _Factor:
 
         dofs (D) are distinct indices and delta a dense symmetric matrix on
         them, such that the lowered H stays positive definite.  Z's columns
-        are solved once per dof met, with one multi-column solve; a D that
-        would bring their number past max_rank leaves the factor unchanged.
+        are solved once per dof met, with one unrefined multi-column solve;
+        a D that would bring their number past max_rank leaves the factor
+        unchanged.
         """
-        new = np.setdiff1d(dofs, self.dofs)
+        n, m = self.base.shape[0], self.B.shape[0]
+        if self._slot is None:
+            # pages of Z are touched only as columns arrive
+            self._Zt, self._BZt = np.empty((self.max_rank, n)), np.empty((self.max_rank, m))
+            self._slot = np.full(n, -1, dtype=np.intp)
+        dofs = np.asarray(dofs, dtype=np.intp)
+        new = dofs[self._slot[dofs] < 0]
         d0, d = len(self.dofs), len(self.dofs) + len(new)
         if d > self.max_rank:
             return False
-        n, m = self.base.shape[0], self.B.shape[0]
-        if self._Zt is None:
-            # pages are touched only as columns arrive
-            self._Zt, self._BZt = np.empty((self.max_rank, n)), np.empty((self.max_rank, m))
         if new.size:
             E = np.zeros((n, new.size))
             E[new, np.arange(new.size)] = 1.0
-            Z = self.solve(E)
+            Z = self.solve(E, refine=False)
             self._Zt[d0:d], self._BZt[d0:d] = Z.T, (self.B @ Z).T
             self._z_max = max(self._z_max, float(np.abs(Z).max()))
+            self._slot[new] = np.arange(d0, d)
             self.dofs = np.concatenate([self.dofs, new])
         # delta in the order of dofs; dofs met before and not passed now get zeros
-        slot = np.empty(n, dtype=np.intp)
-        slot[self.dofs] = np.arange(d)
-        at = slot[np.asarray(dofs, dtype=np.intp)]
+        at = self._slot[dofs]
         Delta = np.zeros((d, d))
         Delta[np.ix_(at, at)] = delta
         # M = Delta (I - R Delta)^{-1} = (I - Delta R)^{-1} Delta, R = Z[D]

@@ -828,6 +828,15 @@ class TestProvenance:
         with pytest.raises(HarnessError, match="unreadable metadata"):
             run_single(parse_config(tiny_doc()), tmp_path)
 
+    @pytest.mark.parametrize("doc", ["[]", '"x"'])
+    def test_meta_that_is_not_an_object_exits_1_with_one_line(self, tmp_path, capsys, doc):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "meta.json").write_text(doc, encoding="utf-8")
+        assert main(["run", "--config", write_doc(tmp_path, tiny_doc()), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"delam2d: {out / 'meta.json'}: unreadable metadata (not a JSON object)\n"
+
     @pytest.mark.parametrize(
         "name, message", [("meta.json", "unreadable metadata"), ("junk.csv", "cannot read")]
     )

@@ -6,12 +6,14 @@ perfbench/spans.py wraps public functions of the delam2d modules by name
 show up as a crash of `perfbench/run.py --trace 1`.
 """
 
+import collections
 import importlib
 import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from delam2d import assembly, cli, energetics, harness, load_config, qp, stepper
@@ -60,16 +62,13 @@ def test_cached_columns_leave_one_wrapped_solve_per_repeat():
     assert np.array_equal(first.x, second.x)
 
 
-def test_every_superlu_solve_goes_through_a_wrapped_solve(monkeypatch):
-    # The era factors' column solves, their Z columns and the corrected
-    # step solves all call SuperLU through `solve` of an object that
-    # `qp.factorize` returned, two calls per wrapped solve (one refinement
-    # step), so perfbench's qp.linear_solves counts them all.
+def traced_superlu_calls(ops, t_end, tau):
+    """Run to t_end under a traced probe: (span names, SuperLU calls of each span).
+
+    Each SuperLU call is filed under the innermost span open when it is made,
+    with the number of columns of its right-hand side."""
     probe = _spans_module().Probe(tracing=True)
-    monkeypatch.setattr(
-        qp, "factorize", probe.span("qp.factorize", qp.factorize, probe._factorize_value)
-    )
-    superlu_calls = []
+    calls = collections.defaultdict(list)
     splu = qp.spla.splu
 
     class Spy:
@@ -77,18 +76,44 @@ def test_every_superlu_solve_goes_through_a_wrapped_solve(monkeypatch):
             self.lu, self.nnz = lu, lu.nnz
 
         def solve(self, rhs):
-            superlu_calls.append(rhs.shape)
+            calls[probe._open[-1]].append(1 if rhs.ndim == 1 else rhs.shape[1])
             return self.lu.solve(rhs)
 
-    monkeypatch.setattr(qp.spla, "splu", lambda A: Spy(splu(A)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            qp, "factorize", probe.span("qp.factorize", qp.factorize, probe._factorize_value)
+        )
+        patch.setattr(qp.spla, "splu", lambda A: Spy(splu(A)))
+        run_with_states(ops, tau=tau, t_end=t_end)
+    return [span[0] for span in probe.spans], calls
+
+
+def test_every_superlu_solve_goes_through_a_wrapped_solve():
+    # The era factors' column solves, their Z columns and the corrected
+    # step solves all call SuperLU through `solve` of an object that
+    # `qp.factorize` returned, so perfbench's qp.linear_solves counts them
+    # all: two calls per refined solve, of one column, and one per Z pass,
+    # the one unrefined solve, of all of a lowering's new columns.
     config = _level_config(load_config(REPO_ROOT / "benchmark.json"), 27)
     ops = build_simulation(config)[1]
     _, states = run_with_states(ops, tau=config.time.tau, t_end=config.time.T)
-    changes = sum(not np.array_equal(a.z, b.z) for a, b in zip(states[:-1], states[1:]))
-    names = [span[0] for span in probe.spans]
-    assert 2 <= names.count("qp.factorize") < changes  # eras, most releases lowered
-    assert any(len(shape) == 2 for shape in superlu_calls)  # Z's multi-column solves
-    assert len(superlu_calls) == 2 * names.count("qp.linear_solve")
+    changed = [not np.array_equal(a.z, b.z) for a, b in zip(states[:-1], states[1:])]
+    names, calls = traced_superlu_calls(ops, config.time.T, config.time.tau)
+    assert 2 <= names.count("qp.factorize") < sum(changed)  # eras, most releases lowered
+    assert all(span >= 0 and names[span] == "qp.linear_solve" for span in calls)
+    assert len(calls) == names.count("qp.linear_solve")
+    z_passes = [cols for cols in calls.values() if cols != [1, 1]]
+    assert all(len(cols) == 1 for cols in z_passes)  # one unrefined call each
+    assert any(cols[0] > 1 for cols in z_passes)  # multi-column
+
+    # A run that ends before the first release, as fine162 does, lowers no
+    # factor: every solve is a refined pair.
+    t_end = states[changed.index(True)].t
+    names, calls = traced_superlu_calls(ops, t_end, config.time.tau)
+    assert names.count("qp.factorize") == 1
+    assert len(calls) == names.count("qp.linear_solve") > 0
+    assert all(span >= 0 and names[span] == "qp.linear_solve" for span in calls)
+    assert all(cols == [1, 1] for cols in calls.values())
 
 
 def test_the_untraced_probe_stamps_every_step(monkeypatch, tmp_path):

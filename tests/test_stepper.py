@@ -570,43 +570,54 @@ def level27(request):
     return level27_case(request.param)
 
 
+def assert_lowered_solves_match_a_fresh_factor(ops, tau, states, steps):
+    """Random release sets, grown one draw at a time from the intact bond
+    field at each of the steps: every solve of the lowered factor must match
+    a fresh factor of H(z) within 1e-12 of the solution's size, with the
+    same active set, reaction and device work."""
+    rng = np.random.default_rng(27)
+    m = ops.n_segments
+    compared = active = 0
+    for k in steps:
+        state = states[k]
+        z = np.ones(m)
+        op = stepper._StepOperator(ops, z, tau)
+        for _ in range(3):
+            z = z.copy()
+            z[rng.choice(np.flatnonzero(z))] = 0.0
+            op.set_bonds(z)
+            if op.glue is None:
+                break  # a new era: pinned bitwise in TestEraFactor
+            fresh = stepper._StepOperator(ops, z, tau)
+            t_next = state.t + tau
+            u, sol = op.solve(state.u, t_next, None)
+            u_ref, ref = fresh.solve(state.u, t_next, None)
+            scale = np.abs(u_ref).max()
+            assert np.abs(u - u_ref).max() <= 1e-12 * scale, (k, z)
+            assert sol.active_set == ref.active_set, (k, z)
+            r, w = op.boundary_work(state.u, u)
+            r_ref, w_ref = fresh.boundary_work(state.u, u_ref)
+            assert np.abs(r - r_ref).max() <= 1e-12 * np.abs(r_ref).max()
+            assert w == pytest.approx(w_ref, rel=1e-11)
+            compared += 1
+            active += bool(sol.active_set)
+    assert compared >= 4 and active >= 1
+
+
 class TestEraFactor:
     """One factor per era: a release lowers the era's factor of H(z_b)."""
 
     @pytest.mark.parametrize("case", list(LEVEL27_CASES))
     def test_lowered_solves_match_a_fresh_factor(self, case):
-        # Random release sets, grown one draw at a time from the intact bond
-        # field: every solve of the lowered factor must match a fresh
-        # factor of H(z) within 1e-12 of the solution's size, with the same
-        # active set, reaction and device work.
         ops, tau, traj, states = level27_case(case)
-        rng = np.random.default_rng(27)
-        m = ops.n_segments
-        compared = active = 0
-        for k in (60, 110, 130):
-            state = states[k]
-            z = np.ones(m)
-            op = stepper._StepOperator(ops, z, tau)
-            for _ in range(3):
-                z = z.copy()
-                z[rng.choice(np.flatnonzero(z))] = 0.0
-                op.set_bonds(z)
-                if op.glue is None:
-                    break  # a new era: pinned bitwise below
-                fresh = stepper._StepOperator(ops, z, tau)
-                t_next = state.t + tau
-                u, sol = op.solve(state.u, t_next, None)
-                u_ref, ref = fresh.solve(state.u, t_next, None)
-                scale = np.abs(u_ref).max()
-                assert np.abs(u - u_ref).max() <= 1e-12 * scale, (k, z)
-                assert sol.active_set == ref.active_set, (k, z)
-                r, w = op.boundary_work(state.u, u)
-                r_ref, w_ref = fresh.boundary_work(state.u, u_ref)
-                assert np.abs(r - r_ref).max() <= 1e-12 * np.abs(r_ref).max()
-                assert w == pytest.approx(w_ref, rel=1e-11)
-                compared += 1
-                active += bool(sol.active_set)
-        assert compared >= 4 and active >= 1
+        assert_lowered_solves_match_a_fresh_factor(ops, tau, states, (60, 110, 130))
+
+    def test_lowered_solves_match_a_fresh_factor_at_the_benchmarks_level(self):
+        # benchmark.json as it runs, at level 81
+        config = _level_config(load_config(REPO_ROOT / "benchmark.json"), 81)
+        ops, tau = build_simulation(config)[1], config.time.tau
+        _, states = run_with_states(ops, tau=tau, t_end=330 * tau)
+        assert_lowered_solves_match_a_fresh_factor(ops, tau, states, (150, 250, 330))
 
     def test_an_eras_own_bond_field_solves_with_the_plain_factor(self, level27):
         # At z == z_b the operator holds the factor of H(z) built as
