@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .constitutive import AdhesiveLaw
-from .mesh import Mesh2D
+from .mesh import Mesh2D, signed_areas
 
 __all__ = [
     "DofMap",
@@ -56,10 +56,8 @@ def triangle_operators(mesh: Mesh2D) -> tuple[np.ndarray, np.ndarray]:
     """
     p = mesh.nodes[mesh.triangles]  # (M, 3, 2)
     x, y = p[..., 0], p[..., 1]
-    det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-        y[:, 1] - y[:, 0]
-    )
-    area = 0.5 * det
+    area = signed_areas(mesh)
+    det = 2.0 * area
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     M = len(mesh.triangles)

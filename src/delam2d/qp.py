@@ -25,17 +25,18 @@ A factor is built for one H_b and one B, and caches, for its life, the
 columns H_b^{-1} B_i^T; a Schur matrix is a slice of the cached
 constraint images B H^{-1} B_i^T (row i of an m x m array).  solve_qp
 takes the factor and only what changes per call, g and c, and solves
-only for rows not seen yet.  A factor can be lowered to
-H = H_b - E_D^T Delta E_D, a dense symmetric Delta on a few
-dofs D (Hager, SIAM Review 31, 1989): with Z = H_b^{-1} E_D^T and
-R = Z[D], a solve is y + Z M y[D] for y = H_b^{-1} b and
-M = Delta (I - R Delta)^{-1}.  The columns of Z are solved once per dof
-for the factor's life, in one unrefined pass: SuperLU's plain solve is
-already backward stable here, and a refinement step moved them by no
-more than roundoff.  So the lowered columns are never stored: they are
-corrected where they are combined, and only the images and the max-norm
-bounds are redone per Delta.  A lowering that would make Z hold more
-entries than the sparse factor itself is refused; the caller refactors.
+only for rows not seen yet.  A factor can be lowered, one increment at
+a time, to H = H_b - E_D^T Delta E_D, Delta the dense symmetric sum of
+the increments on the dofs D they touched (Hager, SIAM Review 31,
+1989): with Z = H_b^{-1} E_D^T and R = Z[D], a solve is y + Z M y[D] for
+y = H_b^{-1} b and M = Delta (I - R Delta)^{-1}.  The columns of Z are
+solved once per dof for the factor's life, in one unrefined pass:
+SuperLU's plain solve is already backward stable here, and a refinement
+step moved them by no more than roundoff.  So the lowered columns are
+never stored: they are corrected where they are combined, and only the
+images and the max-norm bounds are redone per increment.  A lowering
+that would make Z hold more entries than the sparse factor itself is
+refused; the caller refactors.
 
 H is float CSC and B canonical float CSR of shape (m, n) without stored
 zeros (ValueError for any other B), as the stepper holds them; neither
@@ -76,6 +77,9 @@ class QpNonconvergenceError(RuntimeError):
         self.x = x
         self.iterations = iterations
 
+    def __reduce__(self):  # the message may be rewritten; other attributes travel in __dict__
+        return type(self), (self.args[0], self.x, self.iterations), self.__dict__
+
 
 @dataclass(frozen=True)
 class QpSolution:
@@ -98,8 +102,8 @@ class _Factor:
     column_stack of their cols) that solve_qp stacked, or None:
     consecutive steps often end on one working set.  dofs holds D in the
     order Z's columns were solved, and from the first lowering on, a
-    dof -> column index finds them; max_rank, the factor's stored entries
-    over n, caps their number.
+    dof -> column index finds them and Delta sums the increments in that
+    order; max_rank, the factor's stored entries over n, caps their number.
     """
 
     def __init__(self, H, B):
@@ -116,6 +120,7 @@ class _Factor:
         self.max_rank = self._lu.nnz // max(n, 1)
         self.dofs = np.zeros(0, dtype=np.intp)
         self._Zt = self._BZt = None  # rows: the columns of Z and of B Z, in dofs order
+        self._Delta: np.ndarray | None = None  # the lowering so far, in dofs order
         self._slot: np.ndarray | None = None  # dof -> its column of Z, -1 if none
         self._z_max = 0.0  # max |Z|, so |Z v|_inf <= _z_max |v|_1
         self._M: np.ndarray | None = None  # None until lowered
@@ -160,7 +165,7 @@ class _Factor:
         self.col_max[rows] = self._base_max[rows] + self._z_max * np.abs(W).sum(axis=1)
 
     def lower(self, dofs: np.ndarray, delta: np.ndarray) -> bool:
-        """Make this the factor of H_b - E_D^T delta E_D; False past max_rank.
+        """Lower H by E_D^T delta E_D, adding delta into Delta; False past max_rank.
 
         dofs (D) are distinct indices and delta a dense symmetric matrix on
         them, such that the lowered H stays positive definite.  Z's columns
@@ -172,6 +177,7 @@ class _Factor:
         if self._slot is None:
             # pages of Z are touched only as columns arrive
             self._Zt, self._BZt = np.empty((self.max_rank, n)), np.empty((self.max_rank, m))
+            self._Delta = np.zeros((self.max_rank, self.max_rank))
             self._slot = np.full(n, -1, dtype=np.intp)
         dofs = np.asarray(dofs, dtype=np.intp)
         new = dofs[self._slot[dofs] < 0]
@@ -186,10 +192,9 @@ class _Factor:
             self._z_max = max(self._z_max, float(np.abs(Z).max()))
             self._slot[new] = np.arange(d0, d)
             self.dofs = np.concatenate([self.dofs, new])
-        # delta in the order of dofs; dofs met before and not passed now get zeros
         at = self._slot[dofs]
-        Delta = np.zeros((d, d))
-        Delta[np.ix_(at, at)] = delta
+        self._Delta[np.ix_(at, at)] += delta
+        Delta = self._Delta[:d, :d]
         # M = Delta (I - R Delta)^{-1} = (I - Delta R)^{-1} Delta, R = Z[D]
         R = self._Zt[:d][:, self.dofs]
         self._M = np.linalg.solve(np.eye(d) - Delta @ R, Delta)

@@ -101,7 +101,6 @@ class StepEnergy:
 @dataclass(frozen=True)
 class StepReport:
     t: float
-    debonded: tuple[int, ...]
     reaction: np.ndarray  # device force resultant (N/m)
     bonded_length: float  # z . seg_length at the step's end (m)
     min_gap: float
@@ -199,17 +198,17 @@ def segment_energies(ops: Operators, u: np.ndarray) -> tuple[np.ndarray, np.ndar
 class _StepOperator:
     """The one owner of the step solve, for step tau and the current bond field z.
 
-    An era starts at a bond field z_b: it builds C_hat = K + A(z_b), factors
-    the free-dof Hessian H(z_b) of C_hat + V/tau, and the factor caches
-    solve_qp's columns of the run's fixed constraint rows; g reads C_hat's
-    prescribed columns, the reaction its prescribed rows.  A is linear in
-    z, so a later bond field z of the era differs by the glue decrement
-    A(z_b - z), a dense block on the dofs D of the segments released since
-    z_b: set_bonds lowers the factor by its free block, and its prescribed
-    columns and rows correct g and the reaction on D alone.  The factor
-    refuses a lowering whose dense block would outgrow it, and a new era
-    starts at z.  solve gives a step's displacement, boundary_work its
-    driven-edge reaction and device work.
+    An era starts at a bond field: it builds C_hat = K + A(z), factors the
+    free-dof Hessian H(z) of C_hat + V/tau, and the factor caches solve_qp's
+    columns of the run's fixed constraint rows; g reads C_hat's prescribed
+    columns, the reaction its prescribed rows.  A is linear in z, so a
+    release takes A(dz) off, dz the bonds it frees: a dense block on the
+    dofs D of the released segments, by which set_bonds lowers the factor.
+    A release whose D holds a prescribed dof would change C_hat's
+    prescribed columns and rows too, and a lowering the factor refuses
+    would outgrow it: either starts a new era at the new z.  solve gives a
+    step's displacement, boundary_work its driven-edge reaction and device
+    work.
     """
 
     def __init__(self, ops: Operators, z: np.ndarray, tau: float):
@@ -227,8 +226,7 @@ class _StepOperator:
         if _malloc_trim is not None:
             _malloc_trim(0)
         ops, free, presc = self.ops, self.ops.dofmap.free, self.ops.dofmap.prescribed
-        self.z = self.z_base = z.copy()
-        self.glue = None  # no decrement at the era's own bond field
+        self.z = z.copy()
         C_hat = (ops.K + assembly.assemble_interface(ops.jump, ops.adhesive, z)).tocsr()
         H_full = (C_hat + ops.V / self.tau).tocsr()
         self.factor = qp.factorize(H_full[free][:, free].tocsc(), ops.constraint.rows)
@@ -236,17 +234,14 @@ class _StepOperator:
         self.C_presc, self.V_presc = C_hat[presc], ops.V[presc]
 
     def set_bonds(self, z: np.ndarray) -> None:
-        """Move to a bond field z <= z_base: lower the era's factor, or start a new era."""
-        dofmap = self.ops.dofmap
-        D, block = assembly.glue_block(self.ops.jump, self.ops.adhesive, self.z_base - z)
-        at = np.searchsorted(dofmap.free, D)
-        p = dofmap.free.take(at, mode="clip") != D  # D's prescribed dofs
-        if not self.factor.lower(at[~p], block[~p][:, ~p]):
+        """Release the bonds z frees (z <= self.z): lower the era's factor, or start a new era."""
+        free = self.ops.dofmap.free
+        D, block = assembly.glue_block(self.ops.jump, self.ops.adhesive, self.z - z)
+        at = np.searchsorted(free, D)
+        if np.array_equal(free.take(at, mode="clip"), D) and self.factor.lower(at, block):
+            self.z = z.copy()
+        else:
             self._start_era(z)
-            return
-        self.z = z.copy()
-        # D's free positions and prescribed columns for g, prescribed ones and rows for r
-        self.glue = at[~p], block[~p][:, p], np.searchsorted(dofmap.prescribed, D[p]), block[p], D
 
     def solve(
         self, u_prev: np.ndarray, t_next: float, warm: tuple[int, ...] | None
@@ -261,11 +256,7 @@ class _StepOperator:
                 f"interface node (worst gap {fixed.min():.3e})"
             )
         u_ext = dofmap.scatter(np.zeros(dofmap.n_free), values)
-        C_u = self.C_fp @ values
-        if self.glue is not None:
-            at, cols, p_at = self.glue[:3]
-            C_u[at] -= cols @ values[p_at]
-        g = C_u + (ops.V @ ((u_ext - u_prev) / self.tau))[dofmap.free]
+        g = self.C_fp @ values + (ops.V @ ((u_ext - u_prev) / self.tau))[dofmap.free]
         c = constraint.prescribed_part @ values
         # solve_qp's tolerance is relative, to 1 + max|c| + max|Bx| (qp.py), so
         # that it keeps the 1e-10 m feasibility check is measured, not guaranteed
@@ -275,11 +266,7 @@ class _StepOperator:
     def boundary_work(self, u_prev: np.ndarray, u_next: np.ndarray) -> tuple[np.ndarray, float]:
         """Driven-edge reaction (N/m) at u_next and the device work of the step."""
         du = u_next - u_prev
-        C_u = self.C_presc @ u_next
-        if self.glue is not None:
-            p_at, rows, D = self.glue[2:]
-            C_u[p_at] -= rows @ u_next[D]
-        r = C_u + self.V_presc @ (du / self.tau)
+        r = self.C_presc @ u_next + self.V_presc @ (du / self.tau)
         driven = self.ops.dofmap.driven  # a clamped lower edge carries no device force
         reaction = np.array([r[0::2][driven].sum(), r[1::2][driven].sum()])
         return reaction, float(r @ du[self.ops.dofmap.prescribed])
@@ -407,11 +394,10 @@ def run(
         try:
             u_next, sol = displacement_step(ops, state, tau, t_k, warm, step_op)
             z_next, drive, threshold, psi = delamination_step(ops, u_next, state.z)
-            debonded = tuple(int(e) for e in np.nonzero(z_next < state.z)[0])
 
             du = u_next - state.u
             viscous_inc = float(du @ (ops.V @ du)) / (t_k - state.t)
-            released = list(debonded)  # an intact segment's threshold may be inf (lambda = 0)
+            released = np.flatnonzero(z_next < state.z)  # intact thresholds may be inf (lambda = 0)
             debond_inc = float(((state.z - z_next)[released] * threshold[released]).sum())
             reaction, device_inc = step_op.boundary_work(state.u, u_next)
 
@@ -432,7 +418,6 @@ def run(
             )
             report = StepReport(
                 t=t_k,
-                debonded=debonded,
                 reaction=reaction,
                 bonded_length=float(z_next @ ops.mesh.seg_length),
                 min_gap=min_gap,
@@ -442,7 +427,7 @@ def run(
             traj.times.append(t_k)
             traj.reports.append(report)
             traj.last = new_state
-            if released:
+            if released.size:
                 lengths, z_prev = ops.mesh.seg_length[released], state.z[released]
                 traj.release_time[released], traj.release_mixity[released] = t_k, psi[released]
                 traj.release_density[released] = threshold[released] / lengths * z_prev

@@ -779,7 +779,7 @@ class TestBoundedMemory:
     def test_run_result_grows_by_less_than_a_displacement_per_step(self, tmp_path):
         short, long = (run_single(self.config(n), tmp_path / str(n)) for n in (30, 120))
         assert (short.trajectory.n_steps, long.trajectory.n_steps) == (30, 120)
-        assert any(rep.debonded for rep in long.trajectory.reports)
+        assert np.isfinite(long.trajectory.release_time).any()
         per_step = (held_bytes(long) - held_bytes(short)) / 90
         assert per_step < 8 * long.ops.mesh.n_dofs, per_step
 
@@ -1406,6 +1406,20 @@ class TestCli:
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("delam2d: solver failed: step 1")
+
+    def test_solver_budget_exhaustion_in_a_converge_worker_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the worker processes, forked, inherit the patch: each one's first QP
+        # gets no iterations, and its error must reach the parent whole and
+        # exit 2 with one line, as a serial run does
+        doc = tiny_doc(loading={"direction": [-1.0, -0.6]}, time={"T": 0.2})
+        path = write_doc(tmp_path, doc)
+        force_qp_budget(monkeypatch, 1)
+        argv = ["converge", "--config", path, "--levels", "9,18", "--threads", "2"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("delam2d: solver failed: step 1 (t=") and err.count("\n") == 1
 
     def test_prescribed_penetration_exits_3(self, tmp_path, capsys):
         # with 5 requested segments the rounded bottom row is glued end to

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import warnings
 
 import numpy as np
@@ -317,10 +318,10 @@ class TestLoweredFactor:
     def test_lowered_factor_matches_a_fresh_factor(self):
         # H_b = H0 + sum_e a_e a_e^T over "segments" e with supports of two
         # or three dofs.  Releasing segments, a few more at each lowering,
-        # lowers the factor of H_b to H = H_b - E_D^T Delta E_D, Delta the
-        # released terms on the dofs D they touch; solve_qp with it must
-        # match a fresh factor of H: x within 1e-12 of its size, the same
-        # active set, and KKT residuals at solver level.
+        # lowers the factor by the new terms on the dofs they touch, down to
+        # H = H_b - E_D^T Delta E_D, Delta all released terms; solve_qp with
+        # it must match a fresh factor of H: x within 1e-12 of its size, the
+        # same active set, and KKT residuals at solver level.
         rng = np.random.default_rng(31)
         worst, lowered = 0.0, 0
         for k in range(60):
@@ -334,12 +335,14 @@ class TestLoweredFactor:
                 terms.append(a)
             H_b = problem.H.toarray() + sum(np.outer(a, a) for a in terms)
             factor = factorize(sp.csc_matrix(H_b), problem.B)
-            released: list[int] = []
+            released: set[int] = set()
             for _ in range(3):
-                released += list(rng.choice(n, size=min(2, n), replace=False))
-                drop = sum(np.outer(terms[e], terms[e]) for e in set(released))
-                dofs = np.flatnonzero(np.abs(drop).sum(axis=0))
-                if not factor.lower(dofs, drop[np.ix_(dofs, dofs)]):
+                now = set(rng.choice(n, size=min(2, n), replace=False).tolist()) - released
+                released |= now
+                drop = sum(np.outer(terms[e], terms[e]) for e in released)
+                step = sum((np.outer(terms[e], terms[e]) for e in now), np.zeros((n, n)))
+                dofs = np.flatnonzero(np.abs(step).sum(axis=0))
+                if not factor.lower(dofs, step[np.ix_(dofs, dofs)]):
                     break
                 lowered += 1
                 target = QpProblem(H=H_b - drop, g=problem.g, B=problem.B, c=problem.c)
@@ -352,20 +355,46 @@ class TestLoweredFactor:
         assert lowered >= 100
         assert worst <= 1e-12
 
+    def test_two_increments_solve_as_one_fresh_factor(self):
+        # H_b = H + a a^T + b b^T with overlapping supports: lowering by
+        # a a^T, then by b b^T, leaves the factor of H, as if it were fresh.
+        rng = np.random.default_rng(41)
+        compared = 0
+        for k in range(40):
+            problem = random_instance(rng, max_dofs=12, max_cons=6, scale_spread=0.5)
+            n = problem.n
+            if n < 3:
+                continue
+            a, b = np.zeros(n), np.zeros(n)
+            a[:2], b[1:3] = rng.normal(size=2), rng.normal(size=2)
+            H_b = problem.H.toarray() + np.outer(a, a) + np.outer(b, b)
+            factor = factorize(sp.csc_matrix(H_b), problem.B)
+            assert factor.lower(np.arange(2), np.outer(a[:2], a[:2]))
+            assert factor.lower(np.arange(1, 3), np.outer(b[1:3], b[1:3]))
+            sol, ref = solve(problem, factor=factor), solve(problem)
+            assert np.abs(sol.x - ref.x).max() <= 1e-12 * max(1.0, np.abs(ref.x).max())
+            assert sol.active_set == ref.active_set, f"instance {k}"
+            compared += 1
+        assert compared >= 20
+
     def test_a_lowering_past_the_factor_size_is_refused(self):
         # Z may hold at most as many entries as the sparse factor: a lowering
-        # that needs more columns leaves the factor as it was.
+        # that needs more columns leaves the factor as it was, so the next
+        # increment adds to the lowering before it.
         factor = factorize(sp.diags(np.full(8, 4.0)).tocsc(), sp.csr_matrix((0, 8)))
         assert factor.max_rank == 2  # SuperLU stores 16 entries: the diagonals of L and U
         assert not factor.lower(np.array([0, 1, 2]), np.eye(3))
         assert factor._M is None and len(factor.dofs) == 0
         assert factor.lower(np.array([3]), np.ones((1, 1)))
-        assert factor.lower(np.array([3, 5]), np.diag([1.0, 2.0]))
+        assert factor.lower(np.array([5]), np.full((1, 1), 2.0))
         M = factor._M
         assert not factor.lower(np.array([3, 5, 6]), np.eye(3))
         assert factor._M is M and factor.dofs.tolist() == [3, 5]
         x = qp.solve_qp(factor, -np.ones(8), np.zeros(0)).x
         assert np.allclose(x, [0.25] * 3 + [1.0 / 3.0, 0.25, 0.5, 0.25, 0.25], rtol=1e-15)
+        assert factor.lower(np.array([5, 3]), np.diag([1.0, 0.0]))
+        x = qp.solve_qp(factor, -np.ones(8), np.zeros(0)).x
+        assert np.allclose(x, [0.25] * 3 + [1.0 / 3.0, 0.25, 1.0, 0.25, 0.25], rtol=1e-15)
 
 
 class TestSolutionQuality:
@@ -589,6 +618,16 @@ class TestNonconvergence:
         with pytest.raises(QpNonconvergenceError) as info:
             solve(problem, max_iter=1)
         assert info.value.iterations == 1
+
+    def test_the_error_pickles_with_its_rewritten_message_and_attributes(self):
+        # a convergence worker's failure reaches the parent process pickled,
+        # after stepper.run rewrote its message and set .trajectory
+        err = QpNonconvergenceError("no convergence", np.arange(3.0), 7)
+        err.args, err.trajectory = ("step 2 (t=0.1): no convergence",), "partial"
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is QpNonconvergenceError and back.args == err.args
+        assert back.x.tolist() == [0.0, 1.0, 2.0] and back.iterations == 7
+        assert back.trajectory == "partial"
 
 
 class TestProjectFeasible:

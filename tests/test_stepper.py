@@ -586,7 +586,7 @@ def assert_lowered_solves_match_a_fresh_factor(ops, tau, states, steps):
             z = z.copy()
             z[rng.choice(np.flatnonzero(z))] = 0.0
             op.set_bonds(z)
-            if op.glue is None:
+            if op.factor._M is None:
                 break  # a new era: pinned bitwise in TestEraFactor
             fresh = stepper._StepOperator(ops, z, tau)
             t_next = state.t + tau
@@ -605,7 +605,7 @@ def assert_lowered_solves_match_a_fresh_factor(ops, tau, states, steps):
 
 
 class TestEraFactor:
-    """One factor per era: a release lowers the era's factor of H(z_b)."""
+    """One factor per era: each release lowers the era's factor by its own glue."""
 
     @pytest.mark.parametrize("case", list(LEVEL27_CASES))
     def test_lowered_solves_match_a_fresh_factor(self, case):
@@ -630,7 +630,7 @@ class TestEraFactor:
         op = stepper._StepOperator(ops, z, tau)
         eras = 0
         while True:
-            assert op.glue is None and op.factor._M is None
+            assert op.factor._M is None
             plain = step_problem(ops, dataclasses.replace(state, z=z), tau, state.t + tau)
             assert (op.factor.base != plain.H).nnz == 0
             u, sol = op.solve(state.u, state.t + tau, None)
@@ -643,11 +643,34 @@ class TestEraFactor:
                 z = z.copy()
                 z[np.flatnonzero(z)[0]] = 0.0
                 op.set_bonds(z)
-                if op.glue is None:
+                if op.factor._M is None:
                     break
             else:
                 break
         assert eras >= 2
+
+    def test_a_release_at_the_driven_corner_starts_a_new_era(self):
+        # Right-glued, the last segment holds a prescribed dof of the driven
+        # corner, so its glue sits in C_hat's prescribed columns and rows too:
+        # after an interior release lowered the factor, its release starts a
+        # new era, which solves with the bits of an operator built afresh.
+        ops, tau, traj, states = level27_case("right_glued")
+        state, t_next = states[100], states[100].t + tau
+        corner = np.isin(ops.jump.seg_dofs, ops.dofmap.prescribed).any(axis=1)
+        assert corner.tolist() == [False] * 26 + [True]
+        z = np.ones(ops.n_segments)
+        op = stepper._StepOperator(ops, z, tau)
+        z[13] = 0.0
+        op.set_bonds(z.copy())
+        assert op.factor._M is not None
+        z[corner] = 0.0
+        op.set_bonds(z.copy())
+        assert op.factor._M is None
+        fresh = stepper._StepOperator(ops, z, tau)
+        (u, sol), (u_ref, ref) = (o.solve(state.u, t_next, None) for o in (op, fresh))
+        assert np.array_equal(u, u_ref) and sol.active_set == ref.active_set
+        (r, w), (r_ref, w_ref) = (o.boundary_work(state.u, u) for o in (op, fresh))
+        assert np.array_equal(r, r_ref) and w == w_ref
 
     def test_releases_start_new_eras_within_the_factor_size(self, level27, monkeypatch):
         # Each bond change of a full run lowers the era's factor until its
